@@ -20,11 +20,11 @@ from .curvature import (CurvatureSpec, DropParams, VMReport,
 from .errors import (BuildError, NotVonMangoldt, OutOfWindow, ShootFailure,
                      StarViolation, Undetermined)
 from .geodesics import (GeodesicLaunch, GeodesicTrace, is_ray, max_ray_angle,
-                        trace, turn_angle, turning_radius)
-from .jacobi import (Profile, SlopeReport, SturmReport, TabulatedProfile,
-                     TotalCurvatureReport, embed_profile, export_profile_csv,
-                     load_profile_csv, slope_at_infinity, solve_jacobi,
-                     sturm_compare, total_curvature)
+                        side_of_pi, trace, turn_angle, turning_radius)
+from .jacobi import (Profile, SlopeReport, SturmReport, TotalCurvatureReport,
+                     embed_profile, export_profile_csv, load_profile_csv,
+                     slope_at_infinity, solve_jacobi, sturm_compare,
+                     total_curvature)
 from .oracle import ShootResult, distance_shoot, turn_angle_by_trace
 from .quadrature import (IntegralResult, STATUS_CONVERGED,
                          STATUS_DIVERGENT_TAIL, STATUS_DIVERGENT_TANGENCY,
@@ -46,12 +46,11 @@ __all__ = [
     "spliced", "table",
     "BuildError", "NotVonMangoldt", "OutOfWindow", "ShootFailure",
     "StarViolation", "Undetermined",
-    "GeodesicLaunch", "GeodesicTrace", "is_ray", "max_ray_angle", "trace",
-    "turn_angle", "turning_radius",
-    "Profile", "SlopeReport", "SturmReport", "TabulatedProfile",
-    "TotalCurvatureReport", "embed_profile", "export_profile_csv",
-    "load_profile_csv", "slope_at_infinity", "solve_jacobi", "sturm_compare",
-    "total_curvature",
+    "GeodesicLaunch", "GeodesicTrace", "is_ray", "max_ray_angle",
+    "side_of_pi", "trace", "turn_angle", "turning_radius",
+    "Profile", "SlopeReport", "SturmReport", "TotalCurvatureReport",
+    "embed_profile", "export_profile_csv", "load_profile_csv",
+    "slope_at_infinity", "solve_jacobi", "sturm_compare", "total_curvature",
     "ShootResult", "distance_shoot", "turn_angle_by_trace",
     "IntegralResult", "STATUS_CONVERGED", "STATUS_DIVERGENT_TAIL",
     "STATUS_DIVERGENT_TANGENCY", "STATUS_WINDOW_LIMITED",

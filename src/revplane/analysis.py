@@ -25,7 +25,6 @@ every set boundary by bisection.
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,9 @@ from . import jacobi
 from . import quadrature as qd
 from .errors import Undetermined
 from .svgplot import SvgCanvas
+
+# kappa grid of the pole test's coarse scan over [pi/2, pi - 0.2]
+POLE_GRID = 25
 
 
 def is_critical(profile, r_q, tol=1e-8):
@@ -48,27 +50,13 @@ def in_away_set(profile, r_q, tol=1e-8):
 
     The strict side of the criticality test: boundary cases resolve to
     False (they are critical but not 'away'), with Undetermined raised
-    when a tighter tolerance could still settle the comparison.
+    when a tighter tolerance or a wider window could still settle the
+    comparison.
     """
-    res = gd.turn_angle(profile, r_q, math.pi / 2, tol=tol)
-    if res.diverged:
-        return False
-    band = max(res.abs_error, tol)
-    if res.status == qd.STATUS_WINDOW_LIMITED:
-        if res.value > math.pi + band:
-            return False
-        raise Undetermined(res.value, math.inf,
-                           "window-limited turn angle cannot certify the strict side")
-    if res.value < math.pi - band:
-        return True
-    if res.value > math.pi + band:
-        return False
-    if res.abs_error > tol:
-        raise Undetermined(res.value, res.abs_error)
-    return False
+    return gd.side_of_pi(gd.turn_angle(profile, r_q, math.pi / 2, tol=tol), tol) < 0
 
 
-def is_pole(profile, r_q, tol=1e-8, n_grid=25):
+def is_pole(profile, r_q, tol=1e-8):
     """Whether every geodesic from radius r_q is a ray.
 
     The turn angle is monotone in the Clairaut constant below kappa =
@@ -81,16 +69,13 @@ def is_pole(profile, r_q, tol=1e-8, n_grid=25):
     """
 
     def ray_at(kappa):
-        try:
-            return gd.is_ray(profile, r_q, kappa, tol=tol)
-        except Undetermined:
-            return True
+        return gd.ray_or_undetermined(profile, r_q, kappa, tol=tol)
 
     def t_at(kappa):
         res = gd.turn_angle(profile, r_q, kappa, tol=tol)
         return res.value if not math.isnan(res.value) else -math.inf
 
-    kappas = np.linspace(math.pi / 2, math.pi - 0.2, n_grid)
+    kappas = np.linspace(math.pi / 2, math.pi - 0.2, POLE_GRID)
     values = [t_at(k) for k in kappas]
     worst = int(np.argmax(values))
     if math.isinf(values[worst]):
@@ -99,7 +84,7 @@ def is_pole(profile, r_q, tol=1e-8, n_grid=25):
         return False
     # golden-section polish around the grid maximum
     lo = kappas[max(worst - 1, 0)]
-    hi = kappas[min(worst + 1, n_grid - 1)]
+    hi = kappas[min(worst + 1, POLE_GRID - 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - phi * (b - a)
@@ -144,8 +129,7 @@ def radial_inverse_square_diverges(profile):
 
 def half_slope_radius(profile):
     """First radius where m' drops to 1/2 (inf if it never does)."""
-    grid = np.linspace(0.0, profile.r_max, 8192)
-    mp = profile.mp(grid)
+    grid, _, mp = profile._dense_m()
     below = np.nonzero(mp <= 0.5)[0]
     if below.size == 0:
         return math.inf
@@ -197,21 +181,14 @@ def pole_ball_radius(profile, tol=1e-8, rel_tol=1e-3):
     """Largest radius certified to consist of poles (bisection on the
     closed pole ball).  Returns 0.0 when even tiny radii fail, and inf
     when poles persist to the edge of the solved window."""
-
-    def pole_at(x):
-        try:
-            return is_pole(profile, x, tol=tol)
-        except Undetermined:
-            return True
-
     lo = profile.r_max * 1e-4
-    if not pole_at(lo):
+    if not is_pole(profile, lo, tol=tol):
         return 0.0
     x = lo
     cap = 0.6 * profile.r_max
     while x < cap:
         nxt = min(x * 2.0, cap)
-        if pole_at(nxt):
+        if is_pole(profile, nxt, tol=tol):
             x = nxt
             if x >= cap:
                 return math.inf
@@ -222,7 +199,7 @@ def pole_ball_radius(profile, tol=1e-8, rel_tol=1e-3):
         return math.inf
     while hi - lo > rel_tol * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
-        if pole_at(mid):
+        if is_pole(profile, mid, tol=tol):
             lo = mid
         else:
             hi = mid
@@ -230,24 +207,6 @@ def pole_ball_radius(profile, tol=1e-8, rel_tol=1e-3):
 
 
 # --- set scans -----------------------------------------------------------
-
-
-def _classify(res, tol):
-    """Map a tangential turn angle to (critical, away); None = undetermined."""
-    if res.diverged:
-        return False, False
-    band = max(res.abs_error, tol)
-    if res.status == qd.STATUS_WINDOW_LIMITED:
-        if res.value > math.pi + band:
-            return False, False
-        return None, None
-    if res.value < math.pi - band:
-        return True, True
-    if res.value > math.pi + band:
-        return False, False
-    if res.abs_error > tol:
-        return None, None
-    return True, False  # boundary at the precision floor: critical, not away
 
 
 @dataclass
@@ -364,10 +323,11 @@ def _refine_boundary(r_in, r_out, predicate, iters=40):
     return 0.5 * (lo + hi)
 
 
-def scan_sets(profile, n=256, tol=1e-8, jobs=None, refine=True):
+def scan_sets(profile, n=256, tol=1e-8, refine=True):
     """Classify the critical/away structure on a log-spaced radius grid.
 
-    Each grid point gets the tangential turn angle; Undetermined
+    Each grid point gets the tangential turn angle and its side of pi:
+    critical below or at pi, away strictly below.  Undetermined
     comparisons are retried once at tol/100 and recorded as gaps if they
     persist.  Interval endpoints are then sharpened by bisection.
     """
@@ -375,45 +335,37 @@ def scan_sets(profile, n=256, tol=1e-8, jobs=None, refine=True):
     # outgoing integral with an empty range
     r_grid = np.geomspace(profile.r_max * 1e-4, profile.r_max * (1.0 - 1e-9), n)
 
-    def eval_point(r):
-        return gd.turn_angle(profile, float(r), math.pi / 2, tol=tol)
+    def turn_at(r, t=tol):
+        return gd.turn_angle(profile, float(r), math.pi / 2, tol=t)
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(eval_point, r_grid))
-    else:
-        results = [eval_point(r) for r in r_grid]
-
+    results = [turn_at(r) for r in r_grid]
     critical, away, undet = [], [], []
     for r, res in zip(r_grid, results):
-        crit, aw = _classify(res, tol)
-        if crit is None and res.status != qd.STATUS_WINDOW_LIMITED:
-            res = gd.turn_angle(profile, float(r), math.pi / 2, tol=tol / 100)
-            crit, aw = _classify(res, tol / 100)
-        if crit is None:
+        try:
+            side = gd.side_of_pi(res, tol)
+        except Undetermined:
+            side = None
+            if res.status != qd.STATUS_WINDOW_LIMITED:
+                try:
+                    side = gd.side_of_pi(turn_at(r, tol / 100), tol / 100)
+                except Undetermined:
+                    pass
+        if side is None:
             undet.append(float(r))
-            crit, aw = False, False
-        critical.append(bool(crit))
-        away.append(bool(aw))
+            side = 1
+        critical.append(side <= 0)
+        away.append(side < 0)
 
     crit_ints = _intervals_from_flags(r_grid, critical)
     away_ints = _intervals_from_flags(r_grid, away)
 
     if refine:
-        def crit_pred(x):
-            c, _ = _classify(gd.turn_angle(profile, x, math.pi / 2, tol=tol), tol)
-            if c is None:
-                raise Undetermined(math.nan, math.nan)
-            return c
-
-        def away_pred(x):
-            _, a = _classify(gd.turn_angle(profile, x, math.pi / 2, tol=tol), tol)
-            if a is None:
-                raise Undetermined(math.nan, math.nan)
-            return a
-
+        # critical means side < 1, away side < 0
         idx = {float(r): i for i, r in enumerate(r_grid)}
-        for ints, pred in ((crit_ints, crit_pred), (away_ints, away_pred)):
+        for ints, bound in ((crit_ints, 1), (away_ints, 0)):
+            def pred(x, bound=bound):
+                return gd.side_of_pi(turn_at(x), tol) < bound
+
             for pair in ints:
                 i0 = idx[float(pair[0])]
                 left = float(pair[0])

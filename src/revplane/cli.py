@@ -159,7 +159,7 @@ def _cmd_radii(args):
 
 def _cmd_scan(args):
     prof = _solve(args)
-    rep = an.scan_sets(prof, n=args.n, tol=args.query_tol, jobs=args.jobs)
+    rep = an.scan_sets(prof, n=args.n, tol=args.query_tol)
     rep.radii["half_slope_radius"] = an.half_slope_radius(prof)
     rep.radii["critical_ball_radius"] = an.critical_ball_radius(prof)
     if args.csv:
@@ -303,7 +303,6 @@ def build_parser():
     sc = sub.add_parser("scan", parents=[onspec],
                         help="critical/away intervals over a radius grid")
     sc.add_argument("--n", type=int, default=256)
-    sc.add_argument("--jobs", type=int, default=None)
     sc.add_argument("--json", help="write the full report here")
     sc.add_argument("--csv", help="write per-radius rows here")
     sc.add_argument("--svg", help="write an interval chart here")

@@ -69,14 +69,6 @@ class TableBuild:
     spec: object
 
 
-def _cap_slope(u, eps, tol):
-    """Slope at infinity of the capped inverse-square plane for this u."""
-    z = cv.isq_zero(u)
-    spec = cv.isq_capped(u, eps)
-    prof = jacobi.solve_jacobi(spec, r_max=z + eps + 2.0, tol=tol)
-    return prof.mp(z + eps)
-
-
 def build_smoothed_cone(s, eps=None, tail=60.0, slope_tol=1e-9, tol=1e-10,
                         max_iter=60):
     """Plane with K >= 0 non-increasing, K = 0 beyond rho, slope exactly s.
@@ -105,8 +97,16 @@ def build_smoothed_cone(s, eps=None, tail=60.0, slope_tol=1e-9, tol=1e-10,
         z = cv.isq_zero(u)
         return eps if eps is not None else min(0.1, z / 10.0)
 
+    # every trial is solved on the window the build keeps, [0, rho + tail]:
+    # m'(rho) depends on the solver's step sequence, which depends on the
+    # window, so a shorter trial window tunes a slope the build misses
+    solved = {}
+
     def f(u):
-        return _cap_slope(u, eps_for(u), tol) - s
+        e = eps_for(u)
+        rho_u = cv.isq_zero(u) + e
+        solved[u] = jacobi.solve_jacobi(cv.isq_capped(u, e), r_max=rho_u + tail, tol=tol)
+        return solved[u].mp(rho_u) - s
 
     lo, hi = u_guess / 3.0, min(u_guess * 3.0, 0.25)
     f_lo, f_hi = f(lo), f(hi)
@@ -127,10 +127,11 @@ def build_smoothed_cone(s, eps=None, tail=60.0, slope_tol=1e-9, tol=1e-10,
     e_star = eps_for(u_star)
     z_star = cv.isq_zero(u_star)
     rho = z_star + e_star
-    spec = cv.isq_capped(u_star, e_star)
+    # brentq returns a point it evaluated: its trial is the built profile
+    prof = solved[u_star]
+    spec = prof.spec
     if not spec.blend_is_monotone():
         raise BuildError("curvature cap lost monotonicity; widen eps")
-    prof = jacobi.solve_jacobi(spec, r_max=rho + tail, tol=tol)
     achieved = prof.mp(rho)
     if abs(achieved - s) > slope_tol:
         raise BuildError(

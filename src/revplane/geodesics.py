@@ -63,15 +63,10 @@ def turning_radius(profile, c, r_q):
         raise ValueError(f"c = {c:.6g} exceeds m(r_q) = {m_q:.6g}")
     if c >= m_q:
         return float(r_q)
-    dense = getattr(profile, "_dense_m", None)
-    if dense is not None:
-        gr_all, gm_all, _ = dense()
-        k = int(np.searchsorted(gr_all, r_q, side="left"))
-        grid = np.concatenate([gr_all[:k], [r_q]])
-        m = np.concatenate([gm_all[:k], [m_q]])
-    else:
-        grid = np.linspace(0.0, r_q, 4096)
-        m = profile.m(grid)
+    gr_all, gm_all, _ = profile._dense_m()
+    k = int(np.searchsorted(gr_all, r_q, side="left"))
+    grid = np.concatenate([gr_all[:k], [r_q]])
+    m = np.concatenate([gm_all[:k], [m_q]])
     below = np.nonzero(m < c)[0]
     if below.size == 0:
         # m(0) = 0 < c, so this can only be grid coarseness right at 0
@@ -118,34 +113,52 @@ def turn_angle(profile, r_q, kappa, tol=1e-8):
                              2 * leg_in.abs_error + leg_out.abs_error, status)
 
 
+def side_of_pi(res, tol):
+    """Which side of pi a turn angle lies on, by the closed-side protocol.
+
+    Returns -1 below pi, +1 above pi (divergent counts as above) and 0
+    inside the error band at the precision floor, where the boundary
+    value counts as closed (equal to pi).  Raises Undetermined where a
+    tighter tolerance (abs_error > tol) or a wider window (window-limited
+    and not yet past pi) could still decide; a window-limited result
+    carries abs_error = inf.
+    """
+    if res.diverged:
+        return 1
+    band = max(res.abs_error, tol)
+    if res.value > math.pi + band:
+        return 1
+    if res.status == qd.STATUS_WINDOW_LIMITED:
+        raise Undetermined(res.value, math.inf,
+                           "turn angle window-limited and not yet past pi; extend r_max")
+    if res.value <= math.pi - band:
+        return -1
+    if res.abs_error > tol:
+        raise Undetermined(res.value, res.abs_error)
+    return 0
+
+
 def is_ray(profile, r_q, kappa, tol=1e-8):
     """Whether the geodesic is a ray: turn angle at most pi.
 
-    Comparisons inside the error band follow the closed-side protocol:
-    if the error still exceeds tol the call raises Undetermined (retry
-    tighter), otherwise the boundary value counts as a ray.  A
-    window-limited turn angle not already past pi also raises
-    Undetermined, since the unseen tail could push it over.
+    side_of_pi decides; a turn angle at the precision floor counts as a
+    ray, and Undetermined propagates.
     """
     if kappa == math.pi:
         # the inward radial: minimal iff every geodesic from here is --
         # answered by the pole test, not by a turn integral
         from .analysis import is_pole
         return is_pole(profile, r_q, tol=tol)
-    res = turn_angle(profile, r_q, kappa, tol=tol)
-    if res.diverged:
-        return False
-    band = max(res.abs_error, tol)
-    if res.value > math.pi + band:
-        return False
-    if res.status == qd.STATUS_WINDOW_LIMITED:
-        raise Undetermined(res.value, math.inf,
-                           "turn angle window-limited and not yet past pi; extend r_max")
-    if res.value <= math.pi - band:
+    return side_of_pi(turn_angle(profile, r_q, kappa, tol=tol), tol) <= 0
+
+
+def ray_or_undetermined(profile, r_q, kappa, tol=1e-8):
+    """is_ray with Undetermined resolved to the ray side, as searches
+    over a closed set of rays need."""
+    try:
+        return is_ray(profile, r_q, kappa, tol=tol)
+    except Undetermined:
         return True
-    if res.abs_error > tol:
-        raise Undetermined(res.value, res.abs_error)
-    return True  # at the precision floor the boundary counts as a ray
 
 
 def max_ray_angle(profile, r_q, tol=1e-8, kappa_tol=1e-8):
@@ -157,10 +170,7 @@ def max_ray_angle(profile, r_q, tol=1e-8, kappa_tol=1e-8):
     consistent with the angle being attained.
     """
     def ray_at(kappa):
-        try:
-            return is_ray(profile, r_q, kappa, tol=tol)
-        except Undetermined:
-            return True
+        return ray_or_undetermined(profile, r_q, kappa, tol=tol)
 
     # find a bracketing failure angle: probe from pi/2 upward toward pi.
     # The full pole test is deferred until no failure shows up, since a

@@ -29,7 +29,12 @@ SEED_RADIUS = 1e-6
 
 
 class Profile:
-    """Dense solution of the Jacobi IVP for one curvature spec on [0, r_max]."""
+    """The warping function m of one curvature spec on [0, r_max].
+
+    sol maps an array of radii in [SEED_RADIUS, r_max] to the rows
+    (m, m'): the dense output of the Jacobi solve, or interpolants of a
+    table read back from CSV.  Below SEED_RADIUS the Taylor seed is used.
+    """
 
     def __init__(self, spec, sol, r_max, tol):
         self.spec = spec
@@ -77,23 +82,22 @@ class Profile:
 
     @property
     def monotone_increasing(self):
-        """True when m' > 0 on a dense sample of the whole window.
+        """True when m' > 0 on the cached dense sample of the whole window.
 
         Cached after the first access.  Integrators use this to skip the
         search for interior wells of m, which cannot exist when the profile
         climbs everywhere.
         """
         if self._mono is None:
-            grid = np.linspace(0.0, self.r_max, 4096)
-            self._mono = bool(np.all(self.mp(grid) > 0.0))
+            self._mono = bool(np.all(self._dense_m()[2] > 0.0))
         return self._mono
 
     def _dense_m(self):
         """Cached dense sample (r, m, m') over the window, for bracket scans.
 
         Root-finding and trap-detection helpers slice this instead of
-        re-evaluating the dense ODE output thousands of points at a time
-        on every call.
+        re-evaluating the profile thousands of points at a time on every
+        call.
         """
         if self._mgrid is None:
             r = np.linspace(0.0, self.r_max, 8192)
@@ -289,44 +293,11 @@ def total_curvature(profile, spread_tol=1e-6):
     )
 
 
-# --- tabulated profiles and CSV round-trips ------------------------------
-
-
-class TabulatedProfile:
-    """Profile backed by sampled columns (r, m, mp, K), PCHIP-interpolated."""
-
-    def __init__(self, r, m, mp, K):
-        r = np.asarray(r, dtype=float)
-        self._m = PchipInterpolator(r, np.asarray(m, dtype=float), extrapolate=False)
-        self._mp = PchipInterpolator(r, np.asarray(mp, dtype=float), extrapolate=False)
-        self.spec = cv.table(r, K, extrapolate="constant")
-        self.r_max = float(r[-1])
-        self.r_min = float(r[0])
-        self.tol = math.nan
-
-    def _eval(self, interp, r):
-        scalar = np.isscalar(r)
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = interp(r)
-        if np.any(np.isnan(out)):
-            bad = r[np.isnan(out)][0]
-            raise OutOfWindow(
-                f"r = {bad:.6g} outside tabulated window [{self.r_min:.6g}, {self.r_max:.6g}]"
-            )
-        return float(out[0]) if scalar else out
-
-    def m(self, r):
-        return self._eval(self._m, r)
-
-    def mp(self, r):
-        return self._eval(self._mp, r)
-
-    def K(self, r):
-        return self.spec.evaluate(r)
+# --- CSV round-trips -----------------------------------------------------
 
 
 def export_profile_csv(profile, path, n=2001, r_hi=None):
-    """Write columns r,m,mp,K sampled on a uniform grid."""
+    """Write columns r,m,mp,K sampled on a uniform grid from r = 0."""
     hi = profile.r_max if r_hi is None else min(r_hi, profile.r_max)
     r = np.linspace(0.0, hi, n)
     m = profile.m(r)
@@ -340,16 +311,18 @@ def export_profile_csv(profile, path, n=2001, r_hi=None):
 
 
 def load_profile_csv(path):
-    """Read a profile written by export_profile_csv back as a TabulatedProfile."""
+    """Read a profile written by export_profile_csv back as a Profile.
+
+    m and m' are PCHIP-interpolated between the rows, K becomes a table
+    spec.  The first row must be at r = 0, where every profile starts.
+    """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd)
         if [h.strip() for h in header] != ["r", "m", "mp", "K"]:
             raise ValueError(f"unexpected profile CSV header: {header}")
-        cols = [[], [], [], []]
-        for row in rd:
-            if not row:
-                continue
-            for c, x in zip(cols, row):
-                c.append(float(x))
-    return TabulatedProfile(*cols)
+        r, m, mp, K = np.array([[float(x) for x in row] for row in rd if row]).T
+    if r[0] != 0.0:
+        raise ValueError(f"profile CSV must start at r = 0, got r = {r[0]:.6g}")
+    sol = PchipInterpolator(r, np.array([m, mp]), axis=1, extrapolate=False)
+    return Profile(cv.table(r, K, extrapolate="constant"), sol, r[-1], math.nan)

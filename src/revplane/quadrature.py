@@ -203,25 +203,19 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8):
         # the geodesic is asymptotic to the parallel circle: log divergence
         return IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
 
-    dense = getattr(profile, "_dense_m", None)
-    mono = dense is not None and getattr(profile, "monotone_increasing", False)
-    if mono:
+    # slices of the profile's cached sample seed the inversion and the
+    # well scan; a span holding too few samples gets its own grid
+    gr_all, gm_all, gmp_all = profile._dense_m()
+    a = int(np.searchsorted(gr_all, r_lo, side="right"))
+    b = int(np.searchsorted(gr_all, hi, side="left"))
+    if profile.monotone_increasing:
         # m climbs on the whole window, so no interior well can trap the
-        # geodesic and the head inversion is valid everywhere; slices of
-        # the profile's cached sample are enough to seed the inversion.
-        gr_all, gm_all, _ = dense()
-        a = int(np.searchsorted(gr_all, r_lo, side="right"))
-        b = int(np.searchsorted(gr_all, hi, side="left"))
+        # geodesic and the head inversion is valid everywhere
         grid = np.concatenate([[r_lo], gr_all[a:b], [hi]])
         m_s = np.concatenate([[m_lo], gm_all[a:b], [profile.m(hi)]])
         i_mono = len(grid)
     else:
-        if dense is not None:
-            gr_all, gm_all, gmp_all = dense()
-            a = int(np.searchsorted(gr_all, r_lo, side="right"))
-            b = int(np.searchsorted(gr_all, hi, side="left"))
-        if dense is not None and b - a >= 128:
-            # reuse the profile's cached sample for the well scan
+        if b - a >= 128:
             grid = np.concatenate([[r_lo], gr_all[a:b], [hi]])
             m_s = np.concatenate([[m_lo], gm_all[a:b], [profile.m(hi)]])
             mp_s = np.concatenate([[profile.mp(r_lo)], gmp_all[a:b],
@@ -312,7 +306,7 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8):
         return IntegralResult(max(value, 0.0), err, STATUS_CONVERGED)
 
     # improper: resolve the tail beyond the window via curvature certificate
-    cert = getattr(profile.spec, "tail_certificate", lambda: None)()
+    cert = profile.spec.tail_certificate()
     m_R = profile.m(hi)
     a_R = profile.mp(hi)
     if cert is not None and cert[0] in ("zero", "nonpositive") and cert[1] <= hi:

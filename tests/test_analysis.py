@@ -178,6 +178,17 @@ def test_scan_flat_stub_single_interval():
     assert rep.undetermined == []
 
 
+def test_scan_flags_match_point_predicates():
+    # on the slope-1/2 cone every tangential turn angle is pi, the closed
+    # side's boundary: the grid flags come from the same comparison as
+    # is_critical and in_away_set
+    p = cone_stub(0.5)
+    rep = an.scan_sets(p, n=12, refine=False)
+    assert rep.undetermined == []
+    assert rep.critical == [an.is_critical(p, r) for r in rep.r]
+    assert rep.away == [an.in_away_set(p, r) for r in rep.r]
+
+
 # --- neck exclusion -------------------------------------------------------
 
 def test_neck_bound_slow_stub():

@@ -6,6 +6,7 @@ import pytest
 from revplane import curvature as cv
 from revplane import geodesics as gd
 from revplane import jacobi
+from revplane import quadrature as qd
 from revplane.errors import Undetermined
 
 from test_quadrature import StubProfile
@@ -109,6 +110,34 @@ def test_is_ray_window_limited_raises():
     slow = jacobi.solve_jacobi(cv.isq(0.0), r_max=100.0)
     with pytest.raises(Undetermined):
         gd.is_ray(slow, 1.0, math.pi / 2)
+
+
+def test_side_of_pi_table():
+    pi, tol = math.pi, 1e-8
+    und = Undetermined
+    table = [
+        # (value, abs_error, status, side or the exception it raises)
+        (math.inf, 0.0, qd.STATUS_DIVERGENT_TANGENCY, 1),
+        (math.inf, 0.0, qd.STATUS_DIVERGENT_TAIL, 1),
+        (pi + 1e-3, 1e-12, qd.STATUS_WINDOW_LIMITED, 1),     # already past pi
+        (pi - 1e-3, 1e-12, qd.STATUS_WINDOW_LIMITED, und),   # unseen tail
+        (pi, 1e-12, qd.STATUS_WINDOW_LIMITED, und),
+        (pi - 1e-3, 1e-12, qd.STATUS_CONVERGED, -1),         # below the band
+        (pi - tol, 1e-12, qd.STATUS_CONVERGED, -1),          # ... on its edge
+        (pi + 1e-3, 1e-12, qd.STATUS_CONVERGED, 1),          # above the band
+        (pi + 1e-7, 1e-6, qd.STATUS_CONVERGED, und),         # band too wide
+        (pi + 1e-9, 1e-12, qd.STATUS_CONVERGED, 0),          # precision floor
+        (pi - 1e-9, 1e-12, qd.STATUS_CONVERGED, 0),
+    ]
+    for value, err, status, want in table:
+        res = qd.IntegralResult(value, err, status)
+        if want is und:
+            with pytest.raises(Undetermined) as exc:
+                gd.side_of_pi(res, tol)
+            if status == qd.STATUS_WINDOW_LIMITED:
+                assert exc.value.abs_error == math.inf
+        else:
+            assert gd.side_of_pi(res, tol) == want, (value, err, status)
 
 
 def test_trace_flat_straight_line(flat):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from revplane import curvature as cv
+from revplane import geodesics as gd
 from revplane import jacobi
 from revplane.errors import OutOfWindow, StarViolation
 
@@ -157,3 +158,16 @@ def test_csv_round_trip(tmp_path):
     assert np.allclose(q.mp(r), p.mp(r), rtol=1e-5, atol=1e-6)
     with pytest.raises(OutOfWindow):
         q.m(20.5)
+    # the round trip gives back the same Profile type, and the quadrature
+    # reads it like the solved one: the turn angles agree within their
+    # error bands plus the interpolation tolerance of m above
+    assert isinstance(q, jacobi.Profile)
+    want = gd.turn_angle(p, 5.0, math.pi / 2)
+    got = gd.turn_angle(q, 5.0, math.pi / 2)
+    assert got.status == want.status
+    assert abs(got.value - want.value) <= got.abs_error + want.abs_error + 1e-6
+    # a table that does not start at the origin is not a profile
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(rows[:1] + rows[2:]) + "\n")
+    with pytest.raises(ValueError, match="r = 0"):
+        jacobi.load_profile_csv(path)

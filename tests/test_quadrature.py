@@ -9,22 +9,22 @@ from revplane import jacobi
 from revplane import quadrature as qd
 
 
-class StubProfile:
-    """Hand-specified profile for exercising tail and divergence paths."""
+class StubProfile(jacobi.Profile):
+    """Hand-specified profile for exercising tail and divergence paths.
+
+    Only m and mp are overridden, so the quadrature reads the same cached
+    sample from a stub as from a solved profile.
+    """
 
     def __init__(self, m, mp, spec, r_max=50.0):
+        super().__init__(spec, None, r_max, math.nan)
         self._mf, self._mpf = m, mp
-        self.spec = spec
-        self.r_max = r_max
 
     def m(self, r):
         return self._mf(np.asarray(r, dtype=float)) if not np.isscalar(r) else float(self._mf(r))
 
     def mp(self, r):
         return self._mpf(np.asarray(r, dtype=float)) if not np.isscalar(r) else float(self._mpf(r))
-
-    def K(self, r):
-        return self.spec.evaluate(r)
 
 
 def reference_quad(profile, c, r_lo, r_inf=np.inf):
