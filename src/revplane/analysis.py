@@ -18,8 +18,10 @@ a closed ball -- which is what makes the radii below well-defined:
   pole_ball_radius       largest radius all of whose points are poles
 
 Boundary comparisons against pi follow the closed-side protocol from the
-geodesics module; scan_sets applies it on a log-spaced grid and refines
-every set boundary by bisection.
+geodesics module; scan_sets applies it on a log-spaced grid.  Every
+search for the place where a closed-side answer flips -- the set
+boundaries of a scan, the pole-ball radius, and in geodesics the widest
+ray angle -- is one bisection, geodesics.bisect_closed.
 """
 
 import csv
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from . import geodesics as gd
 from . import jacobi
@@ -61,19 +63,21 @@ def is_pole(profile, r_q, tol=1e-8):
 
     The turn angle is monotone in the Clairaut constant below kappa =
     pi/2, so only [pi/2, pi) needs scanning.  A coarse grid over
-    [pi/2, pi - 0.2] is refined around its maximum by golden-section
-    steps, and the approach to the inward radial (where the turn angle
-    tends to pi) is probed separately.  Any certified angle beyond pi
-    means not a pole; comparisons at the precision floor resolve to the
-    pole side.
+    [pi/2, pi - 0.2] is refined around its maximum by one bounded
+    maximise, and the approach to the inward radial (where the turn
+    angle tends to pi) is probed separately.  Any certified angle beyond
+    pi means not a pole; comparisons at the precision floor, and those
+    left Undetermined, resolve to the pole side.
     """
 
     def ray_at(kappa):
-        return gd.ray_or_undetermined(profile, r_q, kappa, tol=tol)
+        try:
+            return gd.is_ray(profile, r_q, kappa, tol=tol)
+        except Undetermined:
+            return True
 
     def t_at(kappa):
-        res = gd.turn_angle(profile, r_q, kappa, tol=tol)
-        return res.value if not math.isnan(res.value) else -math.inf
+        return gd.turn_angle(profile, r_q, kappa, tol=tol).value
 
     kappas = np.linspace(math.pi / 2, math.pi - 0.2, POLE_GRID)
     values = [t_at(k) for k in kappas]
@@ -82,24 +86,11 @@ def is_pole(profile, r_q, tol=1e-8):
         return False
     if not ray_at(kappas[worst]):
         return False
-    # golden-section polish around the grid maximum
+    # polish the grid maximum within its two neighbouring cells
     lo = kappas[max(worst - 1, 0)]
     hi = kappas[min(worst + 1, POLE_GRID - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = t_at(x1), t_at(x2)
-    for _ in range(25):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = t_at(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = t_at(x1)
-    peak = x1 if f1 >= f2 else x2
+    peak = minimize_scalar(lambda k: -t_at(k), bounds=(lo, hi), method="bounded",
+                           options={"xatol": 1e-6}).x
     if not ray_at(peak):
         return False
     # approach to the inward radial: the turn angle tends to pi, so any
@@ -197,12 +188,8 @@ def pole_ball_radius(profile, tol=1e-8, rel_tol=1e-3):
             break
     else:
         return math.inf
-    while hi - lo > rel_tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if is_pole(profile, mid, tol=tol):
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = gd.bisect_closed(lo, hi, lambda x: is_pole(profile, x, tol=tol),
+                             rel_tol * max(lo, 1.0))
     return float(lo)
 
 
@@ -300,29 +287,6 @@ def _intervals_from_flags(r, flags):
     return out
 
 
-def _refine_boundary(r_in, r_out, predicate, iters=40):
-    """Bisect a classification boundary between two grid neighbors.
-
-    predicate(r) must hold at r_in and fail at r_out; returns the
-    crossing radius.  Undetermined points resolve to the predicate side
-    (closed-set convention).
-    """
-    lo, hi = r_in, r_out
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        try:
-            inside = predicate(mid)
-        except Undetermined:
-            inside = True
-        if inside:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
 def scan_sets(profile, n=256, tol=1e-8, refine=True):
     """Classify the critical/away structure on a log-spaced radius grid.
 
@@ -331,6 +295,8 @@ def scan_sets(profile, n=256, tol=1e-8, refine=True):
     comparisons are retried once at tol/100 and recorded as gaps if they
     persist.  Interval endpoints are then sharpened by bisection.
     """
+    if n < 2:
+        raise ValueError(f"a scan needs at least 2 grid points, got {n}")
     # keep strictly inside the window: the top endpoint would leave the
     # outgoing integral with an empty range
     r_grid = np.geomspace(profile.r_max * 1e-4, profile.r_max * (1.0 - 1e-9), n)
@@ -367,13 +333,13 @@ def scan_sets(profile, n=256, tol=1e-8, refine=True):
                 return gd.side_of_pi(turn_at(x), tol) < bound
 
             for pair in ints:
-                i0 = idx[float(pair[0])]
-                left = float(pair[0])
-                if i0 > 0:
-                    pair[0] = float(_refine_boundary(left, r_grid[i0 - 1], pred))
-                i1 = idx.get(float(pair[1]))
-                if i1 is not None and i1 < n - 1:
-                    pair[1] = float(_refine_boundary(float(pair[1]), r_grid[i1 + 1], pred))
+                for end, step in ((0, -1), (1, 1)):
+                    edge = pair[end]
+                    j = idx[edge] + step
+                    if 0 <= j < n:
+                        a, b = gd.bisect_closed(edge, r_grid[j], pred,
+                                                1e-10 * max(1.0, edge))
+                        pair[end] = 0.5 * (a + b)
 
     spec_dict = None
     try:

@@ -148,11 +148,11 @@ def _cmd_classify(args):
 def _cmd_radii(args):
     prof = _solve(args)
     out = {
-        "critical_ball_radius": an.critical_ball_radius(prof),
+        "critical_ball_radius": an.critical_ball_radius(prof, tol=args.query_tol),
         "half_slope_radius": an.half_slope_radius(prof),
     }
     if not args.skip_pole_ball:
-        out["pole_ball_radius"] = an.pole_ball_radius(prof)
+        out["pole_ball_radius"] = an.pole_ball_radius(prof, tol=args.query_tol)
     _emit(out)
     return 0
 
@@ -161,7 +161,7 @@ def _cmd_scan(args):
     prof = _solve(args)
     rep = an.scan_sets(prof, n=args.n, tol=args.query_tol)
     rep.radii["half_slope_radius"] = an.half_slope_radius(prof)
-    rep.radii["critical_ball_radius"] = an.critical_ball_radius(prof)
+    rep.radii["critical_ball_radius"] = an.critical_ball_radius(prof, tol=args.query_tol)
     if args.csv:
         rep.to_csv(args.csv)
     if args.svg:

@@ -41,7 +41,8 @@ class ConeBuild:
     z: float
     eps: float
     rho: float      # beyond here the curvature is identically zero
-    slope: float    # m' on [rho, infinity), equal to the requested s
+    slope: float    # m'(rho) as the solve interpolates it: s within slope_tol;
+                    # m' beyond rho can differ from it by ~1e-8 at tol 1e-10
 
 
 @dataclass
@@ -71,13 +72,14 @@ class TableBuild:
 
 def build_smoothed_cone(s, eps=None, tail=60.0, slope_tol=1e-9, tol=1e-10,
                         max_iter=60):
-    """Plane with K >= 0 non-increasing, K = 0 beyond rho, slope exactly s.
+    """Plane with K >= 0 non-increasing, K = 0 beyond rho, slope about s.
 
     The inverse-square family 1/(4(r+1)^2) - u crosses zero at
     z = 1/(2 sqrt u) - 1; capping it smoothly to zero near z leaves the
     profile linear beyond with some slope sigma(u), increasing in u.
-    Bisection on u pins sigma to s within slope_tol.  s = 1 degenerates
-    to the flat plane.
+    Root-finding on u pins the solved m'(rho) to s within slope_tol (see
+    ConeBuild.slope for how far sigma itself may sit from it).  s = 1
+    degenerates to the flat plane.
     """
     if not 0.0 < s <= 1.0:
         raise BuildError(f"slope s must lie in (0, 1], got {s}")

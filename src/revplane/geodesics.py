@@ -152,61 +152,46 @@ def is_ray(profile, r_q, kappa, tol=1e-8):
     return side_of_pi(turn_angle(profile, r_q, kappa, tol=tol), tol) <= 0
 
 
-def ray_or_undetermined(profile, r_q, kappa, tol=1e-8):
-    """is_ray with Undetermined resolved to the ray side, as searches
-    over a closed set of rays need."""
-    try:
-        return is_ray(profile, r_q, kappa, tol=tol)
-    except Undetermined:
-        return True
+def bisect_closed(inside, outside, pred, width):
+    """Bisect the bracket of a closed-side yes/no answer down to width.
+
+    pred holds at inside and fails at outside; either end may be the
+    larger.  Halves the bracket until abs(outside - inside) <= width and
+    returns the final (inside, outside) pair.  Undetermined from pred
+    counts as inside: the searches here run over closed sets, whose
+    boundary case belongs to the set.
+    """
+    while abs(outside - inside) > width:
+        mid = 0.5 * (inside + outside)
+        try:
+            hit = pred(mid)
+        except Undetermined:
+            hit = True
+        if hit:
+            inside = mid
+        else:
+            outside = mid
+    return inside, outside
 
 
 def max_ray_angle(profile, r_q, tol=1e-8, kappa_tol=1e-8):
     """Largest launch angle that still gives a ray.
 
-    Monotone in kappa (rays above rays are rays), so bisection applies;
-    returns pi exactly when the whole pencil consists of rays (a pole).
-    Undetermined comparisons during the search resolve to the ray side,
-    consistent with the angle being attained.
+    Monotone in kappa (rays above rays are rays), so bisection on
+    [0, pi] applies, with the outward radial kappa = 0 a ray and the
+    inward radial kappa = pi taken as the failing end; Undetermined
+    comparisons resolve to the ray side, consistent with the angle being
+    attained.  If no probe fails, the pole test decides between pi
+    (every geodesic from here is a ray) and the last ray angle.
     """
-    def ray_at(kappa):
-        return ray_or_undetermined(profile, r_q, kappa, tol=tol)
+    lo, hi = bisect_closed(0.0, math.pi,
+                           lambda kappa: is_ray(profile, r_q, kappa, tol=tol),
+                           kappa_tol)
+    if hi == math.pi:
+        from .analysis import is_pole
 
-    # find a bracketing failure angle: probe from pi/2 upward toward pi.
-    # The full pole test is deferred until no failure shows up, since a
-    # single certified non-ray already rules a pole out.
-    lo = 0.0
-    hi = None
-    probe = math.pi / 2
-    if not ray_at(probe):
-        hi = probe
-    else:
-        lo = probe
-        step = math.pi / 4
-        while step > kappa_tol / 4:
-            probe = lo + step
-            if probe >= math.pi:
-                probe = math.pi - kappa_tol / 8
-            if ray_at(probe):
-                lo = probe
-            else:
-                hi = probe
-                break
-            step /= 2
-        if hi is None:
-            # rays all the way to within kappa_tol of pi: either a pole,
-            # or report the last certified angle
-            from .analysis import is_pole
-
-            if is_pole(profile, r_q, tol=tol):
-                return math.pi
-            return lo
-    while hi - lo > kappa_tol:
-        mid = 0.5 * (lo + hi)
-        if ray_at(mid):
-            lo = mid
-        else:
-            hi = mid
+        if is_pole(profile, r_q, tol=tol):
+            return math.pi
     return lo
 
 
@@ -264,6 +249,8 @@ def trace(profile, r_q, kappa, s_max, n_points=1001, rtol=1e-11,
     honest conservation check (the Clairaut constant is exact here by
     construction).
     """
+    if not s_max > 0:
+        raise ValueError(f"s_max must be positive, got {s_max}")
     launch = GeodesicLaunch.at_angle(profile, r_q, kappa)
     c = launch.c
 

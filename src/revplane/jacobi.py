@@ -105,7 +105,7 @@ class Profile:
         return self._mgrid
 
     def __repr__(self):
-        return f"Profile({self.spec!r}, r_max={self.r_max:.6g})"
+        return f"Profile({self.spec.kind!r}, window=[0, {self.r_max:.6g}])"
 
 
 def solve_jacobi(spec, r_max=200.0, tol=1e-10):

@@ -155,6 +155,20 @@ def test_scan_disconnected_critical_set(flare, tmp_path):
     first = rep.critical_intervals[0]
     assert flare.base_critical_radius - 1e-6 <= first[1] < flare.r_q
 
+    def critical(x):
+        try:
+            return an.is_critical(flare.profile, x)
+        except Undetermined:
+            return True
+
+    # every refined end inside the grid is where the critical side flips,
+    # left ends (bisected downward from the grid) as well as right ends
+    for a, b in rep.critical_intervals:
+        for edge, inward in ((a, 1.0), (b, -1.0)):
+            if rep.r[0] < edge < rep.r[-1]:
+                assert critical(edge * (1.0 + inward * 1e-6)), edge
+                assert not critical(edge * (1.0 - inward * 1e-6)), edge
+
     blob = json.loads(rep.to_json())
     assert blob["critical_intervals"] == rep.critical_intervals
     assert blob["spec"] is not None and blob["spec"]["kind"] == "spliced"

@@ -180,5 +180,16 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "cone", "--slope", "1.5",
                        "-o", str(tmp_path / "x.json"))
     assert code == 2
+    # a query tolerance the quadrature rejects, a scan without two grid
+    # points and a backward trace are invalid input too
+    spec = str(tmp_path / "hyp.json")
+    assert run(capsys, "plane", "build", "--kind", "constant", "--k", "-1",
+               "-o", spec)[0] == 0
+    for argv in (["radii", "--query-tol", "2"],
+                 ["scan", "--n", "0", "--svg", str(tmp_path / "x.svg")],
+                 ["scan", "--n", "0"],
+                 ["trace", "--r", "1", "--kappa", "1", "--s-max", "-1"]):
+        code, _, err = run(capsys, *argv, "--spec", spec, "--r-max", "10")
+        assert code == 2 and err["error"] == "invalid_input", argv
     with pytest.raises(SystemExit):
         cli.main(["no-such-command"])

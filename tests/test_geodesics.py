@@ -140,6 +140,21 @@ def test_side_of_pi_table():
             assert gd.side_of_pi(res, tol) == want, (value, err, status)
 
 
+def test_bisect_closed_either_order():
+    # the closed set x <= 0.3, with Undetermined answers near its edge:
+    # they count as inside, so the bracket closes on 0.301
+    def below(x):
+        if abs(x - 0.3) < 1e-3:
+            raise Undetermined(x, 1e-3)
+        return x <= 0.3
+
+    a, b = gd.bisect_closed(0.0, 1.0, below, 1e-9)
+    assert 0.3009 < a < b < 0.3011 and b - a <= 1e-9
+    # the closed set x >= 1.7, with the inside end the larger
+    a, b = gd.bisect_closed(2.0, 1.0, lambda x: x >= 1.7, 1e-9)
+    assert b < 1.7 <= a and a - b <= 1e-9
+
+
 def test_trace_flat_straight_line(flat):
     rq, kappa = 2.0, 1.0
     tr = gd.trace(flat, rq, kappa, s_max=30.0, n_points=301)
