@@ -17,8 +17,8 @@ from .constructions import (BulgeBuild, ConeBuild, FlareBuild, TableBuild,
 from .curvature import (CurvatureSpec, DropParams, VMReport,
                         check_von_mangoldt, constant, expression, isq,
                         isq_capped, isq_zero, smoothstep, spliced, table)
-from .errors import (BuildError, NotVonMangoldt, OutOfWindow, ShootFailure,
-                     StarViolation, Undetermined)
+from .errors import (BuildError, OutOfWindow, ShootFailure, StarViolation,
+                     Undetermined)
 from .geodesics import (GeodesicLaunch, GeodesicTrace, is_ray, max_ray_angle,
                         side_of_pi, trace, turn_angle, turning_radius)
 from .jacobi import (Profile, SlopeReport, SturmReport, TotalCurvatureReport,
@@ -44,7 +44,7 @@ __all__ = [
     "CurvatureSpec", "DropParams", "VMReport", "check_von_mangoldt",
     "constant", "expression", "isq", "isq_capped", "isq_zero", "smoothstep",
     "spliced", "table",
-    "BuildError", "NotVonMangoldt", "OutOfWindow", "ShootFailure",
+    "BuildError", "OutOfWindow", "ShootFailure",
     "StarViolation", "Undetermined",
     "GeodesicLaunch", "GeodesicTrace", "is_ray", "max_ray_angle",
     "side_of_pi", "trace", "turn_angle", "turning_radius",

@@ -27,7 +27,7 @@ ray angle -- is one bisection, geodesics.bisect_closed.
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -120,14 +120,11 @@ def radial_inverse_square_diverges(profile):
 
 def half_slope_radius(profile):
     """First radius where m' drops to 1/2 (inf if it never does)."""
-    grid, _, mp = profile._dense_m()
-    below = np.nonzero(mp <= 0.5)[0]
-    if below.size == 0:
-        return math.inf
-    i = below[0]
-    if i == 0:
-        return 0.0
-    return float(brentq(lambda r: profile.mp(r) - 0.5, grid[i - 1], grid[i], xtol=1e-12))
+    r, _, mp = profile.sample(0.0, profile.r_max)
+    mp_0, mp_R = profile.mp(np.array([0.0, profile.r_max]))
+    r_half = jacobi.crossing(np.r_[0.0, r, profile.r_max], np.r_[mp_0, mp, mp_R],
+                             profile.mp, 0.5)
+    return math.inf if r_half is None else r_half
 
 
 def critical_ball_radius(profile, tol=1e-8):
@@ -215,21 +212,7 @@ class AnalysisReport:
     radii: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "r": self.r,
-            "turn": self.turn,
-            "abs_error": self.abs_error,
-            "status": self.status,
-            "critical": self.critical,
-            "away": self.away,
-            "critical_intervals": self.critical_intervals,
-            "away_intervals": self.away_intervals,
-            "undetermined": self.undetermined,
-            "r_max": self.r_max,
-            "tol": self.tol,
-            "spec": self.spec,
-            "radii": self.radii,
-        }
+        return asdict(self)
 
     def to_json(self, **kw):
         return json.dumps(self.to_dict(), **kw)
@@ -374,8 +357,7 @@ class NeckReport:
     excluded: list | None
 
     def to_dict(self):
-        return {"applicable": self.applicable, "reason": self.reason,
-                "b": self.b, "f": self.f, "excluded": self.excluded}
+        return asdict(self)
 
 
 def neck_bound(profile, x, y):
@@ -388,26 +370,24 @@ def neck_bound(profile, x, y):
     """
     if not 0 < x < y <= profile.r_max:
         raise ValueError("need 0 < x < y <= r_max")
-    grid_all = np.linspace(0.0, y, 8192)
-    mp_all = profile.mp(grid_all)
-    if np.any(mp_all <= 0.0):
+    grid = np.union1d(np.linspace(0.0, y, 8192), [x])
+    mp = profile.mp(grid)
+    if np.any(mp <= 0.0):
         return NeckReport(False, "m' vanishes somewhere on [0, y]",
                           math.nan, math.nan, None)
-    seg = np.concatenate([[x], grid_all[grid_all > x]])
-    mp_seg = profile.mp(seg)
-    b = float(np.max(mp_seg))
-    # polish the max by a local parabolic refinement on the grid cell
+    i = int(np.searchsorted(grid, x))
+    seg, mp_seg = grid[i:], mp[i:]
     j = int(np.argmax(mp_seg))
+    b = float(mp_seg[j])
+    # polish the max on the two grid cells around it
     if 0 < j < len(seg) - 1:
         fine = np.linspace(seg[j - 1], seg[j + 1], 256)
         b = max(b, float(np.max(profile.mp(fine))))
     if b >= 0.5:
         return NeckReport(False, "slope reaches 1/2 on [x, y]", b, math.nan, None)
-    target = math.cos(math.pi * b) * profile.m(y)
-    m0 = profile.m(grid_all[1])
-    if target <= m0:
-        return NeckReport(True, "target radius below resolution", b, 0.0, None)
-    f = float(brentq(lambda r: profile.m(r) - target, grid_all[1], y, xtol=1e-12))
+    m = profile.m(grid)
+    # m climbs from m(0) = 0 past cos(pi b) m(y) < m(y): the search from 0 crosses
+    f = jacobi.crossing(grid, m, profile.m, math.cos(math.pi * b) * m[-1])
     excluded = [x, f] if x <= f else None
     return NeckReport(True, "ok" if excluded else "bound does not reach x",
                       b, f, excluded)

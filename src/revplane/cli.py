@@ -24,8 +24,8 @@ from . import constructions as cx
 from . import curvature as cv
 from . import geodesics as gd
 from . import jacobi
-from .errors import (BuildError, NotVonMangoldt, OutOfWindow, ShootFailure,
-                     StarViolation, Undetermined)
+from .errors import (BuildError, OutOfWindow, ShootFailure, StarViolation,
+                     Undetermined)
 
 
 def _emit(obj):
@@ -138,9 +138,9 @@ def _cmd_classify(args):
     prof = _solve(args)
     critical = an.is_critical(prof, args.r, tol=args.query_tol)
     away = an.in_away_set(prof, args.r, tol=args.query_tol)
-    pole = an.is_pole(prof, args.r, tol=args.query_tol)
+    # max_ray_angle is pi exactly when its own pole test passes
     angle = gd.max_ray_angle(prof, args.r, tol=args.query_tol)
-    _emit({"r": args.r, "critical": critical, "away": away, "pole": pole,
+    _emit({"r": args.r, "critical": critical, "away": away, "pole": angle == math.pi,
            "max_ray_angle": angle})
     return 0
 
@@ -347,7 +347,7 @@ def main(argv=None):
                      abs_error=exc.abs_error, message=str(exc))
     except OutOfWindow as exc:
         return _fail(2, "out_of_window", message=str(exc))
-    except (BuildError, NotVonMangoldt, ShootFailure) as exc:
+    except (BuildError, ShootFailure) as exc:
         return _fail(2, "invalid_input", message=str(exc))
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         return _fail(2, "invalid_input", message=str(exc))

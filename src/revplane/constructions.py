@@ -32,6 +32,9 @@ from . import jacobi
 from . import quadrature as qd
 from .errors import BuildError, StarViolation
 
+# how far the tuned m'(rho) of a smoothed cone may miss its slope s
+SLOPE_TOL = 1e-9
+
 
 @dataclass
 class ConeBuild:
@@ -41,7 +44,7 @@ class ConeBuild:
     z: float
     eps: float
     rho: float      # beyond here the curvature is identically zero
-    slope: float    # m'(rho) as the solve interpolates it: s within slope_tol;
+    slope: float    # m'(rho) as the solve interpolates it: s within SLOPE_TOL;
                     # m' beyond rho can differ from it by ~1e-8 at tol 1e-10
 
 
@@ -70,14 +73,13 @@ class TableBuild:
     spec: object
 
 
-def build_smoothed_cone(s, eps=None, tail=60.0, slope_tol=1e-9, tol=1e-10,
-                        max_iter=60):
+def build_smoothed_cone(s, eps=None, tail=60.0, tol=1e-10):
     """Plane with K >= 0 non-increasing, K = 0 beyond rho, slope about s.
 
     The inverse-square family 1/(4(r+1)^2) - u crosses zero at
     z = 1/(2 sqrt u) - 1; capping it smoothly to zero near z leaves the
     profile linear beyond with some slope sigma(u), increasing in u.
-    Root-finding on u pins the solved m'(rho) to s within slope_tol (see
+    Root-finding on u pins the solved m'(rho) to s within SLOPE_TOL (see
     ConeBuild.slope for how far sigma itself may sit from it).  s = 1
     degenerates to the flat plane.
     """
@@ -124,7 +126,7 @@ def build_smoothed_cone(s, eps=None, tail=60.0, slope_tol=1e-9, tol=1e-10,
         f_hi = f(hi)
     if not (f_lo < 0.0 < f_hi):
         raise BuildError(f"could not bracket the slope {s} in the capped family")
-    u_star = brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=max_iter)
+    u_star = brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=60)
 
     e_star = eps_for(u_star)
     z_star = cv.isq_zero(u_star)
@@ -135,10 +137,10 @@ def build_smoothed_cone(s, eps=None, tail=60.0, slope_tol=1e-9, tol=1e-10,
     if not spec.blend_is_monotone():
         raise BuildError("curvature cap lost monotonicity; widen eps")
     achieved = prof.mp(rho)
-    if abs(achieved - s) > slope_tol:
+    if abs(achieved - s) > SLOPE_TOL:
         raise BuildError(
             f"slope tuning stalled: wanted {s}, achieved {achieved} "
-            f"(|diff| = {abs(achieved - s):.3g} > {slope_tol:g})"
+            f"(|diff| = {abs(achieved - s):.3g} > {SLOPE_TOL:g})"
         )
     return ConeBuild(prof, spec, u=u_star, z=z_star, eps=e_star, rho=rho,
                      slope=achieved)

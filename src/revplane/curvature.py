@@ -346,13 +346,21 @@ class VMReport:
 def check_von_mangoldt(spec, r_max, grid_step=0.01):
     """Check that K is non-increasing on [0, r_max].
 
-    Samples on a uniform grid, then refines 64x around any suspected
-    increase; increases below VM_TOLERANCE per cell are ignored as
-    roundoff.  Report-style result, never raises on a violation.
+    A table is decided from its data: PCHIP is monotone on a cell exactly
+    when the cell's two data are (Fritsch & Carlson 1980), so the first
+    rising pair K[i+1] > K[i] with r_i in the window is the violation.
+    Other kinds are sampled on a uniform grid, refined 64x around any
+    suspected increase; increases below VM_TOLERANCE per cell are ignored
+    as roundoff.  Report-style result, never raises on a violation.
     """
     if not (r_max > 0 and grid_step > 0):
         raise ValueError("r_max and grid_step must be positive")
     hi = min(r_max, spec.domain_hi)
+    if spec.kind == "table":
+        spec.evaluate(0.0)  # OutOfWindow when the table misses r = 0
+        r, K = spec._table_r, spec._table_K
+        rises = np.nonzero((np.diff(K) > 0.0) & (r[:-1] < hi))[0]
+        return VMReport(rises.size == 0, float(r[rises[0]]) if rises.size else None)
     n = max(int(hi / grid_step) + 1, 8)
     r = np.linspace(0.0, hi, n)
     K = spec.evaluate(r)

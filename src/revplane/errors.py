@@ -18,10 +18,6 @@ class OutOfWindow(ValueError):
     """A radius outside the solved window [0, r_max] was requested."""
 
 
-class NotVonMangoldt(ValueError):
-    """Operation requires a profile with non-increasing curvature."""
-
-
 class Undetermined(Exception):
     """A turn-angle comparison against pi landed inside the error band.
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
+from . import jacobi
 from . import quadrature as qd
 from .errors import Undetermined
 from .svgplot import SvgCanvas, fit_transform
@@ -63,19 +63,10 @@ def turning_radius(profile, c, r_q):
         raise ValueError(f"c = {c:.6g} exceeds m(r_q) = {m_q:.6g}")
     if c >= m_q:
         return float(r_q)
-    gr_all, gm_all, _ = profile._dense_m()
-    k = int(np.searchsorted(gr_all, r_q, side="left"))
-    grid = np.concatenate([gr_all[:k], [r_q]])
-    m = np.concatenate([gm_all[:k], [m_q]])
-    below = np.nonzero(m < c)[0]
-    if below.size == 0:
-        # m(0) = 0 < c, so this can only be grid coarseness right at 0
-        r_u = float(brentq(lambda r: profile.m(r) - c, 0.0, r_q, xtol=1e-14))
-    else:
-        i = below[-1]
-        r_u = float(brentq(lambda r: profile.m(r) - c, grid[i],
-                           grid[min(i + 1, len(grid) - 1)], xtol=1e-14))
-    # one Newton polish: brentq's absolute xtol leaves m(r_u) - c around
+    # scan from (r_q, m_q) back to (0, 0): m(0) = 0 < c, so it crosses
+    r, m, _ = profile.sample(0.0, r_q)
+    r_u = jacobi.crossing(np.r_[r_q, r[::-1], 0.0], np.r_[m_q, m[::-1], 0.0], profile.m, c)
+    # one Newton polish: the crossing's absolute xtol leaves m(r_u) - c around
     # slope * 1e-14, which is coarse relative to c when c itself is tiny
     mp_u = profile.mp(r_u)
     if mp_u > 1e-12:

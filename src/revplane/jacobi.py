@@ -8,7 +8,8 @@ initial value problem
 and the plane is smooth and complete iff m stays positive for r > 0.
 This module integrates that IVP with dense output, watches for a zero of
 m (raising StarViolation with the located root), and provides the profile
-queries everything else is built on: pointwise m and m', comparison of two
+queries everything else is built on: pointwise m and m', the cached
+dense sample and the one crossing search over it, comparison of two
 profiles (Sturm), the embedding profile in Euclidean 3-space, the slope at
 infinity, and total curvature.
 """
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from . import curvature as cv
 from .errors import OutOfWindow, StarViolation
@@ -93,19 +95,45 @@ class Profile:
         return self._mono
 
     def _dense_m(self):
-        """Cached dense sample (r, m, m') over the window, for bracket scans.
-
-        Root-finding and trap-detection helpers slice this instead of
-        re-evaluating the profile thousands of points at a time on every
-        call.
-        """
+        """Cached dense sample (r, m, m') over the whole window."""
         if self._mgrid is None:
             r = np.linspace(0.0, self.r_max, 8192)
             self._mgrid = (r, self.m(r), self.mp(r))
         return self._mgrid
 
+    def sample(self, lo, hi):
+        """The cached dense sample (r, m, m') at the radii strictly inside
+        (lo, hi).
+
+        Landmark searches and trap scans read this instead of
+        re-evaluating the profile thousands of points at a time on every
+        call; callers add the ends they already hold.
+        """
+        r, m, mp = self._dense_m()
+        a = int(np.searchsorted(r, lo, side="right"))
+        b = int(np.searchsorted(r, hi, side="left"))
+        return r[a:b], m[a:b], mp[a:b]
+
     def __repr__(self):
         return f"Profile({self.spec.kind!r}, window=[0, {self.r_max:.6g}])"
+
+
+def crossing(r, values, fn, level):
+    """First radius along r where fn reaches level.
+
+    r may run up or down; values are fn at r.  The first sample at level
+    or on the far side of it from values[0] ends the crossing cell, and
+    brentq locates fn = level inside that cell.  Returns r[0] when
+    values[0] is at level, and None when no sample crosses.
+    """
+    side = np.sign(values[0] - level)
+    if side == 0:
+        return float(r[0])
+    hit = np.nonzero((values - level) * side <= 0)[0]
+    if hit.size == 0:
+        return None
+    a, b = r[hit[0] - 1], r[hit[0]]
+    return float(brentq(lambda x: fn(x) - level, min(a, b), max(a, b), xtol=1e-14))
 
 
 def solve_jacobi(spec, r_max=200.0, tol=1e-10):

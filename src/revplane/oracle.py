@@ -19,21 +19,21 @@ from . import quadrature as qd
 from .errors import ShootFailure
 
 
-def turn_angle_by_trace(profile, r_q, kappa, r_big=None, rtol=1e-11, tol=1e-8):
+def turn_angle_by_trace(profile, r_q, kappa, rtol=1e-11, tol=1e-8):
     """Turn angle via the traced geodesic.
 
-    The geodesic is integrated until it crosses r_big (default: 90% of
-    the window), where the accumulated theta is read off the ODE state;
-    the remaining swing out to infinity is a far-field quadrature with a
-    regular integrand.  The singular turning-point behavior -- where the
-    quadrature route does its delicate work -- is covered here entirely
-    by the ODE, so agreement between the two is a genuine cross-check.
+    The geodesic is integrated until it crosses R = 0.9 r_max, where the
+    accumulated theta is read off the ODE state; the remaining swing out
+    to infinity is a far-field quadrature with a regular integrand.  The
+    singular turning-point behavior -- where the quadrature route does
+    its delicate work -- is covered here entirely by the ODE, so
+    agreement between the two is a genuine cross-check.
     """
     if kappa == 0.0:
         return qd.IntegralResult(0.0, 0.0, qd.STATUS_CONVERGED)
     if kappa == math.pi:
         return qd.IntegralResult(math.nan, math.nan, gd.STATUS_RADIAL_INWARD)
-    R = 0.9 * profile.r_max if r_big is None else r_big
+    R = 0.9 * profile.r_max
     if R <= r_q:
         raise ValueError(f"far radius {R:.6g} must exceed the launch radius {r_q:.6g}")
     s_budget = 10.0 * (r_q + R) + 50.0

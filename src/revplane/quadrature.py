@@ -33,9 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import OutOfWindow
+from .jacobi import crossing
 
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGENT_TANGENCY = "divergent_tangency"
@@ -46,6 +46,8 @@ STATUS_WINDOW_LIMITED = "window_limited"
 TANGENT_SLOPE = 1e-11
 # relative closeness to the level m = c that counts as "back on the circle"
 TRAP_REL = 1e-9
+# panel budget of one adaptive GK15 integral
+MAX_PANELS = 4096
 
 # 15-point Kronrod nodes on [-1, 1] with the embedded 7-point Gauss rule
 _XGK = np.array([
@@ -112,10 +114,10 @@ def _gk15(f, a, b):
     return gk, np.abs(gk - g7)
 
 
-def _adaptive_gk(f, a, b, tol, initial=16, max_panels=4096, log_spaced=False):
+def _adaptive_gk(f, a, b, tol, initial=16, log_spaced=False):
     """Adaptive GK15 on [a, b]: split the offending panels until the
-    summed embedded error estimate drops below tol (or budget runs out).
-    Returns (value, error_estimate)."""
+    summed embedded error estimate drops below tol (or the MAX_PANELS
+    budget runs out).  Returns (value, error_estimate)."""
     if not b > a:
         return 0.0, 0.0
     if log_spaced and a > 0 and b / a > 10.0:
@@ -125,7 +127,7 @@ def _adaptive_gk(f, a, b, tol, initial=16, max_panels=4096, log_spaced=False):
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk15(f, lo, hi)
     for _ in range(48):
-        if errs.sum() <= tol or len(lo) >= max_panels:
+        if errs.sum() <= tol or len(lo) >= MAX_PANELS:
             break
         cut = max(tol / (2.0 * len(lo)), 0.0)
         bad = errs > cut
@@ -203,23 +205,20 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8):
         # the geodesic is asymptotic to the parallel circle: log divergence
         return IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
 
-    # slices of the profile's cached sample seed the inversion and the
-    # well scan; a span holding too few samples gets its own grid
-    gr_all, gm_all, gmp_all = profile._dense_m()
-    a = int(np.searchsorted(gr_all, r_lo, side="right"))
-    b = int(np.searchsorted(gr_all, hi, side="left"))
+    # the profile's cached sample seeds the inversion and the well scan;
+    # a span holding too few samples gets its own grid
+    sr, sm, smp = profile.sample(r_lo, hi)
     if profile.monotone_increasing:
         # m climbs on the whole window, so no interior well can trap the
         # geodesic and the head inversion is valid everywhere
-        grid = np.concatenate([[r_lo], gr_all[a:b], [hi]])
-        m_s = np.concatenate([[m_lo], gm_all[a:b], [profile.m(hi)]])
+        grid = np.concatenate([[r_lo], sr, [hi]])
+        m_s = np.concatenate([[m_lo], sm, [profile.m(hi)]])
         i_mono = len(grid)
     else:
-        if b - a >= 128:
-            grid = np.concatenate([[r_lo], gr_all[a:b], [hi]])
-            m_s = np.concatenate([[m_lo], gm_all[a:b], [profile.m(hi)]])
-            mp_s = np.concatenate([[profile.mp(r_lo)], gmp_all[a:b],
-                                   [profile.mp(hi)]])
+        if len(sr) >= 128:
+            grid = np.concatenate([[r_lo], sr, [hi]])
+            m_s = np.concatenate([[m_lo], sm, [profile.m(hi)]])
+            mp_s = np.concatenate([[profile.mp(r_lo)], smp, [profile.mp(hi)]])
         else:
             grid = _scan_grid(r_lo, hi)
             m_s = profile.m(grid)
@@ -249,18 +248,12 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8):
     body_from = r_lo
 
     if m_lo < root2c:
-        # find where m first reaches sqrt(2) c within the monotone stretch
+        # where m first reaches sqrt(2) c within the monotone stretch, or
+        # the stretch's end
         mono_m = m_s[:i_mono]
         mono_r = grid[:i_mono]
-        above = np.nonzero(mono_m >= root2c)[0]
-        if above.size:
-            j = above[0]
-            if j == 0:
-                r_cut = r_lo
-            else:
-                r_cut = brentq(lambda r: profile.m(r) - root2c, mono_r[j - 1], mono_r[j],
-                               xtol=1e-13, rtol=1e-15)
-        else:
+        r_cut = crossing(mono_r, mono_m, profile.m, root2c)
+        if r_cut is None:
             r_cut = mono_r[-1]
         if r_cut > r_lo * (1 + 1e-15) + 1e-300:
             w_lo = 0.0 if singular else math.acos(min(c / m_lo, 1.0))

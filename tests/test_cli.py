@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from revplane import analysis as an
 from revplane import cli
 from revplane import curvature as cv
 
@@ -78,7 +79,11 @@ def test_turn_angle_window_limited_exit(tmp_path, capsys):
     assert code == 4 and out["status"] == "window_limited"
 
 
-def test_classify_flat_and_undetermined(tmp_path, capsys):
+def test_classify_flat_and_undetermined(tmp_path, capsys, monkeypatch):
+    pole_tests = []
+    is_pole = an.is_pole
+    monkeypatch.setattr(an, "is_pole",
+                        lambda *a, **kw: pole_tests.append(a) or is_pole(*a, **kw))
     flat = tmp_path / "flat.json"
     flat.write_text(cv.constant(0.0).to_json())
     code, out, _ = run(capsys, "classify", "--spec", str(flat),
@@ -86,6 +91,8 @@ def test_classify_flat_and_undetermined(tmp_path, capsys):
     assert code == 0
     assert out["critical"] and out["away"] and out["pole"]
     assert out["max_ray_angle"] == math.pi
+    # the pole verdict is the one max_ray_angle reached
+    assert len(pole_tests) == 1
 
     isq = tmp_path / "isq.json"
     isq.write_text(cv.isq(0.0).to_json())

@@ -88,6 +88,15 @@ def test_vm_check_flags_increase():
     assert 1.0 <= rep.first_violation <= 2.0
 
 
+def test_vm_check_decides_table_from_its_data():
+    # a rise of 0.5 on [1, 1.001], narrower than the sampling grid's cells
+    tab = cv.table([0.0, 1.0, 1.001, 1.002, 2.0], [0.0, -1.0, -0.5, -1.0, -1.0])
+    rep = cv.check_von_mangoldt(tab, r_max=2.0)
+    assert not rep.is_vm and rep.first_violation == 1.0
+    with pytest.raises(OutOfWindow):
+        cv.check_von_mangoldt(cv.table([0.5, 1.0], [0.0, -1.0]), r_max=1.0)
+
+
 def test_vm_check_ok_kinds():
     for spec in (cv.constant(1.0), cv.isq(0.0), cv.isq(0.1), cv.isq_capped(1e-3, 0.5)):
         assert cv.check_von_mangoldt(spec, r_max=50.0).is_vm

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,3 +175,32 @@ def test_csv_round_trip(tmp_path):
     path.write_text("\n".join(rows[:1] + rows[2:]) + "\n")
     with pytest.raises(ValueError, match="r = 0"):
         jacobi.load_profile_csv(path)
+
+
+def test_crossing_either_direction():
+    r = np.linspace(0.0, 10.0, 101)
+    # rising: the first of the many radii where sin reaches 1/2
+    assert jacobi.crossing(r, np.sin(r), np.sin, 0.5) == pytest.approx(math.pi / 6, abs=1e-14)
+    # falling over a reversed r, as in the turning radius: the largest
+    # radius below 9 where sin is -1/2
+    down = np.linspace(9.0, 0.0, 91)
+    assert jacobi.crossing(down, np.sin(down), np.sin, -0.5) == pytest.approx(
+        11 * math.pi / 6, abs=1e-14)
+
+
+def test_crossing_at_start_and_none():
+    r = np.linspace(0.0, 4.0, 9)
+    # values[0] at the level: the start itself
+    assert jacobi.crossing(r, r * r, np.square, 0.0) == 0.0
+    assert jacobi.crossing(r[::-1], r[::-1] ** 2, np.square, 16.0) == 4.0
+    # no sample reaches the level
+    assert jacobi.crossing(r, r * r, np.square, 20.0) is None
+
+
+def test_only_jacobi_reads_the_profile_cache():
+    # every other module reads the profile's dense sample through
+    # Profile.sample, so the cache can change in one place
+    src = Path(jacobi.__file__).parent
+    readers = sorted(p.name for p in src.glob("*.py")
+                     if re.search(r"_dense_m|_mgrid", p.read_text()))
+    assert readers == ["jacobi.py"]
