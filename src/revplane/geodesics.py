@@ -89,13 +89,25 @@ def turn_angle(profile, r_q, kappa, tol=1e-8):
     if kappa == math.pi:
         return qd.IntegralResult(math.nan, math.nan, STATUS_RADIAL_INWARD)
     c = launch.c
+    # w = arccos(c / m) at r_q, exactly; near tangential launches the
+    # arccos of the rounded c / m(r_q) has lost its digits
+    w_q = abs(math.pi / 2 - kappa)
     if kappa <= math.pi / 2:
-        return qd.integrate_turn_rate(profile, c, r_lo=r_q, tol=tol)
+        return qd.integrate_turn_rate(profile, c, r_lo=r_q, tol=tol, w_start=w_q)
     r_u = turning_radius(profile, c, r_q)
-    leg_in = qd.integrate_turn_rate(profile, c, r_lo=r_u, r_hi=r_q, tol=tol / 2)
-    if leg_in.diverged:
-        return qd.IntegralResult(math.inf, 0.0, leg_in.status)
-    leg_out = qd.integrate_turn_rate(profile, c, r_lo=r_q, tol=tol / 2)
+    if r_u < r_q:
+        leg_in = qd.integrate_turn_rate(profile, c, r_lo=r_u, r_hi=r_q, tol=tol / 2,
+                                        w_end=w_q)
+        if leg_in.diverged:
+            return qd.IntegralResult(math.inf, 0.0, leg_in.status)
+    else:
+        # c rounded to m(r_q): the inward leg is w in [0, w_q] at r_q, where
+        # dw / m' is w_q / m'(r_q) up to terms of order w_q^3
+        mp_q = profile.mp(r_q)
+        if mp_q <= qd.TANGENT_SLOPE:
+            return qd.IntegralResult(math.inf, 0.0, qd.STATUS_DIVERGENT_TANGENCY)
+        leg_in = qd.IntegralResult(w_q / mp_q, 1e-16 * w_q / mp_q, qd.STATUS_CONVERGED)
+    leg_out = qd.integrate_turn_rate(profile, c, r_lo=r_q, tol=tol / 2, w_start=w_q)
     if leg_out.diverged:
         return qd.IntegralResult(math.inf, 0.0, leg_out.status)
     status = qd.STATUS_WINDOW_LIMITED if leg_out.status == qd.STATUS_WINDOW_LIMITED \

@@ -30,12 +30,46 @@ from .errors import OutOfWindow, StarViolation
 SEED_RADIUS = 1e-6
 
 
+class DenseSegments:
+    """The DOP853 dense output of one solve, stacked for vectorised calls.
+
+    Holds the step ends ts and, per step, t_old, h, the reversed rows of
+    the interpolant's coefficients F and y_old.  A call evaluates one row
+    (0 for m, 1 for m') at any number of radii in one pass: each radius
+    takes scipy's segment (the lower one at a step end), and the
+    polynomial runs the same operations in the same order as
+    Dop853DenseOutput, so every value is bit-identical to OdeSolution's.
+    """
+
+    def __init__(self, ode_solution):
+        steps = ode_solution.interpolants
+        self.ts = ode_solution.ts
+        self.t_old = np.array([s.t_old for s in steps])
+        self.h = np.array([s.h for s in steps])
+        # (row, power, step): the coefficients of one row, highest first
+        self.F = np.array([s.F[::-1] for s in steps]).transpose(2, 1, 0).copy()
+        self.y_old = np.array([s.y_old for s in steps]).T.copy()
+
+    def __call__(self, r, row):
+        seg = np.searchsorted(self.ts, r, side="left") - 1
+        np.clip(seg, 0, len(self.h) - 1, out=seg)
+        x = (r - self.t_old[seg]) / self.h[seg]
+        one_minus_x = 1 - x
+        y = np.zeros_like(x)
+        for i, f in enumerate(self.F[row]):
+            y += f[seg]
+            y *= x if i % 2 == 0 else one_minus_x
+        y += self.y_old[row][seg]
+        return y
+
+
 class Profile:
     """The warping function m of one curvature spec on [0, r_max].
 
-    sol maps an array of radii in [SEED_RADIUS, r_max] to the rows
-    (m, m'): the dense output of the Jacobi solve, or interpolants of a
-    table read back from CSV.  Below SEED_RADIUS the Taylor seed is used.
+    sol(r, row) maps an array of radii in [SEED_RADIUS, r_max] to row 0
+    (m) or row 1 (m'): the stacked dense output of the Jacobi solve, or
+    an interpolant of a table read back from CSV.  Below SEED_RADIUS the
+    Taylor seed is used.
     """
 
     def __init__(self, spec, sol, r_max, tol):
@@ -57,6 +91,9 @@ class Profile:
     def _eval(self, r, row):
         scalar = np.isscalar(r)
         r = np.atleast_1d(np.asarray(r, dtype=float))
+        if r.size and SEED_RADIUS <= r.min() and r.max() <= self.r_max:
+            out = self._sol(r, row)
+            return float(out[0]) if scalar else out
         self._check_window(r)
         out = np.empty_like(r)
         small = r < SEED_RADIUS
@@ -68,7 +105,7 @@ class Profile:
                 out[small] = 1.0 - self._k0 * rs**2 / 2.0
         if np.any(~small):
             rb = np.clip(r[~small], SEED_RADIUS, self.r_max)
-            out[~small] = self._sol(rb)[row]
+            out[~small] = self._sol(rb, row)
         return float(out[0]) if scalar else out
 
     def m(self, r):
@@ -176,7 +213,7 @@ def solve_jacobi(spec, r_max=200.0, tol=1e-10):
         raise RuntimeError(f"Jacobi integration failed: {sol.message}")
     if sol.t_events[0].size > 0:
         raise StarViolation(sol.t_events[0][0])
-    return Profile(spec, sol.sol, r_max, tol)
+    return Profile(spec, DenseSegments(sol.sol), r_max, tol)
 
 
 # --- Sturm comparison ----------------------------------------------------
@@ -352,5 +389,6 @@ def load_profile_csv(path):
         r, m, mp, K = np.array([[float(x) for x in row] for row in rd if row]).T
     if r[0] != 0.0:
         raise ValueError(f"profile CSV must start at r = 0, got r = {r[0]:.6g}")
-    sol = PchipInterpolator(r, np.array([m, mp]), axis=1, extrapolate=False)
-    return Profile(cv.table(r, K, extrapolate="constant"), sol, r[-1], math.nan)
+    pchip = PchipInterpolator(r, np.array([m, mp]), axis=1, extrapolate=False)
+    return Profile(cv.table(r, K, extrapolate="constant"), lambda x, row: pchip(x)[row],
+                   r[-1], math.nan)

@@ -172,7 +172,7 @@ def _scan_grid(r_lo, r_hi, n_uniform=2048, n_geo=64):
     return np.unique(np.concatenate([uni, geo]))
 
 
-def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8):
+def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8, w_start=None, w_end=None):
     """Integral of F_c from r_lo to infinity (or to r_hi if given).
 
     The result's value always lies in [0, +inf]; +inf is reported with a
@@ -180,6 +180,13 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8):
     When no tail certificate covers the window end of an improper
     integral, the value covers [r_lo, r_max] only and the status is
     window_limited.
+
+    w_start and w_end are the angles w = arccos(c / m) at r_lo and r_hi
+    when the caller knows them exactly: a launch at angle kappa from the
+    outward radial passes r_q at |pi/2 - kappa|.  Within TRAP_REL of the
+    turning circle, where arccos(c / m) has lost its digits, they replace
+    the computed angle; without w_start such a start snaps to the
+    turning circle, w = 0.
     """
     if c < 0:
         raise ValueError("Clairaut constant c must be >= 0")
@@ -199,7 +206,11 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8):
         raise ValueError(
             f"m(r_lo) = {m_lo:.6g} < c = {c:.6g}: start lies inside the forbidden annulus"
         )
-    singular = m_lo <= c * (1 + TRAP_REL)
+    if m_lo <= c * (1 + TRAP_REL):
+        w_lo = 0.0 if w_start is None else w_start
+    else:
+        w_lo = math.acos(c / m_lo)
+    singular = w_lo == 0.0
 
     if singular and profile.mp(r_lo) <= TANGENT_SLOPE:
         # the geodesic is asymptotic to the parallel circle: log divergence
@@ -256,8 +267,11 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8):
         if r_cut is None:
             r_cut = mono_r[-1]
         if r_cut > r_lo * (1 + 1e-15) + 1e-300:
-            w_lo = 0.0 if singular else math.acos(min(c / m_lo, 1.0))
-            w_hi = math.acos(min(c / profile.m(r_cut), 1.0))
+            m_cut = profile.m(r_cut)
+            if w_end is not None and r_cut == hi and m_cut <= c * (1 + TRAP_REL):
+                w_hi = w_end
+            else:
+                w_hi = math.acos(min(c / m_cut, 1.0))
             if w_hi > w_lo + 1e-14:
                 gm = np.concatenate([[min(m_lo, c)], mono_m])
                 gr = np.concatenate([[r_lo], mono_r])

@@ -71,6 +71,28 @@ def test_turn_angle_flat_all_angles(flat):
         assert res.value == pytest.approx(want, abs=1e-8)
 
 
+def test_near_tangent_launches_flat(flat):
+    # T = kappa on the flat plane.  Within sqrt(2 TRAP_REL) of pi/2,
+    # arccos(c / m(r_q)) has lost its digits: outward launches must not
+    # snap to the turning circle, and inward ones, whose c may round to
+    # m(r_q), must not raise
+    for d in (1e-16, 1e-12, 1e-9, 1e-7, 1e-5, 4e-5, 1e-3):
+        kappa = math.pi / 2 - d
+        res = gd.turn_angle(flat, 5.0, kappa)
+        assert abs(res.value - kappa) <= max(res.abs_error, 1e-12), d
+        kappa = math.pi / 2 + d
+        res = gd.turn_angle(flat, 5.0, kappa)
+        assert abs(res.value - kappa) <= max(res.abs_error, 1e-9), d
+
+
+def test_near_tangent_launch_on_cone(cone09):
+    # beyond the cap T = kappa / s, with s the slope the solve has there
+    p = cone09.profile
+    kappa = math.pi / 2 - 3.6e-7
+    res = gd.turn_angle(p, 40.0, kappa)
+    assert abs(res.value - kappa / p.mp(p.r_max)) <= max(res.abs_error, 1e-8)
+
+
 def test_turn_angle_hyperbolic(hyperbolic):
     for rq in (0.5, 1.0, 2.0):
         res = gd.turn_angle(hyperbolic, rq, math.pi / 2)

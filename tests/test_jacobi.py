@@ -204,3 +204,35 @@ def test_only_jacobi_reads_the_profile_cache():
     readers = sorted(p.name for p in src.glob("*.py")
                      if re.search(r"_dense_m|_mgrid", p.read_text()))
     assert readers == ["jacobi.py"]
+
+
+@pytest.mark.parametrize("plane", ["flat60", "hyp30", "cone03", "cone09", "bulge", "flare"])
+def test_profile_is_scipy_dense_output(plane, request, monkeypatch):
+    # Profile evaluates the DOP853 steps from their F, h, t_old and y_old
+    # attributes; every m and m' must equal scipy's OdeSolution bit for bit
+    built = request.getfixturevalue(plane)
+    base = built if isinstance(built, jacobi.Profile) else built.profile
+    solve_ivp = jacobi.solve_ivp
+    solved = []
+
+    def keep(*args, **kwargs):
+        solved.append(solve_ivp(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(jacobi, "solve_ivp", keep)
+    p = jacobi.solve_jacobi(base.spec, base.r_max, base.tol)
+    sol = solved[-1].sol
+    rng = np.random.default_rng(9)
+    r = np.concatenate([rng.uniform(jacobi.SEED_RADIUS, p.r_max, 5000), sol.ts,
+                        [p.r_max]])
+    rng.shuffle(r)
+    want = sol(r)
+    assert np.array_equal(p.m(r), want[0])
+    assert np.array_equal(p.mp(r), want[1])
+    assert p.m(float(r[0])) == want[0][0] and p.mp(float(r[0])) == want[1][0]
+    # radii below SEED_RADIUS take the Taylor seed, the rest still scipy's
+    low = np.array([0.0, 3e-7])
+    mixed = np.concatenate([low, r[:50]])
+    k0 = base.spec.evaluate(0.0)
+    assert np.array_equal(p.m(mixed), np.concatenate([low - k0 * low**3 / 6, want[0][:50]]))
+    assert np.array_equal(p.mp(mixed), np.concatenate([1 - k0 * low**2 / 2, want[1][:50]]))
