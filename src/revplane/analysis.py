@@ -120,11 +120,8 @@ def radial_inverse_square_diverges(profile):
 
 def half_slope_radius(profile):
     """First radius where m' drops to 1/2 (inf if it never does)."""
-    r, _, mp = profile.sample(0.0, profile.r_max)
-    mp_0, mp_R = profile.mp(np.array([0.0, profile.r_max]))
-    r_half = jacobi.crossing(np.r_[0.0, r, profile.r_max], np.r_[mp_0, mp, mp_R],
-                             profile.mp, 0.5)
-    return math.inf if r_half is None else r_half
+    r_half = profile.roots(1, 0.5, 0.0, profile.r_max)
+    return float(r_half[0]) if r_half.size else math.inf
 
 
 def critical_ball_radius(profile, tol=1e-8):
@@ -370,24 +367,15 @@ def neck_bound(profile, x, y):
     """
     if not 0 < x < y <= profile.r_max:
         raise ValueError("need 0 < x < y <= r_max")
-    grid = np.union1d(np.linspace(0.0, y, 8192), [x])
-    mp = profile.mp(grid)
-    if np.any(mp <= 0.0):
+    if profile.roots(1, 0.0, 0.0, y).size:
         return NeckReport(False, "m' vanishes somewhere on [0, y]",
                           math.nan, math.nan, None)
-    i = int(np.searchsorted(grid, x))
-    seg, mp_seg = grid[i:], mp[i:]
-    j = int(np.argmax(mp_seg))
-    b = float(mp_seg[j])
-    # polish the max on the two grid cells around it
-    if 0 < j < len(seg) - 1:
-        fine = np.linspace(seg[j - 1], seg[j + 1], 256)
-        b = max(b, float(np.max(profile.mp(fine))))
+    # the largest slope on [x, y] sits at an end or where m'' = 0
+    b = float(np.max(profile.mp(np.r_[x, y, profile.roots(2, 0.0, x, y)])))
     if b >= 0.5:
         return NeckReport(False, "slope reaches 1/2 on [x, y]", b, math.nan, None)
-    m = profile.m(grid)
-    # m climbs from m(0) = 0 past cos(pi b) m(y) < m(y): the search from 0 crosses
-    f = jacobi.crossing(grid, m, profile.m, math.cos(math.pi * b) * m[-1])
+    # m climbs from m(0) = 0 past cos(pi b) m(y) < m(y), once: m' > 0
+    f = float(profile.roots(0, math.cos(math.pi * b) * profile.m(y), 0.0, y)[0])
     excluded = [x, f] if x <= f else None
     return NeckReport(True, "ok" if excluded else "bound does not reach x",
                       b, f, excluded)

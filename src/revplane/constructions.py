@@ -220,8 +220,9 @@ def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
 
     spec = cv.spliced(base.spec, R, cv.DropParams(mu, w))
     prof = jacobi.solve_jacobi(spec, r_max=R + tail, tol=tol)
-    grid = np.linspace(0.0, prof.r_max, 16384)
-    min_slope = float(np.min(prof.mp(grid)))
+    # the smallest slope sits at an end or where m'' = 0
+    min_slope = float(np.min(prof.mp(np.r_[0.0, prof.r_max,
+                                           prof.roots(2, 0.0, 0.0, prof.r_max)])))
     if min_slope <= 0.0:
         raise BuildError(f"slope dips to {min_slope:.3g}; flare failed")
     return FlareBuild(prof, spec, r_q=float(r_q), splice_radius=float(R),

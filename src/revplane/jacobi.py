@@ -8,7 +8,8 @@ initial value problem
 and the plane is smooth and complete iff m stays positive for r > 0.
 This module integrates that IVP with dense output, watches for a zero of
 m (raising StarViolation with the located root), and provides the profile
-queries everything else is built on: pointwise m and m', the cached
+queries everything else is built on: pointwise m and m' from two
+piecewise polynomials, their exact roots (the landmarks), the cached
 dense sample and the one crossing search over it, comparison of two
 profiles (Sturm), the embedding profile in Euclidean 3-space, the slope at
 infinity, and total curvature.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.optimize import brentq
 
 from . import curvature as cv
@@ -30,94 +31,57 @@ from .errors import OutOfWindow, StarViolation
 SEED_RADIUS = 1e-6
 
 
-class DenseSegments:
-    """The DOP853 dense output of one solve, stacked for vectorised calls.
-
-    Holds the step ends ts and, per step, t_old, h, the reversed rows of
-    the interpolant's coefficients F and y_old.  A call evaluates one row
-    (0 for m, 1 for m') at any number of radii in one pass: each radius
-    takes scipy's segment (the lower one at a step end), and the
-    polynomial runs the same operations in the same order as
-    Dop853DenseOutput, so every value is bit-identical to OdeSolution's.
-    """
-
-    def __init__(self, ode_solution):
-        steps = ode_solution.interpolants
-        self.ts = ode_solution.ts
-        self.t_old = np.array([s.t_old for s in steps])
-        self.h = np.array([s.h for s in steps])
-        # (row, power, step): the coefficients of one row, highest first
-        self.F = np.array([s.F[::-1] for s in steps]).transpose(2, 1, 0).copy()
-        self.y_old = np.array([s.y_old for s in steps]).T.copy()
-
-    def __call__(self, r, row):
-        seg = np.searchsorted(self.ts, r, side="left") - 1
-        np.clip(seg, 0, len(self.h) - 1, out=seg)
-        x = (r - self.t_old[seg]) / self.h[seg]
-        one_minus_x = 1 - x
-        y = np.zeros_like(x)
-        for i, f in enumerate(self.F[row]):
-            y += f[seg]
-            y *= x if i % 2 == 0 else one_minus_x
-        y += self.y_old[row][seg]
-        return y
-
-
 class Profile:
     """The warping function m of one curvature spec on [0, r_max].
 
-    sol(r, row) maps an array of radii in [SEED_RADIUS, r_max] to row 0
-    (m) or row 1 (m'): the stacked dense output of the Jacobi solve, or
-    an interpolant of a table read back from CSV.  Below SEED_RADIUS the
-    Taylor seed is used.
+    m and mp are piecewise polynomials (scipy PPoly) for m and m' on the
+    window: the Taylor seed and the DOP853 steps of the Jacobi solve, or
+    the PCHIP interpolants of a table read back from CSV.  Landmarks are
+    their exact roots.
     """
 
-    def __init__(self, spec, sol, r_max, tol):
+    def __init__(self, spec, m, mp, r_max, tol):
         self.spec = spec
-        self._sol = sol
+        self._m_pp = m
+        self._mp_pp = mp
         self.r_max = float(r_max)
         self.tol = float(tol)
-        self._k0 = spec.evaluate(0.0)
         self._mono = None
         self._mgrid = None
 
-    def _check_window(self, r):
-        if np.any(r < 0) or np.any(r > self.r_max * (1 + 1e-12)):
-            bad = r[(r < 0) | (r > self.r_max * (1 + 1e-12))]
+    def _eval(self, pp, r):
+        r = np.asarray(r, dtype=float)
+        bad = (r < 0) | (r > self.r_max * (1 + 1e-12))
+        if np.any(bad):
             raise OutOfWindow(
-                f"r = {np.atleast_1d(bad)[0]:.6g} outside solved window [0, {self.r_max:.6g}]"
+                f"r = {r[bad].flat[0]:.6g} outside solved window [0, {self.r_max:.6g}]"
             )
-
-    def _eval(self, r, row):
-        scalar = np.isscalar(r)
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if r.size and SEED_RADIUS <= r.min() and r.max() <= self.r_max:
-            out = self._sol(r, row)
-            return float(out[0]) if scalar else out
-        self._check_window(r)
-        out = np.empty_like(r)
-        small = r < SEED_RADIUS
-        if np.any(small):
-            rs = r[small]
-            if row == 0:
-                out[small] = rs - self._k0 * rs**3 / 6.0
-            else:
-                out[small] = 1.0 - self._k0 * rs**2 / 2.0
-        if np.any(~small):
-            rb = np.clip(r[~small], SEED_RADIUS, self.r_max)
-            out[~small] = self._sol(rb, row)
-        return float(out[0]) if scalar else out
+        out = pp(r)
+        return float(out) if out.ndim == 0 else out
 
     def m(self, r):
         """Warping function m(r); scalar or array, r in [0, r_max]."""
-        return self._eval(r, 0)
+        return self._eval(self._m_pp, r)
 
     def mp(self, r):
         """Radial derivative m'(r)."""
-        return self._eval(r, 1)
+        return self._eval(self._mp_pp, r)
 
     def K(self, r):
         return self.spec.evaluate(r)
+
+    def roots(self, order, level, lo, hi):
+        """Sorted radii in [lo, hi] where m (order 0), m' (1) or m'' (2)
+        equals level.
+
+        m'' is the derivative of the m' pieces.  A piece that equals the
+        level throughout contributes its left end.
+        """
+        pp = self._m_pp if order == 0 else self._mp_pp
+        if order == 2:
+            pp = pp.derivative()
+        r = pp.solve(level, extrapolate=False)
+        return np.sort(r[(lo <= r) & (r <= hi)])
 
     @property
     def monotone_increasing(self):
@@ -176,10 +140,11 @@ def crossing(r, values, fn, level):
 def solve_jacobi(spec, r_max=200.0, tol=1e-10):
     """Integrate m'' + K m = 0, m(0)=0, m'(0)=1 on [0, r_max].
 
-    Returns a Profile with dense output.  Raises StarViolation when m
-    vanishes at some r > 0 (the root is located to better than 1e-10);
-    the exception carries that first zero.  The window is clipped to the
-    curvature's declared domain.
+    Returns a Profile whose pieces are the Taylor seed on [0, SEED_RADIUS]
+    and the DOP853 dense output of each solver step.  Raises
+    StarViolation when m vanishes at some r > 0 (the root is located to
+    better than 1e-10); the exception carries that first zero.  The
+    window is clipped to the curvature's declared domain.
     """
     if not (1e-14 < tol < 1e-3):
         raise ValueError(f"tol must lie in (1e-14, 1e-3), got {tol}")
@@ -213,7 +178,26 @@ def solve_jacobi(spec, r_max=200.0, tol=1e-10):
         raise RuntimeError(f"Jacobi integration failed: {sol.message}")
     if sol.t_events[0].size > 0:
         raise StarViolation(sol.t_events[0][0])
-    return Profile(spec, DenseSegments(sol.sol), r_max, tol)
+    steps = sol.sol.interpolants
+    h = np.array([s.h for s in steps])
+    F = np.array([s.F for s in steps])  # (step, 7, row)
+    # each step's dense output y_old + x (F0 + (1 - x)(F1 + x (F2 + ...)))
+    # in x = (r - t_old) / h, expanded from the inside out into powers of
+    # x, lowest first: p[k, step, row]
+    p = np.zeros((8, len(steps), 2))
+    for j in range(6, -1, -1):
+        p[0] += F[:, j]
+        x_p = np.roll(p, 1, axis=0)  # x * p: the top power is still 0
+        p = x_p if j % 2 == 0 else p - x_p
+    p[0] += np.array([s.y_old for s in steps])
+    # powers of r - t_old, highest first, after the Taylor seed on [0, h0]
+    c = p[::-1] / h[:, None] ** np.arange(7, -1, -1)[:, None, None]
+    seed = np.zeros((8, 1, 2))
+    seed[6, 0, 0], seed[4, 0, 0] = 1.0, -k0 / 6.0  # m = r - k0 r^3 / 6
+    seed[7, 0, 1], seed[5, 0, 1] = 1.0, -k0 / 2.0  # m' = 1 - k0 r^2 / 2
+    c = np.concatenate([seed, c], axis=1)
+    x = np.r_[0.0, sol.sol.ts]
+    return Profile(spec, PPoly(c[..., 0], x), PPoly(c[..., 1], x), r_max, tol)
 
 
 # --- Sturm comparison ----------------------------------------------------
@@ -378,8 +362,9 @@ def export_profile_csv(profile, path, n=2001, r_hi=None):
 def load_profile_csv(path):
     """Read a profile written by export_profile_csv back as a Profile.
 
-    m and m' are PCHIP-interpolated between the rows, K becomes a table
-    spec.  The first row must be at r = 0, where every profile starts.
+    m and m' become PCHIP interpolants of the rows (piecewise cubics), K
+    a table spec.  The first row must be at r = 0, where every profile
+    starts.
     """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
@@ -389,6 +374,5 @@ def load_profile_csv(path):
         r, m, mp, K = np.array([[float(x) for x in row] for row in rd if row]).T
     if r[0] != 0.0:
         raise ValueError(f"profile CSV must start at r = 0, got r = {r[0]:.6g}")
-    pchip = PchipInterpolator(r, np.array([m, mp]), axis=1, extrapolate=False)
-    return Profile(cv.table(r, K, extrapolate="constant"), lambda x, row: pchip(x)[row],
-                   r[-1], math.nan)
+    return Profile(cv.table(r, K, extrapolate="constant"), PchipInterpolator(r, m),
+                   PchipInterpolator(r, mp), r[-1], math.nan)

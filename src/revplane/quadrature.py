@@ -183,10 +183,10 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8, w_start=None, w_e
 
     w_start and w_end are the angles w = arccos(c / m) at r_lo and r_hi
     when the caller knows them exactly: a launch at angle kappa from the
-    outward radial passes r_q at |pi/2 - kappa|.  Within TRAP_REL of the
-    turning circle, where arccos(c / m) has lost its digits, they replace
-    the computed angle; without w_start such a start snaps to the
-    turning circle, w = 0.
+    outward radial passes r_q at |pi/2 - kappa|.  They replace the
+    computed angle, whose arccos amplifies the rounding of c by
+    1 / sin w; without w_start a start within TRAP_REL of the turning
+    circle snaps to it, w = 0.
     """
     if c < 0:
         raise ValueError("Clairaut constant c must be >= 0")
@@ -206,8 +206,10 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8, w_start=None, w_e
         raise ValueError(
             f"m(r_lo) = {m_lo:.6g} < c = {c:.6g}: start lies inside the forbidden annulus"
         )
-    if m_lo <= c * (1 + TRAP_REL):
-        w_lo = 0.0 if w_start is None else w_start
+    if w_start is not None:
+        w_lo = w_start
+    elif m_lo <= c * (1 + TRAP_REL):
+        w_lo = 0.0
     else:
         w_lo = math.acos(c / m_lo)
     singular = w_lo == 0.0
@@ -267,11 +269,10 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8, w_start=None, w_e
         if r_cut is None:
             r_cut = mono_r[-1]
         if r_cut > r_lo * (1 + 1e-15) + 1e-300:
-            m_cut = profile.m(r_cut)
-            if w_end is not None and r_cut == hi and m_cut <= c * (1 + TRAP_REL):
+            if w_end is not None and r_cut == hi:
                 w_hi = w_end
             else:
-                w_hi = math.acos(min(c / m_cut, 1.0))
+                w_hi = math.acos(min(c / profile.m(r_cut), 1.0))
             if w_hi > w_lo + 1e-14:
                 gm = np.concatenate([[min(m_lo, c)], mono_m])
                 gr = np.concatenate([[r_lo], mono_r])

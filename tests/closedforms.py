@@ -1,6 +1,20 @@
 """Closed-form warping functions used as ground truth across the tests."""
 
+import math
+
 import numpy as np
+from scipy.interpolate import PPoly
+
+from revplane import curvature as cv
+from revplane import jacobi
+
+
+def linear_profile(a, b=0.0, r_max=50.0):
+    """The exact profile m = b + a r on [0, r_max], as one polynomial piece
+    under zero curvature: it takes the solved profiles' code path."""
+    x = [0.0, r_max]
+    return jacobi.Profile(cv.constant(0.0), PPoly(np.array([[a], [b]]), x),
+                          PPoly(np.array([[a]]), x), r_max, math.nan)
 
 
 def flat_m(r):

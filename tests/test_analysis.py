@@ -2,7 +2,9 @@ import json
 import math
 
 import numpy as np
+import numpy.polynomial as P
 import pytest
+from scipy.interpolate import PPoly
 
 from revplane import analysis as an
 from revplane import curvature as cv
@@ -10,18 +12,15 @@ from revplane import geodesics as gd
 from revplane import jacobi
 from revplane.errors import Undetermined
 
-from closedforms import flat_m, flat_mp
-from test_quadrature import StubProfile
+from closedforms import linear_profile
 
 
 def flat_stub(r_max=50.0):
-    return StubProfile(flat_m, flat_mp, cv.constant(0.0), r_max=r_max)
+    return linear_profile(1.0, r_max=r_max)
 
 
 def cone_stub(a, r_max=50.0):
-    return StubProfile(lambda r: a * np.asarray(r, float),
-                       lambda r: a * np.ones_like(np.asarray(r, float)),
-                       cv.constant(0.0), r_max=r_max)
+    return linear_profile(a, r_max=r_max)
 
 
 # --- point classification -------------------------------------------------
@@ -206,15 +205,38 @@ def test_scan_flags_match_point_predicates():
 # --- neck exclusion -------------------------------------------------------
 
 def test_neck_bound_slow_stub():
-    p = StubProfile(lambda r: 1.0 + 0.05 * np.asarray(r, float),
-                    lambda r: 0.05 * np.ones_like(np.asarray(r, float)),
-                    cv.constant(0.0), r_max=200.0)
+    p = linear_profile(0.05, 1.0, r_max=200.0)
     rep = an.neck_bound(p, 10.0, 110.0)
     assert rep.applicable
     assert abs(rep.b - 0.05) < 1e-12
     expect_f = (math.cos(0.05 * math.pi) * (1.0 + 0.05 * 110.0) - 1.0) / 0.05
     assert abs(rep.f - expect_f) < 1e-6
     assert rep.excluded == [10.0, rep.f]
+
+
+def bump_profile(base, height, center, half_width, r_max=50.0):
+    """Exact profile with m' = base + height (1 - t^2)^2, t = (r - center)
+    / half_width, on the bump and base elsewhere; m(0) = 0.  Zero
+    curvature stands in for the spec, which these landmarks never read."""
+    t = P.Polynomial([-1.0, 1.0 / half_width])  # in r - (center - half_width)
+    bump = (base + height * (1 - t**2) ** 2).coef[::-1]
+    c = np.zeros((5, 3))
+    c[-1] = base
+    c[:, 1] = bump
+    mp = PPoly(c, [0.0, center - half_width, center + half_width, r_max])
+    return jacobi.Profile(cv.constant(0.0), mp.antiderivative(), mp, r_max, math.nan)
+
+
+def test_landmarks_narrower_than_a_grid():
+    # m' dips below 1/2 for 1e-3 around r = 20, a sixth of the spacing
+    # of an 8192-point sample of [0, 50]: the half-slope radius is the
+    # dip's first root, where (1 - t^2)^2 = 9/16
+    p = bump_profile(1.0, -8.0 / 9.0, 20.0, 1e-3)
+    assert an.half_slope_radius(p) == pytest.approx(20.0 - 5e-4, abs=1e-12)
+    # a bump of width 2e-3 lifts the slope from 0.1 to 0.45 inside [x, y]
+    rep = an.neck_bound(bump_profile(0.1, 0.35, 30.0, 1e-3), 10.0, 45.0)
+    assert rep.applicable
+    assert abs(rep.b - 0.45) <= 1e-12
 
 
 def test_neck_bound_inapplicable_cases(bulge):

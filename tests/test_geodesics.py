@@ -9,6 +9,7 @@ from revplane import jacobi
 from revplane import quadrature as qd
 from revplane.errors import Undetermined
 
+from closedforms import linear_profile
 from test_quadrature import StubProfile
 
 
@@ -23,9 +24,7 @@ def hyperbolic():
 
 
 def cone_stub(a, r_max=200.0):
-    return StubProfile(lambda r: a * np.asarray(r, dtype=float),
-                       lambda r: a * np.ones_like(np.asarray(r, dtype=float)),
-                       cv.constant(0.0), r_max=r_max)
+    return linear_profile(a, r_max=r_max)
 
 
 def test_launch_validation(flat):
@@ -75,14 +74,12 @@ def test_near_tangent_launches_flat(flat):
     # T = kappa on the flat plane.  Within sqrt(2 TRAP_REL) of pi/2,
     # arccos(c / m(r_q)) has lost its digits: outward launches must not
     # snap to the turning circle, and inward ones, whose c may round to
-    # m(r_q), must not raise
-    for d in (1e-16, 1e-12, 1e-9, 1e-7, 1e-5, 4e-5, 1e-3):
-        kappa = math.pi / 2 - d
-        res = gd.turn_angle(flat, 5.0, kappa)
-        assert abs(res.value - kappa) <= max(res.abs_error, 1e-12), d
-        kappa = math.pi / 2 + d
-        res = gd.turn_angle(flat, 5.0, kappa)
-        assert abs(res.value - kappa) <= max(res.abs_error, 1e-9), d
+    # m(r_q), must not raise.  Farther out the exact launch angle still
+    # beats the arccos, which amplifies the rounding of c by 1 / sin w
+    for d in (1e-16, 1e-12, 1e-9, 1e-7, 1e-5, 4e-5, 1e-4, 1e-3, 1e-2, 0.3):
+        for kappa in (math.pi / 2 - d, math.pi / 2 + d):
+            res = gd.turn_angle(flat, 5.0, kappa)
+            assert abs(res.value - kappa) <= res.abs_error, (d, kappa)
 
 
 def test_near_tangent_launch_on_cone(cone09):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from revplane import curvature as cv
@@ -9,7 +8,7 @@ from revplane import jacobi
 from revplane import oracle
 from revplane.errors import ShootFailure
 
-from test_quadrature import StubProfile
+from closedforms import linear_profile
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +41,7 @@ def test_trace_route_agrees_with_quadrature_route(hyperbolic):
 
 def test_trace_route_cone_stub():
     a = 0.4
-    cone = StubProfile(lambda r: a * np.asarray(r, dtype=float),
-                       lambda r: a * np.ones_like(np.asarray(r, dtype=float)),
-                       cv.constant(0.0), r_max=200.0)
-    got = oracle.turn_angle_by_trace(cone, 5.0, 1.1)
+    got = oracle.turn_angle_by_trace(linear_profile(a, r_max=200.0), 5.0, 1.1)
     assert got.value == pytest.approx(1.1 / a, abs=1e-6)
 
 

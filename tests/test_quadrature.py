@@ -8,16 +8,20 @@ from revplane import curvature as cv
 from revplane import jacobi
 from revplane import quadrature as qd
 
+from closedforms import linear_profile
+
 
 class StubProfile(jacobi.Profile):
-    """Hand-specified profile for exercising tail and divergence paths.
+    """Hand-specified profile for a non-polynomial m (polynomial ones are
+    closedforms.linear_profile).
 
     Only m and mp are overridden, so the quadrature reads the same cached
-    sample from a stub as from a solved profile.
+    sample from a stub as from a solved profile; the stub has no pieces
+    to take roots of.
     """
 
     def __init__(self, m, mp, spec, r_max=50.0):
-        super().__init__(spec, None, r_max, math.nan)
+        super().__init__(spec, None, None, r_max, math.nan)
         self._mf, self._mpf = m, mp
 
     def m(self, r):
@@ -113,9 +117,7 @@ def test_near_tangent_start_regular():
 
 def test_exact_cone_from_stub():
     # m = r/2 exactly: turn angle from the turning circle is pi/(2*(1/2)) = pi
-    stub = StubProfile(lambda r: 0.5 * r, lambda r: 0.5 * np.ones_like(np.asarray(r, dtype=float)),
-                       cv.constant(0.0), r_max=50.0)
-    res = qd.integrate_turn_rate(stub, c=1.0, r_lo=2.0)
+    res = qd.integrate_turn_rate(linear_profile(0.5), c=1.0, r_lo=2.0)
     assert res.status == "converged"
     assert res.value == pytest.approx(math.pi, abs=1e-9)
 
@@ -140,10 +142,7 @@ def test_trap_detected():
 
 
 def test_divergent_tail_on_stalled_profile():
-    stub = StubProfile(lambda r: 2.0 + 0.0 * np.asarray(r, dtype=float),
-                       lambda r: 0.0 * np.asarray(r, dtype=float),
-                       cv.constant(0.0), r_max=50.0)
-    res = qd.integrate_turn_rate(stub, c=1.0, r_lo=1.0)
+    res = qd.integrate_turn_rate(linear_profile(0.0, 2.0), c=1.0, r_lo=1.0)
     assert res.status == "divergent_tail"
     assert res.value == math.inf
 
