@@ -367,7 +367,7 @@ def neck_bound(profile, x, y):
     """
     if not 0 < x < y <= profile.r_max:
         raise ValueError("need 0 < x < y <= r_max")
-    if profile.roots(1, 0.0, 0.0, y).size:
+    if np.any(profile.extrema <= y):
         return NeckReport(False, "m' vanishes somewhere on [0, y]",
                           math.nan, math.nan, None)
     # the largest slope on [x, y] sits at an end or where m'' = 0
@@ -375,7 +375,7 @@ def neck_bound(profile, x, y):
     if b >= 0.5:
         return NeckReport(False, "slope reaches 1/2 on [x, y]", b, math.nan, None)
     # m climbs from m(0) = 0 past cos(pi b) m(y) < m(y), once: m' > 0
-    f = float(profile.roots(0, math.cos(math.pi * b) * profile.m(y), 0.0, y)[0])
+    f = profile.level_radius(math.cos(math.pi * b) * profile.m(y), 0.0, y)
     excluded = [x, f] if x <= f else None
     return NeckReport(True, "ok" if excluded else "bound does not reach x",
                       b, f, excluded)

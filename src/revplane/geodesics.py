@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import jacobi
 from . import quadrature as qd
 from .errors import Undetermined
 from .svgplot import SvgCanvas, fit_transform
@@ -63,15 +62,8 @@ def turning_radius(profile, c, r_q):
         raise ValueError(f"c = {c:.6g} exceeds m(r_q) = {m_q:.6g}")
     if c >= m_q:
         return float(r_q)
-    # scan from (r_q, m_q) back to (0, 0): m(0) = 0 < c, so it crosses
-    r, m, _ = profile.sample(0.0, r_q)
-    r_u = jacobi.crossing(np.r_[r_q, r[::-1], 0.0], np.r_[m_q, m[::-1], 0.0], profile.m, c)
-    # one Newton polish: the crossing's absolute xtol leaves m(r_u) - c around
-    # slope * 1e-14, which is coarse relative to c when c itself is tiny
-    mp_u = profile.mp(r_u)
-    if mp_u > 1e-12:
-        r_u = min(max(r_u + (c - profile.m(r_u)) / mp_u, 0.0), float(r_q))
-    return r_u
+    # m(0) = 0 < c <= m(r_q), so m reaches c on [0, r_q]
+    return profile.level_radius(c, 0.0, r_q, last=True)
 
 
 def turn_angle(profile, r_q, kappa, tol=1e-8):

@@ -9,8 +9,8 @@ and the plane is smooth and complete iff m stays positive for r > 0.
 This module integrates that IVP with dense output, watches for a zero of
 m (raising StarViolation with the located root), and provides the profile
 queries everything else is built on: pointwise m and m' from two
-piecewise polynomials, their exact roots (the landmarks), the cached
-dense sample and the one crossing search over it, comparison of two
+piecewise polynomials, their exact roots (the landmarks), the extrema of
+m and the first or last radius where m reaches a level, comparison of two
 profiles (Sturm), the embedding profile in Euclidean 3-space, the slope at
 infinity, and total curvature.
 """
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 from scipy.interpolate import PchipInterpolator, PPoly
-from scipy.optimize import brentq
 
 from . import curvature as cv
 from .errors import OutOfWindow, StarViolation
@@ -36,8 +35,8 @@ class Profile:
 
     m and mp are piecewise polynomials (scipy PPoly) for m and m' on the
     window: the Taylor seed and the DOP853 steps of the Jacobi solve, or
-    the PCHIP interpolants of a table read back from CSV.  Landmarks are
-    their exact roots.
+    the PCHIP interpolants of a table read back from CSV.  Landmarks and
+    levels are their exact roots; no profile query samples a grid.
     """
 
     def __init__(self, spec, m, mp, r_max, tol):
@@ -46,8 +45,7 @@ class Profile:
         self._mp_pp = mp
         self.r_max = float(r_max)
         self.tol = float(tol)
-        self._mono = None
-        self._mgrid = None
+        self._extrema = None
 
     def _eval(self, pp, r):
         r = np.asarray(r, dtype=float)
@@ -84,57 +82,56 @@ class Profile:
         return np.sort(r[(lo <= r) & (r <= hi)])
 
     @property
-    def monotone_increasing(self):
-        """True when m' > 0 on the cached dense sample of the whole window.
+    def extrema(self):
+        """Sorted radii where m' = 0: m is monotone between consecutive
+        ones.  Cached after the first access."""
+        if self._extrema is None:
+            self._extrema = self.roots(1, 0.0, 0.0, self.r_max)
+        return self._extrema
 
-        Cached after the first access.  Integrators use this to skip the
-        search for interior wells of m, which cannot exist when the profile
-        climbs everywhere.
+    def knots(self, lo, hi):
+        """The pieces' breakpoints strictly inside (lo, hi), and m at them,
+        read off the coefficients without evaluating the profile."""
+        x = self._m_pp.x
+        a = int(np.searchsorted(x, lo, side="right"))
+        b = int(np.searchsorted(x, hi, side="left"))
+        return x[a:b], self._m_pp.c[-1, a:b]
+
+    def level_radius(self, level, lo, hi, last=False):
+        """First (or, with last, the last) radius in [lo, hi] where m
+        equals level; None when m does not reach it there.
+
+        m is monotone between its extrema, so it meets the level at most
+        once between neighbouring extrema and breakpoints: the first (or
+        last) such cell whose end values bracket the level holds the
+        answer, which is the root of the one piece covering that cell.
+        The breakpoint values are the pieces' own coefficients.
         """
-        if self._mono is None:
-            self._mono = bool(np.all(self._dense_m()[2] > 0.0))
-        return self._mono
-
-    def _dense_m(self):
-        """Cached dense sample (r, m, m') over the whole window."""
-        if self._mgrid is None:
-            r = np.linspace(0.0, self.r_max, 8192)
-            self._mgrid = (r, self.m(r), self.mp(r))
-        return self._mgrid
-
-    def sample(self, lo, hi):
-        """The cached dense sample (r, m, m') at the radii strictly inside
-        (lo, hi).
-
-        Landmark searches and trap scans read this instead of
-        re-evaluating the profile thousands of points at a time on every
-        call; callers add the ends they already hold.
-        """
-        r, m, mp = self._dense_m()
-        a = int(np.searchsorted(r, lo, side="right"))
-        b = int(np.searchsorted(r, hi, side="left"))
-        return r[a:b], m[a:b], mp[a:b]
+        ext = self.extrema
+        ends = np.concatenate(([lo], ext[(lo < ext) & (ext < hi)], [hi]))
+        x, mx = self.knots(lo, hi)
+        r = np.concatenate((ends, x))
+        order = np.argsort(r, kind="stable")
+        r, d = r[order], np.concatenate((self.m(ends), mx))[order] - level
+        hit = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) <= 0)
+        if hit.size == 0:
+            return None
+        k = int(hit[-1] if last else hit[0])
+        for e in ((k + 1, k) if last else (k, k + 1)):
+            if d[e] == 0.0:
+                return float(r[e])
+        pp = self._m_pp
+        i = min(int(np.searchsorted(pp.x, r[k], side="right")) - 1, len(pp.x) - 2)
+        piece = PPoly.construct_fast(pp.c[:, i:i + 1], pp.x[i:i + 2])
+        roots = piece.solve(level, extrapolate=False)
+        roots = roots[(r[k] <= roots) & (roots <= r[k + 1])]
+        if roots.size:
+            return float(roots[-1] if last else roots[0])
+        # the root rounded out of its cell: take the nearer end
+        return float(r[k] if abs(d[k]) <= abs(d[k + 1]) else r[k + 1])
 
     def __repr__(self):
         return f"Profile({self.spec.kind!r}, window=[0, {self.r_max:.6g}])"
-
-
-def crossing(r, values, fn, level):
-    """First radius along r where fn reaches level.
-
-    r may run up or down; values are fn at r.  The first sample at level
-    or on the far side of it from values[0] ends the crossing cell, and
-    brentq locates fn = level inside that cell.  Returns r[0] when
-    values[0] is at level, and None when no sample crosses.
-    """
-    side = np.sign(values[0] - level)
-    if side == 0:
-        return float(r[0])
-    hit = np.nonzero((values - level) * side <= 0)[0]
-    if hit.size == 0:
-        return None
-    a, b = r[hit[0] - 1], r[hit[0]]
-    return float(brentq(lambda x: fn(x) - level, min(a, b), max(a, b), xtol=1e-14))
 
 
 def solve_jacobi(spec, r_max=200.0, tol=1e-10):

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfWindow
-from .jacobi import crossing
 
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGENT_TANGENCY = "divergent_tangency"
@@ -148,8 +147,8 @@ def _adaptive_gk(f, a, b, tol, initial=16, log_spaced=False):
 def _invert_m(profile, targets, r_lo, r_hi, grid_r, grid_m):
     """Solve m(r) = target on [r_lo, r_hi] where m is increasing.
 
-    Newton iteration seeded by interpolation on the scan grid; iterates
-    are clipped to the bracket.
+    Newton iteration seeded by interpolation between the profile's
+    breakpoints; iterates are clipped to the bracket.
     """
     r = np.interp(targets, grid_m, grid_r)
     for _ in range(60):
@@ -162,14 +161,6 @@ def _invert_m(profile, targets, r_lo, r_hi, grid_r, grid_m):
             return r_new
         r = r_new
     return r
-
-
-def _scan_grid(r_lo, r_hi, n_uniform=2048, n_geo=64):
-    """Sampling grid on [r_lo, r_hi], clustered near the singular end."""
-    span = r_hi - r_lo
-    uni = np.linspace(r_lo, r_hi, n_uniform)
-    geo = r_lo + span * np.geomspace(1e-12, 1.0, n_geo)
-    return np.unique(np.concatenate([uni, geo]))
 
 
 def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8, w_start=None, w_end=None):
@@ -218,64 +209,43 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8, w_start=None, w_e
         # the geodesic is asymptotic to the parallel circle: log divergence
         return IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
 
-    # the profile's cached sample seeds the inversion and the well scan;
-    # a span holding too few samples gets its own grid
-    sr, sm, smp = profile.sample(r_lo, hi)
-    if profile.monotone_increasing:
-        # m climbs on the whole window, so no interior well can trap the
-        # geodesic and the head inversion is valid everywhere
-        grid = np.concatenate([[r_lo], sr, [hi]])
-        m_s = np.concatenate([[m_lo], sm, [profile.m(hi)]])
-        i_mono = len(grid)
-    else:
-        if len(sr) >= 128:
-            grid = np.concatenate([[r_lo], sr, [hi]])
-            m_s = np.concatenate([[m_lo], sm, [profile.m(hi)]])
-            mp_s = np.concatenate([[profile.mp(r_lo)], smp, [profile.mp(hi)]])
-        else:
-            grid = _scan_grid(r_lo, hi)
-            m_s = profile.m(grid)
-            mp_s = profile.mp(grid)
+    # m is monotone between its extrema: m at those past r_lo and at the
+    # window end decides the trap and where the head's monotone stretch ends
+    ext = profile.extrema
+    ends = np.append(ext[(r_lo < ext) & (ext < hi)], hi)
+    m_ends = profile.m(ends)
 
-        # trap detection: once m has escaped the turning circle it must not
-        # come back down to it inside the window
-        esc = np.nonzero(m_s >= c * (1 + 1e-6))[0]
-        if esc.size:
-            i_esc = esc[0]
-            if np.any(m_s[i_esc + 1:] <= c * (1 + TRAP_REL)):
-                return IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
-
-        # end of the initial monotone stretch (head inversion needs m
-        # increasing)
-        breaks = np.nonzero(mp_s <= 0.0)[0]
-        i_mono = breaks[0] if breaks.size else len(grid)
-        if i_mono < 2:
-            # slope dies immediately after a singular start that passed the
-            # tangency gate: treat as tangential
-            if singular:
-                return IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
-            i_mono = 1
+    # trap detection: past r_lo, m must not come back down to the turning
+    # circle, at an extremum or, for an improper integral, by falling to
+    # it at the window end
+    low = m_ends <= c * (1 + TRAP_REL)
+    falls = m_ends[-1] < (m_ends[-2] if len(ends) > 1 else m_lo)
+    if np.any(low[:-1]) or (improper and low[-1] and falls):
+        return IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
 
     root2c = math.sqrt(2.0) * c
     head = head_err = cross_err = 0.0
     body_from = r_lo
+    r_s, m_s = ends[0], m_ends[0]
 
-    if m_lo < root2c:
-        # where m first reaches sqrt(2) c within the monotone stretch, or
-        # the stretch's end
-        mono_m = m_s[:i_mono]
-        mono_r = grid[:i_mono]
-        r_cut = crossing(mono_r, mono_m, profile.m, root2c)
-        if r_cut is None:
-            r_cut = mono_r[-1]
+    if m_lo < root2c and m_s > m_lo:
+        # the head inverts m, so it stays on the stretch where m rises from
+        # r_lo: cut where m reaches sqrt(2) c, and short of an extremum,
+        # where m' = 0 makes the w-form integrand 1/m' singular, at most
+        # halfway up to it
+        m_cut = root2c if r_s == hi else min(root2c, 0.5 * (c + m_s))
+        r_cut = profile.level_radius(m_cut, r_lo, r_s)
+        if r_cut is None:  # m stays below the level, or starts above it
+            r_cut, m_cut = (r_s, m_s) if m_s < m_cut else (r_lo, m_lo)
         if r_cut > r_lo * (1 + 1e-15) + 1e-300:
             if w_end is not None and r_cut == hi:
                 w_hi = w_end
             else:
-                w_hi = math.acos(min(c / profile.m(r_cut), 1.0))
+                w_hi = math.acos(min(c / m_cut, 1.0))
             if w_hi > w_lo + 1e-14:
-                gm = np.concatenate([[min(m_lo, c)], mono_m])
-                gr = np.concatenate([[r_lo], mono_r])
+                kr, km = profile.knots(r_lo, r_cut)
+                gr = np.concatenate(([r_lo], kr, [r_cut]))
+                gm = np.concatenate(([min(m_lo, c)], km, [m_cut]))
 
                 def f_w(w):
                     t = c / np.cos(w)
@@ -315,7 +285,7 @@ def integrate_turn_rate(profile, c, r_lo, r_hi=None, tol=1e-8, w_start=None, w_e
 
     # improper: resolve the tail beyond the window via curvature certificate
     cert = profile.spec.tail_certificate()
-    m_R = profile.m(hi)
+    m_R = m_ends[-1]
     a_R = profile.mp(hi)
     if cert is not None and cert[0] in ("zero", "nonpositive") and cert[1] <= hi:
         if a_R <= 1e-13:

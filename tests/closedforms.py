@@ -3,7 +3,8 @@
 import math
 
 import numpy as np
-from scipy.interpolate import PPoly
+import numpy.polynomial as P
+from scipy.interpolate import BPoly, PPoly
 
 from revplane import curvature as cv
 from revplane import jacobi
@@ -15,6 +16,32 @@ def linear_profile(a, b=0.0, r_max=50.0):
     x = [0.0, r_max]
     return jacobi.Profile(cv.constant(0.0), PPoly(np.array([[a], [b]]), x),
                           PPoly(np.array([[a]]), x), r_max, math.nan)
+
+
+def bump_profile(base, height, center, half_width, r_max=50.0):
+    """Exact profile with m' = base + height (1 - t^2)^2, t = (r - center)
+    / half_width, on the bump and base elsewhere; m(0) = 0.  Zero
+    curvature stands in for the spec, which only the turn integral's tail
+    reads, and m is linear there."""
+    t = P.Polynomial([-1.0, 1.0 / half_width])  # in r - (center - half_width)
+    bump = (base + height * (1 - t**2) ** 2).coef[::-1]
+    c = np.zeros((5, 3))
+    c[-1] = base
+    c[:, 1] = bump
+    mp = PPoly(c, [0.0, center - half_width, center + half_width, r_max])
+    return jacobi.Profile(cv.constant(0.0), mp.antiderivative(), mp, r_max, math.nan)
+
+
+def sine_profile(r_max=40.0):
+    """m = 2 + sin r on [0, r_max] as a quintic Hermite through m, m' and
+    m'' at the multiples of pi/64 (so at every extremum pi/2 + k pi), with
+    m' its derivative: m is off by about 3e-13, m' by 2e-11.  The zero
+    curvature table stands in for the spec, which only the tail reads."""
+    x = np.arange(math.ceil(r_max / (math.pi / 64)) + 1) * (math.pi / 64)
+    m = PPoly.from_bernstein_basis(
+        BPoly.from_derivatives(x, np.stack([2.0 + np.sin(x), np.cos(x), -np.sin(x)], axis=1)))
+    return jacobi.Profile(cv.table([0.0, r_max], [0.0, 0.0]), m, m.derivative(), r_max,
+                          math.nan)
 
 
 def flat_m(r):

@@ -2,9 +2,7 @@ import json
 import math
 
 import numpy as np
-import numpy.polynomial as P
 import pytest
-from scipy.interpolate import PPoly
 
 from revplane import analysis as an
 from revplane import curvature as cv
@@ -12,7 +10,7 @@ from revplane import geodesics as gd
 from revplane import jacobi
 from revplane.errors import Undetermined
 
-from closedforms import linear_profile
+from closedforms import bump_profile, linear_profile
 
 
 def flat_stub(r_max=50.0):
@@ -214,23 +212,10 @@ def test_neck_bound_slow_stub():
     assert rep.excluded == [10.0, rep.f]
 
 
-def bump_profile(base, height, center, half_width, r_max=50.0):
-    """Exact profile with m' = base + height (1 - t^2)^2, t = (r - center)
-    / half_width, on the bump and base elsewhere; m(0) = 0.  Zero
-    curvature stands in for the spec, which these landmarks never read."""
-    t = P.Polynomial([-1.0, 1.0 / half_width])  # in r - (center - half_width)
-    bump = (base + height * (1 - t**2) ** 2).coef[::-1]
-    c = np.zeros((5, 3))
-    c[-1] = base
-    c[:, 1] = bump
-    mp = PPoly(c, [0.0, center - half_width, center + half_width, r_max])
-    return jacobi.Profile(cv.constant(0.0), mp.antiderivative(), mp, r_max, math.nan)
-
-
 def test_landmarks_narrower_than_a_grid():
-    # m' dips below 1/2 for 1e-3 around r = 20, a sixth of the spacing
-    # of an 8192-point sample of [0, 50]: the half-slope radius is the
-    # dip's first root, where (1 - t^2)^2 = 9/16
+    # m' dips below 1/2 for only 1e-3 around r = 20, which a uniform grid
+    # of [0, 50] with fewer than 50,000 points can step over: the
+    # half-slope radius is the dip's first root, where (1 - t^2)^2 = 9/16
     p = bump_profile(1.0, -8.0 / 9.0, 20.0, 1e-3)
     assert an.half_slope_radius(p) == pytest.approx(20.0 - 5e-4, abs=1e-12)
     # a bump of width 2e-3 lifts the slope from 0.1 to 0.45 inside [x, y]

@@ -9,8 +9,7 @@ from revplane import jacobi
 from revplane import quadrature as qd
 from revplane.errors import Undetermined
 
-from closedforms import linear_profile
-from test_quadrature import StubProfile
+from closedforms import linear_profile, sine_profile
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +43,7 @@ def test_turning_radius_flat(flat):
 
 
 def test_turning_radius_takes_largest_crossing():
-    wavy = StubProfile(lambda r: 2.0 + np.sin(r), lambda r: np.cos(r),
-                       cv.table([0.0, 40.0], [0.0, 0.0]), r_max=40.0)
+    wavy = sine_profile()
     # m = 2.5 is crossed many times; the largest crossing below r_q = 7.5 is
     # the rising one at 2*pi + pi/6
     r_u = gd.turning_radius(wavy, 2.5, 7.5)

@@ -177,33 +177,66 @@ def test_csv_round_trip(tmp_path):
         jacobi.load_profile_csv(path)
 
 
-def test_crossing_either_direction():
-    r = np.linspace(0.0, 10.0, 101)
-    # rising: the first of the many radii where sin reaches 1/2
-    assert jacobi.crossing(r, np.sin(r), np.sin, 0.5) == pytest.approx(math.pi / 6, abs=1e-14)
-    # falling over a reversed r, as in the turning radius: the largest
-    # radius below 9 where sin is -1/2
-    down = np.linspace(9.0, 0.0, 91)
-    assert jacobi.crossing(down, np.sin(down), np.sin, -0.5) == pytest.approx(
-        11 * math.pi / 6, abs=1e-14)
+def test_extrema_are_the_roots_of_the_slope():
+    # m = 2 + sin r turns at pi/2 + k pi; a root on a breakpoint may be
+    # reported by both pieces that meet there
+    e = cf.sine_profile().extrema
+    k = np.round((e - math.pi / 2) / math.pi)
+    assert np.all(np.abs(e - (math.pi / 2 + k * math.pi)) <= 1e-11)
+    assert set(k) == set(range(13))
+    assert cf.linear_profile(0.5).extrema.size == 0
 
 
-def test_crossing_at_start_and_none():
-    r = np.linspace(0.0, 4.0, 9)
-    # values[0] at the level: the start itself
-    assert jacobi.crossing(r, r * r, np.square, 0.0) == 0.0
-    assert jacobi.crossing(r[::-1], r[::-1] ** 2, np.square, 16.0) == 4.0
-    # no sample reaches the level
-    assert jacobi.crossing(r, r * r, np.square, 20.0) is None
+def test_level_radius_first_and_last():
+    p = cf.sine_profile()
+    # m reaches 5/2 at pi/6 + 2 k pi (rising) and 5 pi/6 + 2 k pi (falling)
+    assert p.level_radius(2.5, 0.0, 9.0) == pytest.approx(math.pi / 6, abs=1e-12)
+    assert p.level_radius(2.5, 0.0, 9.0, last=True) == pytest.approx(
+        17 * math.pi / 6, abs=1e-12)
+    assert p.level_radius(1.5, 0.0, 9.0) == pytest.approx(7 * math.pi / 6, abs=1e-12)
+    assert p.level_radius(1.5, 0.0, 9.0, last=True) == pytest.approx(
+        11 * math.pi / 6, abs=1e-12)
+    # from r = 1, past the rising root, the first is the falling one; it
+    # lies inside a piece, whose polynomial root leaves m(r) at rounding
+    r = p.level_radius(2.5, 1.0, 9.0)
+    assert r == pytest.approx(5 * math.pi / 6, abs=1e-12)
+    assert abs(p.m(r) - 2.5) <= 4.4e-16 * 2.5
+
+
+def test_level_radius_at_start_and_none():
+    p = cf.sine_profile()
+    # an end already at the level is the answer
+    assert p.level_radius(p.m(1.0), 1.0, 5.0) == 1.0
+    assert p.level_radius(p.m(4.0), 0.0, 4.0, last=True) == 4.0
+    # m stays in [1, 3]; on [3.5, 6] it stays below 2
+    assert p.level_radius(3.5, 0.0, 40.0) is None
+    assert p.level_radius(0.5, 0.0, 40.0, last=True) is None
+    assert p.level_radius(2.5, 3.5, 6.0) is None
+
+
+def test_level_radius_is_exact_on_solved_profiles(hyp30, bulge):
+    # a piece's polynomial root leaves m(r) - c at rounding, however small c
+    for p in (hyp30, bulge.profile):
+        for c in (1e-12, 1e-9, 1e-6, 1e-3, 0.5):
+            r = p.level_radius(c, 0.0, 3.0, last=True)
+            assert abs(p.m(r) - c) <= 4.4e-16 * c
+    assert hyp30.level_radius(1.0, 0.0, 30.0) == pytest.approx(math.asinh(1.0), abs=1e-9)
 
 
 def test_only_jacobi_reads_the_profile_cache():
-    # every other module reads the profile's dense sample through
-    # Profile.sample, so the cache can change in one place
+    # every other module reads the profile's pieces through Profile's
+    # methods (m, mp, roots, extrema, knots, level_radius), so the
+    # representation can change in one place; and no sampled grid of the
+    # profile comes back: level searches, monotone stretches and trap
+    # tests come from the pieces, and brentq stays only where it roots a
+    # function of a build parameter or of a turn angle
     src = Path(jacobi.__file__).parent
-    readers = sorted(p.name for p in src.glob("*.py")
-                     if re.search(r"_dense_m|_mgrid|_pp", p.read_text()))
+    texts = {p.name: p.read_text() for p in src.glob("*.py")}
+    readers = sorted(n for n, t in texts.items() if re.search(r"_dense_m|_mgrid|_pp", t))
     assert readers == ["jacobi.py"]
+    banned = r"8192|_dense_m|_scan_grid|def sample|def crossing|monotone_increasing"
+    assert [n for n, t in texts.items() if re.search(banned, t)] == []
+    assert {n for n, t in texts.items() if "brentq" in t} <= {"analysis.py", "constructions.py"}
 
 
 @pytest.mark.parametrize("plane", ["flat60", "hyp30", "cone03", "cone09", "bulge", "flare"])

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial as P
 import pytest
 from scipy.integrate import quad
 
@@ -8,27 +9,7 @@ from revplane import curvature as cv
 from revplane import jacobi
 from revplane import quadrature as qd
 
-from closedforms import linear_profile
-
-
-class StubProfile(jacobi.Profile):
-    """Hand-specified profile for a non-polynomial m (polynomial ones are
-    closedforms.linear_profile).
-
-    Only m and mp are overridden, so the quadrature reads the same cached
-    sample from a stub as from a solved profile; the stub has no pieces
-    to take roots of.
-    """
-
-    def __init__(self, m, mp, spec, r_max=50.0):
-        super().__init__(spec, None, None, r_max, math.nan)
-        self._mf, self._mpf = m, mp
-
-    def m(self, r):
-        return self._mf(np.asarray(r, dtype=float)) if not np.isscalar(r) else float(self._mf(r))
-
-    def mp(self, r):
-        return self._mpf(np.asarray(r, dtype=float)) if not np.isscalar(r) else float(self._mpf(r))
+from closedforms import bump_profile, linear_profile, sine_profile
 
 
 def reference_quad(profile, c, r_lo, r_inf=np.inf):
@@ -122,13 +103,8 @@ def test_exact_cone_from_stub():
     assert res.value == pytest.approx(math.pi, abs=1e-9)
 
 
-def wavy_profile():
-    return StubProfile(lambda r: 2.0 + np.sin(r), lambda r: np.cos(r),
-                       cv.table([0.0, 40.0], [0.0, 0.0]), r_max=40.0)
-
-
 def test_divergent_tangency_at_zero_slope():
-    res = qd.integrate_turn_rate(wavy_profile(), c=3.0, r_lo=math.pi / 2)
+    res = qd.integrate_turn_rate(sine_profile(), c=3.0, r_lo=math.pi / 2)
     assert res.status == "divergent_tangency"
     assert res.value == math.inf
 
@@ -136,9 +112,64 @@ def test_divergent_tangency_at_zero_slope():
 def test_trap_detected():
     # launched at a rising crossing of the level m = 2: the profile comes
     # back down to 2 half a period later, so the geodesic never escapes
-    res = qd.integrate_turn_rate(wavy_profile(), c=2.0, r_lo=2 * math.pi)
+    res = qd.integrate_turn_rate(sine_profile(), c=2.0, r_lo=2 * math.pi)
     assert res.status == "divergent_tangency"
     assert res.value == math.inf
+
+
+def test_trap_at_window_end():
+    # launched on the last rise of m = 2 + sin r before r_max = 40, the
+    # geodesic passes the maximum at 25 pi/2, and m falls back below its
+    # level 2.9 by the window end (m(40) = 2.745): no minimum of m lies
+    # in between, so the window end is what catches the return
+    p = sine_profile()
+    res = qd.integrate_turn_rate(p, c=2.9, r_lo=p.level_radius(2.9, 36.2, 39.0))
+    assert res.status == "divergent_tangency"
+    assert res.value == math.inf
+
+
+def test_trap_narrower_than_any_grid():
+    # m' < 0 only on [19.99957, 20.00043], so m has a maximum and then a
+    # minimum there.  Launched tangentially below the well, a geodesic
+    # whose level lies 1e-5 under the maximum is trapped; one 1e-5 under
+    # the minimum passes over the well
+    base, height, center, hw = 1.0, -1.5, 20.0, 1e-3
+    p = bump_profile(base, height, center, hw)
+    c = p.m(19.99957) - 1e-5
+    res = qd.integrate_turn_rate(p, c, p.level_radius(c, 0.0, 19.99957))
+    assert res.status == "divergent_tangency"
+    assert res.value == math.inf
+
+    c = p.m(20.00043) - 1e-5
+    r_lo = p.level_radius(c, 0.0, 19.99957)
+    res = qd.integrate_turn_rate(p, c, r_lo)
+    assert res.status == "converged"
+    assert res.abs_error < 1e-8
+
+    # reference from the closed form: m - c = x e(x) at r = r_lo + x, with
+    # e the bump's chord slope from r_lo up to its end and m' = base past
+    # it, so no difference of nearly equal m values is ever formed
+    t = P.Polynomial([(r_lo - center) / hw, 1.0 / hw])
+    e = (base + height * (1 - t**2) ** 2).integ() // P.Polynomial([0.0, 1.0])
+    x_end = center + hw - r_lo
+
+    def chord(x):
+        return e(x) if x <= x_end else (x_end * e(x_end) + base * (x - x_end)) / x
+
+    def in_u(u):  # F_c dr in u = sqrt(r - r_lo)
+        m = c + u * u * chord(u * u)
+        return 2.0 * c / (m * math.sqrt(chord(u * u) * (m + c)))
+
+    def in_r(r):
+        m = c + (r - r_lo) * chord(r - r_lo)
+        return c / (m * math.sqrt((m - c) * (m + c)))
+
+    head, _ = quad(in_u, 0.0, math.sqrt(x_end), limit=200, epsabs=1e-14, epsrel=1e-14)
+    body, _ = quad(in_r, center + hw, p.r_max, limit=200, epsabs=1e-13, epsrel=1e-13)
+    m_max = c + x_end * e(x_end) + base * (p.r_max - center - hw)
+    # m is linear beyond the window: the tail is asin(c / m) / m'
+    want = head + body + math.asin(c / m_max) / base
+    assert abs(res.value - want) <= res.abs_error
 
 
 def test_divergent_tail_on_stalled_profile():
