@@ -20,7 +20,8 @@ from .curvature import (CurvatureSpec, DropParams, VMReport,
 from .errors import (BuildError, OutOfWindow, ShootFailure, StarViolation,
                      Undetermined)
 from .geodesics import (GeodesicLaunch, GeodesicTrace, is_ray, max_ray_angle,
-                        side_of_pi, trace, turn_angle, turning_radius)
+                        side_of_pi, trace, turn_angle, turn_angles,
+                        turning_radius)
 from .jacobi import (Profile, SlopeReport, SturmReport, TotalCurvatureReport,
                      embed_profile, export_profile_csv, load_profile_csv,
                      slope_at_infinity, solve_jacobi, sturm_compare,
@@ -47,7 +48,7 @@ __all__ = [
     "BuildError", "OutOfWindow", "ShootFailure",
     "StarViolation", "Undetermined",
     "GeodesicLaunch", "GeodesicTrace", "is_ray", "max_ray_angle",
-    "side_of_pi", "trace", "turn_angle", "turning_radius",
+    "side_of_pi", "trace", "turn_angle", "turn_angles", "turning_radius",
     "Profile", "SlopeReport", "SturmReport", "TotalCurvatureReport",
     "embed_profile", "export_profile_csv", "load_profile_csv",
     "slope_at_infinity", "solve_jacobi", "sturm_compare", "total_curvature",

@@ -18,7 +18,9 @@ a closed ball -- which is what makes the radii below well-defined:
   pole_ball_radius       largest radius all of whose points are poles
 
 Boundary comparisons against pi follow the closed-side protocol from the
-geodesics module; scan_sets applies it on a log-spaced grid.  Every
+geodesics module; scan_sets applies it on a log-spaced grid.  The scan
+grid and the pole test's kappa grid are independent turn angles, so each
+goes to geodesics.turn_angles as one batch.  Every
 search for the place where a closed-side answer flips -- the set
 boundaries of a scan, the pole-ball radius, and in geodesics the widest
 ray angle -- is one bisection, geodesics.bisect_closed.
@@ -58,6 +60,14 @@ def in_away_set(profile, r_q, tol=1e-8):
     return gd.side_of_pi(gd.turn_angle(profile, r_q, math.pi / 2, tol=tol), tol) < 0
 
 
+def _side(res, tol):
+    """side_of_pi, with None where it raises Undetermined."""
+    try:
+        return gd.side_of_pi(res, tol)
+    except Undetermined:
+        return None
+
+
 def is_pole(profile, r_q, tol=1e-8):
     """Whether every geodesic from radius r_q is a ray.
 
@@ -65,40 +75,40 @@ def is_pole(profile, r_q, tol=1e-8):
     pi/2, so only [pi/2, pi) needs scanning.  A coarse grid over
     [pi/2, pi - 0.2] is refined around its maximum by one bounded
     maximise, and the approach to the inward radial (where the turn
-    angle tends to pi) is probed separately.  Any certified angle beyond
-    pi means not a pole; comparisons at the precision floor, and those
-    left Undetermined, resolve to the pole side.
+    angle tends to pi) is probed separately; the grid and the approach
+    probes run as one turn_angles batch.  Any certified angle beyond pi
+    means not a pole; comparisons at the precision floor, and those left
+    Undetermined, resolve to the pole side.
     """
 
-    def ray_at(kappa):
-        try:
-            return gd.is_ray(profile, r_q, kappa, tol=tol)
-        except Undetermined:
-            return True
-
-    def t_at(kappa):
-        return gd.turn_angle(profile, r_q, kappa, tol=tol).value
+    def ray(res):
+        side = _side(res, tol)
+        return side is None or side <= 0
 
     kappas = np.linspace(math.pi / 2, math.pi - 0.2, POLE_GRID)
-    values = [t_at(k) for k in kappas]
+    results = gd.turn_angles(profile, r_q,
+                             np.r_[kappas, math.pi - 0.1, math.pi - 0.05, math.pi - 0.02],
+                             tol=tol)
+    grid, approach = results[:POLE_GRID], results[POLE_GRID:]
+    values = [res.value for res in grid]
     worst = int(np.argmax(values))
-    if math.isinf(values[worst]):
+    if math.isinf(values[worst]) or not ray(grid[worst]):
         return False
-    if not ray_at(kappas[worst]):
-        return False
-    # polish the grid maximum within its two neighbouring cells
+    # polish the grid maximum within its two neighbouring cells; the
+    # maximiser returns a point it has evaluated, so its result is kept
+    seen = {}
+
+    def minus_turn(kappa):
+        seen[kappa] = gd.turn_angle(profile, r_q, kappa, tol=tol)
+        return -seen[kappa].value
+
     lo = kappas[max(worst - 1, 0)]
     hi = kappas[min(worst + 1, POLE_GRID - 1)]
-    peak = minimize_scalar(lambda k: -t_at(k), bounds=(lo, hi), method="bounded",
+    peak = minimize_scalar(minus_turn, bounds=(lo, hi), method="bounded",
                            options={"xatol": 1e-6}).x
-    if not ray_at(peak):
+    if not ray(seen[peak]):
         return False
-    # approach to the inward radial: the turn angle tends to pi, so any
-    # excursion above pi near it disqualifies
-    for kappa in (math.pi - 0.1, math.pi - 0.05, math.pi - 0.02):
-        if not ray_at(kappa):
-            return False
-    return True
+    return all(ray(res) for res in approach)
 
 
 # --- radii ---------------------------------------------------------------
@@ -281,26 +291,23 @@ def scan_sets(profile, n=256, tol=1e-8, refine=True):
     # outgoing integral with an empty range
     r_grid = np.geomspace(profile.r_max * 1e-4, profile.r_max * (1.0 - 1e-9), n)
 
-    def turn_at(r, t=tol):
-        return gd.turn_angle(profile, float(r), math.pi / 2, tol=t)
+    def turn_at(r):
+        return gd.turn_angle(profile, float(r), math.pi / 2, tol=tol)
 
-    results = [turn_at(r) for r in r_grid]
-    critical, away, undet = [], [], []
-    for r, res in zip(r_grid, results):
-        try:
-            side = gd.side_of_pi(res, tol)
-        except Undetermined:
-            side = None
-            if res.status != qd.STATUS_WINDOW_LIMITED:
-                try:
-                    side = gd.side_of_pi(turn_at(r, tol / 100), tol / 100)
-                except Undetermined:
-                    pass
-        if side is None:
-            undet.append(float(r))
-            side = 1
-        critical.append(side <= 0)
-        away.append(side < 0)
+    results = gd.turn_angles(profile, r_grid, math.pi / 2, tol=tol)
+    sides = [_side(res, tol) for res in results]
+    # undetermined comparisons that a tighter tolerance could settle are
+    # retried at tol/100, as a second batch
+    retry = [i for i, (res, side) in enumerate(zip(results, sides))
+             if side is None and res.status != qd.STATUS_WINDOW_LIMITED]
+    if retry:
+        again = gd.turn_angles(profile, r_grid[retry], math.pi / 2, tol=tol / 100)
+        for i, res in zip(retry, again):
+            sides[i] = _side(res, tol / 100)
+    undet = [float(r) for r, side in zip(r_grid, sides) if side is None]
+    sides = [1 if side is None else side for side in sides]
+    critical = [side <= 0 for side in sides]
+    away = [side < 0 for side in sides]
 
     crit_ints = _intervals_from_flags(r_grid, critical)
     away_ints = _intervals_from_flags(r_grid, away)

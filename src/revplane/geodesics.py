@@ -33,6 +33,13 @@ from .svgplot import SvgCanvas, fit_transform
 STATUS_RADIAL_INWARD = "radial_inward"
 
 
+def _check_launch(r_q, kappa):
+    if not 0.0 <= kappa <= math.pi:
+        raise ValueError(f"kappa must lie in [0, pi], got {kappa}")
+    if not r_q > 0:
+        raise ValueError(f"launch radius must be positive, got {r_q}")
+
+
 @dataclass(frozen=True)
 class GeodesicLaunch:
     """Starting data of a geodesic: radius, angle from outward radial, and
@@ -44,10 +51,7 @@ class GeodesicLaunch:
 
     @classmethod
     def at_angle(cls, profile, r_q, kappa):
-        if not 0.0 <= kappa <= math.pi:
-            raise ValueError(f"kappa must lie in [0, pi], got {kappa}")
-        if not r_q > 0:
-            raise ValueError(f"launch radius must be positive, got {r_q}")
+        _check_launch(r_q, kappa)
         return cls(r_q=float(r_q), kappa=float(kappa),
                    c=float(profile.m(r_q) * math.sin(kappa)))
 
@@ -66,6 +70,80 @@ def turning_radius(profile, c, r_q):
     return profile.level_radius(c, 0.0, r_q, last=True)
 
 
+def _plan(profile, r_q, kappa, tol):
+    """The Clairaut integrals behind the turn angles of the launches
+    (r_q[i], kappa[i]), two lists of floats.
+
+    Returns (terms, legs).  legs holds integrate_turn_rate's keyword
+    arguments, one dict per integral.  terms[i] is launch i's result when
+    it needs no integral, and otherwise its turn angle as a list of
+    (weight, leg), each leg an index into legs or a result known without
+    quadrature.  For kappa in (pi/2, pi) the geodesic first dives to its
+    turning radius and the inward leg is counted twice.
+    """
+    for r, k in zip(r_q, kappa):
+        _check_launch(r, k)
+    m_q = profile.m(r_q).tolist()
+    terms, legs = [], []
+
+    def leg(**kw):
+        legs.append(kw)
+        return len(legs) - 1
+
+    for r, k, m in zip(r_q, kappa, m_q):
+        if k == 0.0:
+            terms.append(qd.IntegralResult(0.0, 0.0, qd.STATUS_CONVERGED))
+            continue
+        if k == math.pi:
+            terms.append(qd.IntegralResult(math.nan, math.nan, STATUS_RADIAL_INWARD))
+            continue
+        c = m * math.sin(k)
+        # w = arccos(c / m) at r_q, exactly; near tangential launches the
+        # arccos of the rounded c / m(r_q) has lost its digits
+        w_q = abs(math.pi / 2 - k)
+        if k <= math.pi / 2:
+            terms.append([(1, leg(c=c, r_lo=r, tol=tol, w_start=w_q))])
+            continue
+        r_u = turning_radius(profile, c, r)
+        if r_u < r:
+            leg_in = leg(c=c, r_lo=r_u, r_hi=r, tol=tol / 2, w_end=w_q)
+        else:
+            # c rounded to m(r_q): the inward leg is w in [0, w_q] at r_q, where
+            # dw / m' is w_q / m'(r_q) up to terms of order w_q^3
+            mp_q = profile.mp(r)
+            if mp_q <= qd.TANGENT_SLOPE:
+                leg_in = qd.IntegralResult(math.inf, 0.0, qd.STATUS_DIVERGENT_TANGENCY)
+            else:
+                leg_in = qd.IntegralResult(w_q / mp_q, 1e-16 * w_q / mp_q, qd.STATUS_CONVERGED)
+        terms.append([(2, leg_in), (1, leg(c=c, r_lo=r, tol=tol / 2, w_start=w_q))])
+    return terms, legs
+
+
+def _total(terms, done):
+    """A launch's turn angle from its plan's terms and the integrals done."""
+    if isinstance(terms, qd.IntegralResult):
+        return terms
+    parts = [(w, done[leg] if isinstance(leg, int) else leg) for w, leg in terms]
+    for _, res in parts:
+        if res.diverged:
+            return qd.IntegralResult(math.inf, 0.0, res.status)
+    limited = any(res.status == qd.STATUS_WINDOW_LIMITED for _, res in parts)
+    return qd.IntegralResult(sum(w * res.value for w, res in parts),
+                             sum(w * res.abs_error for w, res in parts),
+                             qd.STATUS_WINDOW_LIMITED if limited else qd.STATUS_CONVERGED)
+
+
+def turn_angles(profile, r_q, kappa, tol=1e-8):
+    """turn_angle for many launches at once: r_q and kappa broadcast
+    against each other, and every Clairaut integral behind them runs in
+    one integrate_turn_rates batch.  Returns one IntegralResult per
+    launch, each the one turn_angle returns for it."""
+    r_q, kappa = (x.ravel().tolist() for x in np.broadcast_arrays(r_q, kappa))
+    terms, legs = _plan(profile, r_q, kappa, tol)
+    done = qd.integrate_turn_rates(profile, legs)
+    return [_total(t, done) for t in terms]
+
+
 def turn_angle(profile, r_q, kappa, tol=1e-8):
     """Total turn angle of the geodesic launched at (r_q, kappa).
 
@@ -74,38 +152,13 @@ def turn_angle(profile, r_q, kappa, tol=1e-8):
     -- it gets the distinct status "radial_inward".  For kappa in
     (pi/2, pi) the geodesic first dives to its turning radius and the
     inward leg is counted twice.
+
+    The launch of one: turn_angles' plan, with each of its integrals
+    (at most two) taken by integrate_turn_rate, the per-integral entry
+    point that perfbench's tracer times.
     """
-    launch = GeodesicLaunch.at_angle(profile, r_q, kappa)
-    if kappa == 0.0:
-        return qd.IntegralResult(0.0, 0.0, qd.STATUS_CONVERGED)
-    if kappa == math.pi:
-        return qd.IntegralResult(math.nan, math.nan, STATUS_RADIAL_INWARD)
-    c = launch.c
-    # w = arccos(c / m) at r_q, exactly; near tangential launches the
-    # arccos of the rounded c / m(r_q) has lost its digits
-    w_q = abs(math.pi / 2 - kappa)
-    if kappa <= math.pi / 2:
-        return qd.integrate_turn_rate(profile, c, r_lo=r_q, tol=tol, w_start=w_q)
-    r_u = turning_radius(profile, c, r_q)
-    if r_u < r_q:
-        leg_in = qd.integrate_turn_rate(profile, c, r_lo=r_u, r_hi=r_q, tol=tol / 2,
-                                        w_end=w_q)
-        if leg_in.diverged:
-            return qd.IntegralResult(math.inf, 0.0, leg_in.status)
-    else:
-        # c rounded to m(r_q): the inward leg is w in [0, w_q] at r_q, where
-        # dw / m' is w_q / m'(r_q) up to terms of order w_q^3
-        mp_q = profile.mp(r_q)
-        if mp_q <= qd.TANGENT_SLOPE:
-            return qd.IntegralResult(math.inf, 0.0, qd.STATUS_DIVERGENT_TANGENCY)
-        leg_in = qd.IntegralResult(w_q / mp_q, 1e-16 * w_q / mp_q, qd.STATUS_CONVERGED)
-    leg_out = qd.integrate_turn_rate(profile, c, r_lo=r_q, tol=tol / 2, w_start=w_q)
-    if leg_out.diverged:
-        return qd.IntegralResult(math.inf, 0.0, leg_out.status)
-    status = qd.STATUS_WINDOW_LIMITED if leg_out.status == qd.STATUS_WINDOW_LIMITED \
-        else qd.STATUS_CONVERGED
-    return qd.IntegralResult(2 * leg_in.value + leg_out.value,
-                             2 * leg_in.abs_error + leg_out.abs_error, status)
+    terms, legs = _plan(profile, [float(r_q)], [float(kappa)], tol)
+    return _total(terms[0], [qd.integrate_turn_rate(profile, **leg) for leg in legs])
 
 
 def side_of_pi(res, tol):

@@ -15,6 +15,7 @@ profiles (Sturm), the embedding profile in Euclidean 3-space, the slope at
 infinity, and total curvature.
 """
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -45,12 +46,16 @@ class Profile:
         self._mp_pp = mp
         self.r_max = float(r_max)
         self.tol = float(tol)
+        # the breakpoints as a list: bisection on it costs what a scalar does
+        self._breaks = m.x.tolist()
         self._extrema = None
 
     def _eval(self, pp, r):
         r = np.asarray(r, dtype=float)
-        bad = (r < 0) | (r > self.r_max * (1 + 1e-12))
-        if np.any(bad):
+        hi = self.r_max * (1 + 1e-12)
+        # two reductions first: the masks are built only for the message
+        if r.size and (r.min() < 0 or r.max() > hi):
+            bad = (r < 0) | (r > hi)
             raise OutOfWindow(
                 f"r = {r[bad].flat[0]:.6g} outside solved window [0, {self.r_max:.6g}]"
             )
@@ -90,12 +95,11 @@ class Profile:
         return self._extrema
 
     def knots(self, lo, hi):
-        """The pieces' breakpoints strictly inside (lo, hi), and m at them,
-        read off the coefficients without evaluating the profile."""
-        x = self._m_pp.x
-        a = int(np.searchsorted(x, lo, side="right"))
-        b = int(np.searchsorted(x, hi, side="left"))
-        return x[a:b], self._m_pp.c[-1, a:b]
+        """The pieces' breakpoints strictly inside (lo, hi), and m and m'
+        at them, read off the coefficients without evaluating the profile."""
+        a = bisect.bisect_right(self._breaks, lo)
+        b = bisect.bisect_left(self._breaks, hi)
+        return self._m_pp.x[a:b], self._m_pp.c[-1, a:b], self._mp_pp.c[-1, a:b]
 
     def level_radius(self, level, lo, hi, last=False):
         """First (or, with last, the last) radius in [lo, hi] where m
@@ -107,9 +111,9 @@ class Profile:
         answer, which is the root of the one piece covering that cell.
         The breakpoint values are the pieces' own coefficients.
         """
-        ext = self.extrema
-        ends = np.concatenate(([lo], ext[(lo < ext) & (ext < hi)], [hi]))
-        x, mx = self.knots(lo, hi)
+        ext = self.extrema.tolist()
+        ends = np.array([lo, *ext[bisect.bisect_right(ext, lo):bisect.bisect_left(ext, hi)], hi])
+        x, mx, _ = self.knots(lo, hi)
         r = np.concatenate((ends, x))
         order = np.argsort(r, kind="stable")
         r, d = r[order], np.concatenate((self.m(ends), mx))[order] - level
@@ -121,7 +125,7 @@ class Profile:
             if d[e] == 0.0:
                 return float(r[e])
         pp = self._m_pp
-        i = min(int(np.searchsorted(pp.x, r[k], side="right")) - 1, len(pp.x) - 2)
+        i = min(bisect.bisect_right(self._breaks, r[k]) - 1, len(pp.x) - 2)
         piece = PPoly.construct_fast(pp.c[:, i:i + 1], pp.x[i:i + 2])
         roots = piece.solve(level, extrapolate=False)
         roots = roots[(r[k] <= roots) & (roots <= r[k + 1])]

@@ -200,6 +200,30 @@ def test_scan_flags_match_point_predicates():
     assert rep.away == [an.in_away_set(p, r) for r in rep.r]
 
 
+def _per_radius(profile, r_q, kappa, tol=1e-8):
+    return [gd.turn_angle(profile, float(r), float(k), tol=tol)
+            for r, k in np.broadcast(r_q, kappa)]
+
+
+@pytest.mark.parametrize("plane, n", [("flare", 64), ("cone03", 64), ("stub", 48)])
+def test_scan_batch_matches_per_radius_turn_angles(plane, n, request, monkeypatch):
+    # the grid goes to turn_angles as one batch; the report must be the one
+    # built from one turn_angle call per radius
+    p = flat_stub() if plane == "stub" else request.getfixturevalue(plane).profile
+    rep = an.scan_sets(p, n=n)
+    monkeypatch.setattr(gd, "turn_angles", _per_radius)
+    ref = an.scan_sets(p, n=n)
+    if plane == "flare":
+        assert len(ref.critical_intervals) >= 2
+    assert (rep.critical, rep.away, rep.status) == (ref.critical, ref.away, ref.status)
+    assert rep.critical_intervals == ref.critical_intervals
+    assert rep.away_intervals == ref.away_intervals
+    assert rep.undetermined == ref.undetermined
+    turn, want = np.array(rep.turn), np.array(ref.turn)
+    assert np.all((turn == want) | (np.abs(turn - want) <= 4e-15 * (1.0 + np.abs(want))))
+    assert np.all(np.abs(np.array(rep.abs_error) - ref.abs_error) <= 1e-14)
+
+
 # --- neck exclusion -------------------------------------------------------
 
 def test_neck_bound_slow_stub():

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from pathlib import Path
@@ -237,6 +238,53 @@ def test_only_jacobi_reads_the_profile_cache():
     banned = r"8192|_dense_m|_scan_grid|def sample|def crossing|monotone_increasing"
     assert [n for n, t in texts.items() if re.search(banned, t)] == []
     assert {n for n, t in texts.items() if "brentq" in t} <= {"analysis.py", "constructions.py"}
+
+
+def _calls(node):
+    """The names called in node's own scope (not in nested defs)."""
+    out = []
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if isinstance(n, ast.Call):
+            f = n.func
+            out.append(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+        stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def _loop_calls_reaching(fn, target):
+    """Calls, inside a loop or comprehension of fn, of target or of a
+    function nested in fn that reaches it."""
+    nested = {d.name: d for d in ast.walk(fn) if isinstance(d, ast.FunctionDef) and d is not fn}
+    reach = {target}
+    while True:
+        more = {n for n, d in nested.items() if n not in reach and reach & set(_calls(d))}
+        if not more:
+            break
+        reach |= more
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    scopes = [fn] + list(nested.values())
+    return [name for scope in scopes for loop in ast.walk(scope) if isinstance(loop, loops)
+            for name in _calls(loop) if name in reach]
+
+
+def test_one_batched_engine():
+    # one adaptive GK loop runs every pass of every batch, and the scan
+    # grid and the pole test's kappa grid go to it as batches, not one
+    # turn angle per point
+    src = Path(jacobi.__file__).parent
+    quad = ast.parse((src / "quadrature.py").read_text())
+    defs = [d for d in ast.walk(quad) if isinstance(d, ast.FunctionDef)]
+    assert [d.name for d in defs].count("_adaptive_gk") == 1
+    assert [d.name for d in defs if "_gk15" in _calls(d)] == ["_adaptive_gk"]
+    analysis = {d.name: d for d in ast.walk(ast.parse((src / "analysis.py").read_text()))
+                if isinstance(d, ast.FunctionDef)}
+    for name in ("scan_sets", "is_pole"):
+        assert "turn_angles" in _calls(analysis[name])
+        assert _loop_calls_reaching(analysis[name], "turn_angle") == []
 
 
 @pytest.mark.parametrize("plane", ["flat60", "hyp30", "cone03", "cone09", "bulge", "flare"])
