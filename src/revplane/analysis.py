@@ -20,10 +20,13 @@ a closed ball -- which is what makes the radii below well-defined:
 Boundary comparisons against pi follow the closed-side protocol from the
 geodesics module; scan_sets applies it on a log-spaced grid.  The scan
 grid and the pole test's kappa grid are independent turn angles, so each
-goes to geodesics.turn_angles as one batch.  Every
-search for the place where a closed-side answer flips -- the set
-boundaries of a scan, the pole-ball radius, and in geodesics the widest
-ray angle -- is one bisection, geodesics.bisect_closed.
+goes to geodesics.turn_angles as one batch.  Every search for the place
+where a closed-side answer flips -- the set boundaries of a scan, the
+pole-ball radius, and in geodesics the widest ray angle -- runs on one
+bracket search, geodesics.search_closed: a scan's interval ends close
+together in lockstep, interpolating on the turn angles, and the
+pole-ball radius, which has no value to interpolate, bisects
+(geodesics.bisect_closed).
 """
 
 import csv
@@ -283,7 +286,11 @@ def scan_sets(profile, n=256, tol=1e-8, refine=True):
     Each grid point gets the tangential turn angle and its side of pi:
     critical below or at pi, away strictly below.  Undetermined
     comparisons are retried once at tol/100 and recorded as gaps if they
-    persist.  Interval endpoints are then sharpened by bisection.
+    persist.  Interval endpoints are then sharpened to 1e-10 (relative,
+    or absolute below 1) by one geodesics.search_closed over all of them
+    in lockstep: each round's probes go to turn_angles as one batch, and
+    each end interpolates on its turn angles' pi_gap, starting from the
+    grid's own results (a retried point's from its tol/100 retry).
     """
     if n < 2:
         raise ValueError(f"a scan needs at least 2 grid points, got {n}")
@@ -291,19 +298,19 @@ def scan_sets(profile, n=256, tol=1e-8, refine=True):
     # outgoing integral with an empty range
     r_grid = np.geomspace(profile.r_max * 1e-4, profile.r_max * (1.0 - 1e-9), n)
 
-    def turn_at(r):
-        return gd.turn_angle(profile, float(r), math.pi / 2, tol=tol)
-
     results = gd.turn_angles(profile, r_grid, math.pi / 2, tol=tol)
     sides = [_side(res, tol) for res in results]
     # undetermined comparisons that a tighter tolerance could settle are
-    # retried at tol/100, as a second batch
+    # retried at tol/100, as a second batch; the result and tolerance that
+    # decided each side are kept for the refinement
+    decided = [(res, tol) for res in results]
     retry = [i for i, (res, side) in enumerate(zip(results, sides))
              if side is None and res.status != qd.STATUS_WINDOW_LIMITED]
     if retry:
         again = gd.turn_angles(profile, r_grid[retry], math.pi / 2, tol=tol / 100)
         for i, res in zip(retry, again):
             sides[i] = _side(res, tol / 100)
+            decided[i] = (res, tol / 100)
     undet = [float(r) for r, side in zip(r_grid, sides) if side is None]
     sides = [1 if side is None else side for side in sides]
     critical = [side <= 0 for side in sides]
@@ -313,20 +320,33 @@ def scan_sets(profile, n=256, tol=1e-8, refine=True):
     away_ints = _intervals_from_flags(r_grid, away)
 
     if refine:
-        # critical means side < 1, away side < 0
+        # every interval end and its outside neighbour on the grid is one
+        # bracket (critical means side <= 0, away side < 0); the grid's own
+        # results start the interpolation
         idx = {float(r): i for i, r in enumerate(r_grid)}
-        for ints, bound in ((crit_ints, 1), (away_ints, 0)):
-            def pred(x, bound=bound):
-                return gd.side_of_pi(turn_at(x), tol) < bound
-
+        ends, brackets = [], []
+        for ints, strict in ((crit_ints, False), (away_ints, True)):
             for pair in ints:
                 for end, step in ((0, -1), (1, 1)):
-                    edge = pair[end]
-                    j = idx[edge] + step
-                    if 0 <= j < n:
-                        a, b = gd.bisect_closed(edge, r_grid[j], pred,
-                                                1e-10 * max(1.0, edge))
-                        pair[end] = 0.5 * (a + b)
+                    i = idx[pair[end]]
+                    if 0 <= i + step < n:
+                        ends.append((pair, end, strict))
+                        brackets.append((r_grid[i], r_grid[i + step],
+                                         1e-10 * max(1.0, r_grid[i]),
+                                         gd.pi_gap(*decided[i], strict),
+                                         gd.pi_gap(*decided[i + step], strict)))
+
+        def probe(ks, xs):
+            out = []
+            for k, res in zip(ks, gd.turn_angles(profile, xs, math.pi / 2, tol=tol)):
+                strict = ends[k][2]
+                side = _side(res, tol)
+                out.append((side is None or side < (0 if strict else 1),
+                            gd.pi_gap(res, tol, strict)))
+            return out
+
+        for (pair, end, _), (a, b) in zip(ends, gd.search_closed(brackets, probe)):
+            pair[end] = 0.5 * (a + b)
 
     spec_dict = None
     try:

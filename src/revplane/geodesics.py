@@ -186,55 +186,146 @@ def side_of_pi(res, tol):
     return 0
 
 
-def is_ray(profile, r_q, kappa, tol=1e-8):
+def is_ray(profile, r_q, kappa, tol=1e-8, seen=None):
     """Whether the geodesic is a ray: turn angle at most pi.
 
     side_of_pi decides; a turn angle at the precision floor counts as a
-    ray, and Undetermined propagates.
+    ray, and Undetermined propagates.  seen, a list if given, receives
+    the turn angle the answer came from.
     """
     if kappa == math.pi:
         # the inward radial: minimal iff every geodesic from here is --
         # answered by the pole test, not by a turn integral
         from .analysis import is_pole
         return is_pole(profile, r_q, tol=tol)
-    return side_of_pi(turn_angle(profile, r_q, kappa, tol=tol), tol) <= 0
+    res = turn_angle(profile, r_q, kappa, tol=tol)
+    if seen is not None:
+        seen.append(res)
+    return side_of_pi(res, tol) <= 0
+
+
+def pi_gap(res, tol, strict=False):
+    """How far a turn angle lies past the edge of its closed side:
+    T - pi - band, or with strict (the set T < pi) T - pi + band, where
+    band = max(abs_error, tol).  It is <= 0 where side_of_pi puts the
+    result inside the set and > 0 outside, except for the Undetermined
+    results a search counts as inside; the bracket search interpolates
+    on it.  Divergent, radial and window-limited results give no finite
+    value."""
+    band = max(res.abs_error, tol)
+    return res.value - math.pi + (band if strict else -band)
+
+
+# ITP truncation (Oliveira & Takahashi 2020): a step of ITP_K1 (b - a)^2 / L
+# from the interpolated point towards the midpoint, L the starting length
+ITP_K1 = 0.05
+
+
+def _itp_point(bracket, j):
+    """The next probe of a bracket [inside, outside, g_in, g_out, width,
+    aim, length, n_max] after j probes."""
+    a, b, g_a, g_b, width, aim, length, n_max = bracket
+    half = 0.5 * (a + b)
+    if not (g_a <= 0.0 < g_b and math.isfinite(g_a) and math.isfinite(g_b)):
+        return half
+    span = abs(b - a)
+    # bisection's probe count plus one: |x - half| within this radius keeps
+    # the bracket on course for n_max probes
+    radius = max(0.5 * aim * 2.0 ** (n_max - j) - 0.5 * span, 0.0)
+    x_f = a - g_a * (b - a) / (g_b - g_a)
+    # at least width / 2 past the interpolated root, so a probe that landed
+    # next to it is followed by one on its other side and the bracket closes
+    delta = max(ITP_K1 * span * span / length, 0.5 * width)
+    sigma = math.copysign(1.0, half - x_f)
+    x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
+    return x_t if abs(x_t - half) <= radius else half - sigma * radius
+
+
+def search_closed(brackets, probe):
+    """Close many brackets of closed-side answers in lockstep.
+
+    brackets holds one (inside, outside, width, g_inside, g_outside) per
+    search: the answer holds at inside and fails at outside, either end
+    may be the larger, and the search stops once abs(outside - inside)
+    <= width.  g is a value whose sign gives the answer (<= 0 inside,
+    > 0 outside, as pi_gap), nan where there is none.  Each round asks
+    probe(ks, xs) for one point xs[i] of every open bracket ks[i], all in
+    one call, and takes back an (inside, g) pair per point; Undetermined
+    comparisons should come back as inside, since the searches here run
+    over closed sets, whose boundary case belongs to the set.
+
+    A bracket whose two ends carry a g of the sign their answers agree
+    with takes an ITP step on it (interpolation, truncation and
+    projection; Oliveira & Takahashi 2020, ACM TOMS 47(1), art. 5), and
+    otherwise its midpoint.  Either way it takes at most ceil(log2(L /
+    width)) + 1 probes, L its starting length, and its probes depend on
+    its own answers only.  Returns the final (inside, outside) pairs.
+    """
+    state = []
+    for inside, outside, width, g_in, g_out in brackets:
+        length = abs(outside - inside)
+        n_max = math.ceil(math.log2(length / width)) + 1 if length > width else 0
+        # the projection aims a few rounding errors short of width, so the
+        # probes' own rounding cannot cost a probe past n_max
+        aim = width - 4 * math.ulp(max(abs(inside), abs(outside)))
+        state.append([inside, outside, g_in, g_out, width, aim, length, n_max])
+    live = [k for k, s in enumerate(state) if abs(s[1] - s[0]) > s[4]]
+    j = 0
+    while live:
+        xs = [_itp_point(state[k], j) for k in live]
+        for k, x, (hit, g) in zip(live, xs, probe(live, xs)):
+            end = 0 if hit else 1
+            state[k][end], state[k][2 + end] = x, g
+        j += 1
+        live = [k for k in live if abs(state[k][1] - state[k][0]) > state[k][4]]
+    return [(s[0], s[1]) for s in state]
 
 
 def bisect_closed(inside, outside, pred, width):
     """Bisect the bracket of a closed-side yes/no answer down to width.
 
     pred holds at inside and fails at outside; either end may be the
-    larger.  Halves the bracket until abs(outside - inside) <= width and
-    returns the final (inside, outside) pair.  Undetermined from pred
-    counts as inside: the searches here run over closed sets, whose
-    boundary case belongs to the set.
+    larger.  search_closed on this one bracket, with no value to
+    interpolate: it halves the bracket until abs(outside - inside) <=
+    width and returns the final (inside, outside) pair.  Undetermined
+    from pred counts as inside.
     """
-    while abs(outside - inside) > width:
-        mid = 0.5 * (inside + outside)
-        try:
-            hit = pred(mid)
-        except Undetermined:
-            hit = True
-        if hit:
-            inside = mid
-        else:
-            outside = mid
-    return inside, outside
+    def probe(_, xs):
+        out = []
+        for x in xs:
+            try:
+                out.append((pred(x), math.nan))
+            except Undetermined:
+                out.append((True, math.nan))
+        return out
+
+    return search_closed([(inside, outside, width, math.nan, math.nan)], probe)[0]
 
 
 def max_ray_angle(profile, r_q, tol=1e-8, kappa_tol=1e-8):
     """Largest launch angle that still gives a ray.
 
-    Monotone in kappa (rays above rays are rays), so bisection on
-    [0, pi] applies, with the outward radial kappa = 0 a ray and the
-    inward radial kappa = pi taken as the failing end; Undetermined
-    comparisons resolve to the ray side, consistent with the angle being
-    attained.  If no probe fails, the pole test decides between pi
-    (every geodesic from here is a ray) and the last ray angle.
+    Monotone in kappa (rays above rays are rays), so a bracket search on
+    [0, pi] applies, with the outward radial kappa = 0 a ray (its turn
+    angle is 0 exactly) and the inward radial kappa = pi taken as the
+    failing end.  Each probe passes its turn angle's pi_gap, so from the
+    first failing probe on the search interpolates on T - pi.
+    Undetermined comparisons resolve to the ray side, consistent with the
+    angle being attained.  If no probe fails, the pole test decides
+    between pi (every geodesic from here is a ray) and the last ray angle.
     """
-    lo, hi = bisect_closed(0.0, math.pi,
-                           lambda kappa: is_ray(profile, r_q, kappa, tol=tol),
-                           kappa_tol)
+    def probe(_, kappas):
+        out = []
+        for kappa in kappas:
+            seen = []
+            try:
+                hit = is_ray(profile, r_q, kappa, tol=tol, seen=seen)
+            except Undetermined:
+                hit = True
+            out.append((hit, pi_gap(seen[0], tol)))
+        return out
+
+    [(lo, hi)] = search_closed([(0.0, math.pi, kappa_tol, -math.pi - tol, math.nan)], probe)
     if hi == math.pi:
         from .analysis import is_pole
 

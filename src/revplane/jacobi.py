@@ -48,7 +48,12 @@ class Profile:
         self.tol = float(tol)
         # the breakpoints as a list: bisection on it costs what a scalar does
         self._breaks = m.x.tolist()
+        # each piece's value at its left end, and (filled as the level
+        # search reaches them) its coefficients, lowest power first
+        self._values = m.c[-1].tolist()
+        self._coefs = {}
         self._extrema = None
+        self._stretch_ends = None
 
     def _eval(self, pp, r):
         r = np.asarray(r, dtype=float)
@@ -105,37 +110,103 @@ class Profile:
         """First (or, with last, the last) radius in [lo, hi] where m
         equals level; None when m does not reach it there.
 
-        m is monotone between its extrema, so it meets the level at most
-        once between neighbouring extrema and breakpoints: the first (or
-        last) such cell whose end values bracket the level holds the
-        answer, which is the root of the one piece covering that cell.
-        The breakpoint values are the pieces' own coefficients.
+        m is monotone between its extrema, so the first (or last) stretch
+        between neighbouring extrema whose end values bracket the level
+        holds the answer.  Inside it the breakpoint values -- the pieces'
+        own coefficients -- are monotone too, so a bisect on them finds
+        the cell and its one piece, and a Newton iteration kept inside
+        the cell solves that piece's polynomial.  Values are summed as
+        PPoly sums them, so an end returned as the answer has m(r) ==
+        level exactly.
         """
-        ext = self.extrema.tolist()
-        ends = np.array([lo, *ext[bisect.bisect_right(ext, lo):bisect.bisect_left(ext, hi)], hi])
-        x, mx, _ = self.knots(lo, hi)
-        r = np.concatenate((ends, x))
-        order = np.argsort(r, kind="stable")
-        r, d = r[order], np.concatenate((self.m(ends), mx))[order] - level
-        hit = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) <= 0)
-        if hit.size == 0:
+        top = self.r_max * (1 + 1e-12)
+        if not (0.0 <= lo <= top and 0.0 <= hi <= top):
+            raise OutOfWindow(f"[{lo:.6g}, {hi:.6g}] outside solved window "
+                              f"[0, {self.r_max:.6g}]")
+        if self._stretch_ends is None:
+            self._stretch_ends = (self.extrema.tolist(), self.m(self.extrema).tolist())
+        ext, m_ext = self._stretch_ends
+        a, b = bisect.bisect_right(ext, lo), bisect.bisect_left(ext, hi)
+        ends = [lo, *ext[a:b], hi]
+        vals = [self._piece_at(lo)[0], *m_ext[a:b], self._piece_at(hi)[0]]
+        for k in range(len(ends) - 2, -1, -1) if last else range(len(ends) - 1):
+            d0, d1 = vals[k] - level, vals[k + 1] - level
+            if d0 == 0.0 or d1 == 0.0 or (d0 < 0.0) != (d1 < 0.0):
+                break
+        else:
             return None
-        k = int(hit[-1] if last else hit[0])
-        for e in ((k + 1, k) if last else (k, k + 1)):
-            if d[e] == 0.0:
-                return float(r[e])
-        pp = self._m_pp
-        i = min(bisect.bisect_right(self._breaks, r[k]) - 1, len(pp.x) - 2)
-        piece = PPoly.construct_fast(pp.c[:, i:i + 1], pp.x[i:i + 2])
-        roots = piece.solve(level, extrapolate=False)
-        roots = roots[(r[k] <= roots) & (roots <= r[k + 1])]
-        if roots.size:
-            return float(roots[-1] if last else roots[0])
-        # the root rounded out of its cell: take the nearer end
-        return float(r[k] if abs(d[k]) <= abs(d[k + 1]) else r[k + 1])
+        s0, s1 = ends[k], ends[k + 1]
+        # the cell: the breakpoints strictly inside the stretch, bisected
+        # for the first (or last) one past the level
+        v = self._values
+        i0 = bisect.bisect_right(self._breaks, s0)
+        i1 = max(i0, min(bisect.bisect_left(self._breaks, s1), len(v)))
+        find = bisect.bisect_right if last else bisect.bisect_left
+        j = find(v, -level, i0, i1, key=_neg) if d1 < d0 else find(v, level, i0, i1)
+        left, dl = (s0, d0) if j == i0 else (self._breaks[j - 1], v[j - 1] - level)
+        right, dr = (s1, d1) if j == i1 else (self._breaks[j], v[j] - level)
+        for r, d in ((right, dr), (left, dl)) if last else ((left, dl), (right, dr)):
+            if d == 0.0:
+                return r
+        return self._solve_piece(min(j, len(v)) - 1, level, left, right, dl, dr)
+
+    def _piece_at(self, r, piece=None):
+        """m and m' of the piece covering r (or of the given piece), in
+        Python floats; m is summed in ascending powers of r - x_i, as
+        PPoly sums it, so it equals Profile.m bit for bit."""
+        if piece is None:
+            piece = min(max(bisect.bisect_right(self._breaks, r) - 1, 0), len(self._values) - 1)
+        coefs = self._coefs.get(piece)
+        if coefs is None:
+            coefs = self._coefs[piece] = self._m_pp.c[::-1, piece].tolist()
+        s = r - self._breaks[piece]
+        val = slope = s_prev = 0.0
+        z = 1.0
+        for k, coef in enumerate(coefs):
+            val += coef * z
+            slope += k * coef * s_prev
+            s_prev, z = z, z * s
+        return val, slope
+
+    def _solve_piece(self, piece, level, left, right, dl, dr):
+        """The root of the piece's m - level in the cell [left, right],
+        whose end values dl, dr (as the search read them) bracket it:
+        Newton steps, with a bisection wherever a step leaves the
+        bracket.  dl is the piece's own value at left; when the piece
+        ends on the same side of the level at right, the root has rounded
+        out of the cell and the nearer end is the answer."""
+        fr = self._piece_at(right, piece)[0] - level
+        if fr == 0.0:
+            return right
+        if (dl < 0.0) == (fr < 0.0):
+            return left if abs(dl) <= abs(dr) else right
+        neg, pos = (left, right) if dl < 0.0 else (right, left)
+        f_neg, f_pos = min(dl, fr), max(dl, fr)
+        r = left - dl * (right - left) / (fr - dl)
+        while True:
+            if not min(neg, pos) < r < max(neg, pos):
+                r = 0.5 * (neg + pos)
+                if r == neg or r == pos:  # the bracket is two neighbouring floats
+                    return neg if -f_neg <= f_pos else pos
+            f, fp = self._piece_at(r, piece)
+            f -= level
+            if f == 0.0:
+                return r
+            if f < 0.0:
+                neg, f_neg = r, f
+            else:
+                pos, f_pos = r, f
+            step = f / fp if fp else math.inf
+            if r - step == r:
+                return r
+            r -= step
 
     def __repr__(self):
         return f"Profile({self.spec.kind!r}, window=[0, {self.r_max:.6g}])"
+
+
+def _neg(x):
+    return -x
 
 
 def solve_jacobi(spec, r_max=200.0, tol=1e-10):

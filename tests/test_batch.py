@@ -122,3 +122,26 @@ def test_is_pole_takes_no_turn_angle_twice(cone03, monkeypatch):
         assert len(batched) == an.POLE_GRID + 3
         assert len(set(single)) == len(single)
         assert not set(single) & set(batched)
+
+
+def test_scan_ends_probe_in_lockstep(cone03, monkeypatch):
+    # the scan's interval ends close in one lockstep search: each round's
+    # probes are one turn_angles call, and interpolating on T - pi closes
+    # the two ends on the s = 0.3 cone in at most 24 launches over at most
+    # 12 calls, where bisecting each end took 58 single turn angles
+    sizes = []
+    turn_angles = gd.turn_angles
+
+    def batch(profile, r_q, kappa, tol=1e-8):
+        sizes.append(np.size(r_q))
+        return turn_angles(profile, r_q, kappa, tol=tol)
+
+    def one(*args, **kwargs):
+        raise AssertionError("scan_sets took a single turn angle")
+
+    monkeypatch.setattr(gd, "turn_angles", batch)
+    monkeypatch.setattr(gd, "turn_angle", one)
+    rep = an.scan_sets(cone03.profile, n=256)
+    assert len(rep.critical_intervals) == len(rep.away_intervals) == 1
+    assert sizes[0] == 256
+    assert len(sizes[1:]) <= 12 and sum(sizes[1:]) <= 24

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from revplane import curvature as cv
 from revplane import geodesics as gd
@@ -170,6 +172,128 @@ def test_bisect_closed_either_order():
     # the closed set x >= 1.7, with the inside end the larger
     a, b = gd.bisect_closed(2.0, 1.0, lambda x: x >= 1.7, 1e-9)
     assert b < 1.7 <= a and a - b <= 1e-9
+
+
+@st.composite
+def _brackets(draw):
+    """A bracket around a root, with a step answer and a noisy value.
+
+    (inside, outside, width, root, slope, noise, gaps): the answer holds
+    on the inside's side of root; the value is slope (x - root) (1 +
+    (x - root)^2) towards the outside plus noise sin(1e4 x), so near the
+    root its sign may disagree with the answer, and it is nan at the
+    probes where sin(3e3 x) > gaps (never for gaps = 1).
+    """
+    root = draw(st.floats(-50.0, 50.0))
+    length = draw(st.floats(1e-3, 20.0))
+    frac = draw(st.floats(0.0, 1.0, exclude_max=True))
+    inside, outside = root - frac * length, root + (1.0 - frac) * length
+    assume(outside > root)
+    if draw(st.booleans()):
+        inside, outside = 2 * root - inside, 2 * root - outside
+    width = length * 2.0 ** -draw(st.floats(0.5, 30.0))
+    slope = draw(st.floats(1e-3, 1e3))
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-6])) * slope * length
+    gaps = draw(st.sampled_from([1.0, 1.0, 0.5]))
+    return inside, outside, width, root, slope, noise, gaps
+
+
+def _answer(bracket, x):
+    inside, outside, _, root, slope, noise, gaps = bracket
+    toward_out = math.copysign(1.0, outside - inside)
+    hit = (x - root) * toward_out <= 0.0
+    if math.sin(3e3 * x) > gaps:
+        return hit, math.nan
+    u = x - root
+    return hit, toward_out * slope * u * (1 + u * u) + noise * math.sin(1e4 * x)
+
+
+def _start(bracket):
+    inside, outside, width = bracket[:3]
+    return inside, outside, width, _answer(bracket, inside)[1], _answer(bracket, outside)[1]
+
+
+def _search(brackets, count):
+    def probe(ks, xs):
+        for k in ks:
+            count[k] = count.get(k, 0) + 1
+        return [_answer(brackets[k], x) for k, x in zip(ks, xs)]
+
+    return gd.search_closed([_start(b) for b in brackets], probe)
+
+
+@settings(max_examples=60, deadline=None)
+@given(brackets=st.lists(_brackets(), min_size=1, max_size=6))
+def test_search_closed_bounds_its_probes(brackets):
+    # every bracket closes to its width around its root, the inside end
+    # answering inside and the outside end outside, within bisection's
+    # probe count plus one -- and alone as in lockstep
+    count = {}
+    pairs = _search(brackets, count)
+    for k, (b, (a, o)) in enumerate(zip(brackets, pairs)):
+        inside, outside, width, root = b[:4]
+        assert abs(o - a) <= width
+        assert _answer(b, a)[0] and not _answer(b, o)[0]
+        assert min(a, o) <= root <= max(a, o)
+        limit = math.ceil(math.log2(abs(outside - inside) / width)) + 1
+        assert count.get(k, 0) <= limit
+        assert _search([b], {}) == [(a, o)]
+
+
+@pytest.mark.parametrize("root, k, width", [
+    (1.7918079144195904, 53.00766276779134, 3.337599941136023e-08),
+    (0.9173297487591411, 18.510263983441387, 1.2355063543693341e-07),
+    (0.8264683899510775, 53.609131062138744, 8.20214382112242e-06),
+    (2.4496299843901097, 50.874230262502486, 3.5541671342934865e-09)])
+def test_search_bound_survives_rounding(root, k, width):
+    # on a steep convex value every probe is projected onto the edge of
+    # what the probe count allows; aimed exactly at width, the rounding of
+    # those probes cost these brackets one probe past the bound
+    probes = []
+
+    def probe(ks, xs):
+        probes.extend(xs)
+        return [(x <= root, math.expm1(k * (x - root))) for x in xs]
+
+    [(a, o)] = gd.search_closed([(0.0, math.pi, width, math.expm1(-k * root),
+                                  math.expm1(k * (math.pi - root)))], probe)
+    assert a <= root < o and o - a <= width
+    assert len(probes) <= math.ceil(math.log2(math.pi / width)) + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(bracket=_brackets(), zone=st.floats(0.0, 0.5))
+def test_search_counts_undetermined_as_inside(bracket, zone):
+    # Undetermined answers on the outside of the root, up to zone times
+    # the bracket, close the bracket beyond them
+    inside, outside, width, root = bracket[:4]
+    edge = root + zone * (outside - root)
+
+    def pred(x):
+        hit, _ = _answer(bracket, x)
+        if not hit and (x - edge) * (outside - inside) < 0:
+            raise Undetermined(x, 1e-3)
+        return hit
+
+    a, o = gd.bisect_closed(inside, outside, pred, width)
+    assert abs(o - a) <= width
+    assert min(a, o) <= edge <= max(a, o)
+
+
+def test_search_closes_on_interpolation():
+    # a linear value closes the bracket in 7 probes where bisection takes
+    # 30: the truncation steps shrink with the bracket, and once they fall
+    # below width / 2 a probe lands width / 2 from the root and the next
+    # one on its other side
+    probes = []
+
+    def probe(ks, xs):
+        probes.extend(xs)
+        return [(x <= 0.3, x - 0.3) for x in xs]
+
+    [(a, o)] = gd.search_closed([(0.0, 1.0, 1e-9, -0.3, 0.7)], probe)
+    assert a <= 0.3 < o and o - a <= 1e-9
+    assert len(probes) <= 7
 
 
 def test_trace_flat_straight_line(flat):

@@ -1,11 +1,16 @@
 import ast
+import bisect
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PPoly
 
+from revplane import constructions as cx
 from revplane import curvature as cv
 from revplane import geodesics as gd
 from revplane import jacobi
@@ -222,6 +227,87 @@ def test_level_radius_is_exact_on_solved_profiles(hyp30, bulge):
             r = p.level_radius(c, 0.0, 3.0, last=True)
             assert abs(p.m(r) - c) <= 4.4e-16 * c
     assert hyp30.level_radius(1.0, 0.0, 30.0) == pytest.approx(math.asinh(1.0), abs=1e-9)
+
+
+def _level_radius_by_merge(p, level, lo, hi, last=False):
+    """The level search as it was before the bisect on breakpoint values:
+    merge the ends, the extrema and the breakpoints, take the first (or
+    last) cell whose end values bracket the level, and solve the piece
+    covering it with PPoly.solve."""
+    ext = p.extrema.tolist()
+    ends = np.array([lo, *ext[bisect.bisect_right(ext, lo):bisect.bisect_left(ext, hi)], hi])
+    x, mx, _ = p.knots(lo, hi)
+    r = np.concatenate((ends, x))
+    order = np.argsort(r, kind="stable")
+    r, d = r[order], np.concatenate((p.m(ends), mx))[order] - level
+    hit = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) <= 0)
+    if hit.size == 0:
+        return None
+    k = int(hit[-1] if last else hit[0])
+    for e in ((k + 1, k) if last else (k, k + 1)):
+        if d[e] == 0.0:
+            return float(r[e])
+    pp = p._m_pp
+    i = min(int(np.searchsorted(pp.x, r[k], side="right")) - 1, len(pp.x) - 2)
+    roots = PPoly.construct_fast(pp.c[:, i:i + 1], pp.x[i:i + 2]).solve(level, extrapolate=False)
+    roots = roots[(r[k] <= roots) & (roots <= r[k + 1])]
+    if roots.size:
+        return float(roots[-1] if last else roots[0])
+    return float(r[k] if abs(d[k]) <= abs(d[k + 1]) else r[k + 1])
+
+
+@pytest.fixture(scope="module")
+def level_planes(hyp30, bulge):
+    # sine and bulge have falling stretches, hyperbolic and flare rise only
+    return {"sine": cf.sine_profile(), "hyperbolic": hyp30, "bulge": bulge.profile,
+            "flare": cx.build_flared_cone().profile}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_level_radius_matches_merged_search(level_planes, data):
+    # the bisect on breakpoint values finds what the merge of every
+    # breakpoint found: the same None answers and, where m reaches the
+    # level, a root as exact as the float grid allows
+    p = level_planes[data.draw(st.sampled_from(sorted(level_planes)))]
+    breaks = p.knots(0.0, p.r_max)[0].tolist()
+    places = st.one_of(st.floats(0.0, p.r_max), st.sampled_from([0.0, p.r_max]),
+                       st.sampled_from(breaks),
+                       st.sampled_from(p.extrema.tolist() or [p.r_max]))
+    lo, hi = sorted((data.draw(places), data.draw(places)))
+    last = data.draw(st.booleans())
+    m_lo, m_hi = p.m(lo), p.m(hi)
+    level = data.draw(st.one_of(
+        st.sampled_from([m_lo, m_hi]),                          # an end's m
+        st.sampled_from(p.knots(0.0, p.r_max)[1].tolist()),     # a breakpoint value
+        st.floats(0.9 * min(m_lo, m_hi), 1.1 * max(m_lo, m_hi)),
+        st.sampled_from(p.m(p.extrema).tolist() or [m_hi])))    # an extremum's m
+    want = _level_radius_by_merge(p, level, lo, hi, last)
+    got = p.level_radius(level, lo, hi, last)
+    assert (got is None) == (want is None), (level, lo, hi, last, got, want)
+    if got is None:
+        return
+    assert lo <= got <= hi
+    # the bound of test_level_radius_is_exact_on_solved_profiles, plus the
+    # spacing of the floats next to the root where m is steep; a root the
+    # merge left further off sets its own bound
+    err = abs(p.m(got) - level)
+    bound = 4.4e-16 * abs(level) + abs(p.mp(got)) * math.ulp(got)
+    assert err <= max(bound, abs(p.m(want) - level)), (level, lo, hi, last, got, want)
+    # the same crossing: near an extremum the level is met twice, a few
+    # 1e-8 apart, at rounding
+    assert abs(got - want) <= 1e-6 * (1.0 + want)
+
+
+def test_level_radius_sums_like_ppoly(level_planes):
+    # an end at the level is the answer only if the search reads m there
+    # exactly as Profile.m does
+    rng = np.random.default_rng(4)
+    for p in level_planes.values():
+        r = np.r_[rng.uniform(0.0, p.r_max, 300), p.knots(0.0, p.r_max)[0][:300], p.r_max]
+        for x in r.tolist():
+            assert p.level_radius(p.m(x), x, p.r_max) == x
+            assert p.level_radius(p.m(x), 0.0, x, last=True) == x
 
 
 def test_only_jacobi_reads_the_profile_cache():
