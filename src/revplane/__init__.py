@@ -29,8 +29,7 @@ from .jacobi import (Profile, SlopeReport, SturmReport, TotalCurvatureReport,
 from .oracle import ShootResult, distance_shoot, turn_angle_by_trace
 from .quadrature import (IntegralResult, STATUS_CONVERGED,
                          STATUS_DIVERGENT_TAIL, STATUS_DIVERGENT_TANGENCY,
-                         STATUS_WINDOW_LIMITED, integrate_turn_rate,
-                         turn_rate)
+                         STATUS_WINDOW_LIMITED, integrate_turn_rate)
 
 __version__ = "0.1.0"
 
@@ -55,6 +54,6 @@ __all__ = [
     "ShootResult", "distance_shoot", "turn_angle_by_trace",
     "IntegralResult", "STATUS_CONVERGED", "STATUS_DIVERGENT_TAIL",
     "STATUS_DIVERGENT_TANGENCY", "STATUS_WINDOW_LIMITED",
-    "integrate_turn_rate", "turn_rate",
+    "integrate_turn_rate",
     "__version__",
 ]

@@ -25,8 +25,9 @@ where a closed-side answer flips -- the set boundaries of a scan, the
 pole-ball radius, and in geodesics the widest ray angle -- runs on one
 bracket search, geodesics.search_closed: a scan's interval ends close
 together in lockstep, interpolating on the turn angles, and the
-pole-ball radius, which has no value to interpolate, bisects
-(geodesics.bisect_closed).
+pole-ball radius, which has no value to interpolate, bisects.  Every
+search and every pole decision reads its turn angles through one rule,
+geodesics.closed_side.
 """
 
 import csv
@@ -64,7 +65,9 @@ def in_away_set(profile, r_q, tol=1e-8):
 
 
 def _side(res, tol):
-    """side_of_pi, with None where it raises Undetermined."""
+    """side_of_pi, with None where it raises Undetermined: the scan
+    grid's three-state reading, which reports undecided points rather
+    than resolving them."""
     try:
         return gd.side_of_pi(res, tol)
     except Undetermined:
@@ -79,39 +82,37 @@ def is_pole(profile, r_q, tol=1e-8):
     [pi/2, pi - 0.2] is refined around its maximum by one bounded
     maximise, and the approach to the inward radial (where the turn
     angle tends to pi) is probed separately; the grid and the approach
-    probes run as one turn_angles batch.  Any certified angle beyond pi
-    means not a pole; comparisons at the precision floor, and those left
+    probes run as one turn_angles batch.  Each of the grid maximum, the
+    polished peak and the approach probes must be a ray by
+    geodesics.closed_side: any certified angle beyond pi means not a
+    pole, and comparisons at the precision floor, and those left
     Undetermined, resolve to the pole side.
     """
-
-    def ray(res):
-        side = _side(res, tol)
-        return side is None or side <= 0
-
     kappas = np.linspace(math.pi / 2, math.pi - 0.2, POLE_GRID)
     results = gd.turn_angles(profile, r_q,
                              np.r_[kappas, math.pi - 0.1, math.pi - 0.05, math.pi - 0.02],
                              tol=tol)
     grid, approach = results[:POLE_GRID], results[POLE_GRID:]
-    values = [res.value for res in grid]
-    worst = int(np.argmax(values))
-    if math.isinf(values[worst]) or not ray(grid[worst]):
-        return False
-    # polish the grid maximum within its two neighbouring cells; the
-    # maximiser returns a point it has evaluated, so its result is kept
-    seen = {}
+    worst = int(np.argmax([res.value for res in grid]))
 
-    def minus_turn(kappa):
-        seen[kappa] = gd.turn_angle(profile, r_q, kappa, tol=tol)
-        return -seen[kappa].value
+    def candidates():
+        # lazily, so the polish runs only once the grid maximum is a ray
+        yield grid[worst]
+        # polish the grid maximum within its two neighbouring cells; the
+        # maximiser returns a point it has evaluated, so its result is kept
+        seen = {}
 
-    lo = kappas[max(worst - 1, 0)]
-    hi = kappas[min(worst + 1, POLE_GRID - 1)]
-    peak = minimize_scalar(minus_turn, bounds=(lo, hi), method="bounded",
-                           options={"xatol": 1e-6}).x
-    if not ray(seen[peak]):
-        return False
-    return all(ray(res) for res in approach)
+        def minus_turn(kappa):
+            seen[kappa] = gd.turn_angle(profile, r_q, kappa, tol=tol)
+            return -seen[kappa].value
+
+        lo = kappas[max(worst - 1, 0)]
+        hi = kappas[min(worst + 1, POLE_GRID - 1)]
+        yield seen[minimize_scalar(minus_turn, bounds=(lo, hi), method="bounded",
+                                   options={"xatol": 1e-6}).x]
+        yield from approach
+
+    return all(gd.closed_side(res, tol)[0] for res in candidates())
 
 
 # --- radii ---------------------------------------------------------------
@@ -182,21 +183,15 @@ def pole_ball_radius(profile, tol=1e-8, rel_tol=1e-3):
     lo = profile.r_max * 1e-4
     if not is_pole(profile, lo, tol=tol):
         return 0.0
-    x = lo
     cap = 0.6 * profile.r_max
-    while x < cap:
-        nxt = min(x * 2.0, cap)
-        if is_pole(profile, nxt, tol=tol):
-            x = nxt
-            if x >= cap:
-                return math.inf
-        else:
-            lo, hi = x, nxt
-            break
-    else:
-        return math.inf
-    lo, _ = gd.bisect_closed(lo, hi, lambda x: is_pole(profile, x, tol=tol),
-                             rel_tol * max(lo, 1.0))
+    hi = min(lo * 2.0, cap)
+    while is_pole(profile, hi, tol=tol):
+        if hi >= cap:
+            return math.inf
+        lo, hi = hi, min(hi * 2.0, cap)
+    [(lo, _)] = gd.search_closed(
+        [(lo, hi, rel_tol * max(lo, 1.0), math.nan, math.nan)],
+        lambda _, xs: [(is_pole(profile, x, tol=tol), math.nan) for x in xs])
     return float(lo)
 
 
@@ -288,9 +283,11 @@ def scan_sets(profile, n=256, tol=1e-8, refine=True):
     comparisons are retried once at tol/100 and recorded as gaps if they
     persist.  Interval endpoints are then sharpened to 1e-10 (relative,
     or absolute below 1) by one geodesics.search_closed over all of them
-    in lockstep: each round's probes go to turn_angles as one batch, and
-    each end interpolates on its turn angles' pi_gap, starting from the
-    grid's own results (a retried point's from its tol/100 retry).
+    in lockstep: each round's probes go to turn_angles as one batch and
+    are read by geodesics.closed_side, strict for the away set, so an
+    Undetermined probe counts as critical but not as away; each end
+    interpolates on its turn angles' gap, starting from the grid's own
+    results (a retried point's from its tol/100 retry).
     """
     if n < 2:
         raise ValueError(f"a scan needs at least 2 grid points, got {n}")
@@ -333,17 +330,12 @@ def scan_sets(profile, n=256, tol=1e-8, refine=True):
                         ends.append((pair, end, strict))
                         brackets.append((r_grid[i], r_grid[i + step],
                                          1e-10 * max(1.0, r_grid[i]),
-                                         gd.pi_gap(*decided[i], strict),
-                                         gd.pi_gap(*decided[i + step], strict)))
+                                         gd.closed_side(*decided[i], strict)[1],
+                                         gd.closed_side(*decided[i + step], strict)[1]))
 
         def probe(ks, xs):
-            out = []
-            for k, res in zip(ks, gd.turn_angles(profile, xs, math.pi / 2, tol=tol)):
-                strict = ends[k][2]
-                side = _side(res, tol)
-                out.append((side is None or side < (0 if strict else 1),
-                            gd.pi_gap(res, tol, strict)))
-            return out
+            return [gd.closed_side(res, tol, ends[k][2])
+                    for k, res in zip(ks, gd.turn_angles(profile, xs, math.pi / 2, tol=tol))]
 
         for (pair, end, _), (a, b) in zip(ends, gd.search_closed(brackets, probe)):
             pair[end] = 0.5 * (a + b)

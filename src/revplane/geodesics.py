@@ -168,8 +168,8 @@ def side_of_pi(res, tol):
     inside the error band at the precision floor, where the boundary
     value counts as closed (equal to pi).  Raises Undetermined where a
     tighter tolerance (abs_error > tol) or a wider window (window-limited
-    and not yet past pi) could still decide; a window-limited result
-    carries abs_error = inf.
+    and not yet past pi) could still decide; the Undetermined raised for
+    a window-limited result carries abs_error = inf.
     """
     if res.diverged:
         return 1
@@ -184,6 +184,28 @@ def side_of_pi(res, tol):
     if res.abs_error > tol:
         raise Undetermined(res.value, res.abs_error)
     return 0
+
+
+def closed_side(res, tol, strict=False):
+    """How every search and pole decision reads a turn angle: (inside,
+    gap).
+
+    inside is side_of_pi's answer for the closed set T <= pi or, with
+    strict, for the set T < pi; an Undetermined comparison counts as
+    inside the closed set, which holds its boundary case, and as outside
+    the strict one.  gap, which search_closed interpolates on, is how far
+    T lies past the set's edge: T - pi - band, or with strict T - pi +
+    band, band = max(abs_error, tol).  inside == (gap <= 0) up to the
+    rounding of pi -+ band, except for a window-limited result in the
+    strict set, which is outside whatever its gap.
+    """
+    band = max(res.abs_error, tol)
+    gap = res.value - math.pi + (band if strict else -band)
+    try:
+        side = side_of_pi(res, tol)
+    except Undetermined:
+        return not strict, gap
+    return (side < 0 if strict else side <= 0), gap
 
 
 def is_ray(profile, r_q, kappa, tol=1e-8, seen=None):
@@ -202,18 +224,6 @@ def is_ray(profile, r_q, kappa, tol=1e-8, seen=None):
     if seen is not None:
         seen.append(res)
     return side_of_pi(res, tol) <= 0
-
-
-def pi_gap(res, tol, strict=False):
-    """How far a turn angle lies past the edge of its closed side:
-    T - pi - band, or with strict (the set T < pi) T - pi + band, where
-    band = max(abs_error, tol).  It is <= 0 where side_of_pi puts the
-    result inside the set and > 0 outside, except for the Undetermined
-    results a search counts as inside; the bracket search interpolates
-    on it.  Divergent, radial and window-limited results give no finite
-    value."""
-    band = max(res.abs_error, tol)
-    return res.value - math.pi + (band if strict else -band)
 
 
 # ITP truncation (Oliveira & Takahashi 2020): a step of ITP_K1 (b - a)^2 / L
@@ -241,18 +251,26 @@ def _itp_point(bracket, j):
     return x_t if abs(x_t - half) <= radius else half - sigma * radius
 
 
+def _open(bracket):
+    """Whether a bracket is wider than its width and than the float
+    spacing: one whose ends are neighbouring floats has no point between
+    them to probe."""
+    a, b, width = bracket[0], bracket[1], bracket[4]
+    return abs(b - a) > width and math.nextafter(a, b) != b
+
+
 def search_closed(brackets, probe):
     """Close many brackets of closed-side answers in lockstep.
 
     brackets holds one (inside, outside, width, g_inside, g_outside) per
     search: the answer holds at inside and fails at outside, either end
     may be the larger, and the search stops once abs(outside - inside)
-    <= width.  g is a value whose sign gives the answer (<= 0 inside,
-    > 0 outside, as pi_gap), nan where there is none.  Each round asks
-    probe(ks, xs) for one point xs[i] of every open bracket ks[i], all in
-    one call, and takes back an (inside, g) pair per point; Undetermined
-    comparisons should come back as inside, since the searches here run
-    over closed sets, whose boundary case belongs to the set.
+    <= width or the ends are neighbouring floats; a width that is not
+    > 0 raises ValueError.  g is a value whose sign gives the answer
+    (<= 0 inside, > 0 outside, as closed_side's gap), nan where there is
+    none.  Each round asks probe(ks, xs) for one point xs[i] of every
+    open bracket ks[i], all in one call, and takes back an (inside, g)
+    pair per point, closed_side's reading of the turn angle there.
 
     A bracket whose two ends carry a g of the sign their answers agree
     with takes an ITP step on it (interpolation, truncation and
@@ -263,13 +281,16 @@ def search_closed(brackets, probe):
     """
     state = []
     for inside, outside, width, g_in, g_out in brackets:
+        if not width > 0:
+            raise ValueError(f"bracket width must be positive, got {width}")
         length = abs(outside - inside)
-        n_max = math.ceil(math.log2(length / width)) + 1 if length > width else 0
         # the projection aims a few rounding errors short of width, so the
-        # probes' own rounding cannot cost a probe past n_max
+        # probes' own rounding cannot cost a probe past n_max; a width
+        # within those errors leaves no room to project, only to bisect
         aim = width - 4 * math.ulp(max(abs(inside), abs(outside)))
+        n_max = math.ceil(math.log2(length / width)) + 1 if length > width and aim > 0 else 0
         state.append([inside, outside, g_in, g_out, width, aim, length, n_max])
-    live = [k for k, s in enumerate(state) if abs(s[1] - s[0]) > s[4]]
+    live = [k for k, s in enumerate(state) if _open(s)]
     j = 0
     while live:
         xs = [_itp_point(state[k], j) for k in live]
@@ -277,29 +298,8 @@ def search_closed(brackets, probe):
             end = 0 if hit else 1
             state[k][end], state[k][2 + end] = x, g
         j += 1
-        live = [k for k in live if abs(state[k][1] - state[k][0]) > state[k][4]]
+        live = [k for k in live if _open(state[k])]
     return [(s[0], s[1]) for s in state]
-
-
-def bisect_closed(inside, outside, pred, width):
-    """Bisect the bracket of a closed-side yes/no answer down to width.
-
-    pred holds at inside and fails at outside; either end may be the
-    larger.  search_closed on this one bracket, with no value to
-    interpolate: it halves the bracket until abs(outside - inside) <=
-    width and returns the final (inside, outside) pair.  Undetermined
-    from pred counts as inside.
-    """
-    def probe(_, xs):
-        out = []
-        for x in xs:
-            try:
-                out.append((pred(x), math.nan))
-            except Undetermined:
-                out.append((True, math.nan))
-        return out
-
-    return search_closed([(inside, outside, width, math.nan, math.nan)], probe)[0]
 
 
 def max_ray_angle(profile, r_q, tol=1e-8, kappa_tol=1e-8):
@@ -308,21 +308,22 @@ def max_ray_angle(profile, r_q, tol=1e-8, kappa_tol=1e-8):
     Monotone in kappa (rays above rays are rays), so a bracket search on
     [0, pi] applies, with the outward radial kappa = 0 a ray (its turn
     angle is 0 exactly) and the inward radial kappa = pi taken as the
-    failing end.  Each probe passes its turn angle's pi_gap, so from the
-    first failing probe on the search interpolates on T - pi.
-    Undetermined comparisons resolve to the ray side, consistent with the
-    angle being attained.  If no probe fails, the pole test decides
-    between pi (every geodesic from here is a ray) and the last ray angle.
+    failing end.  Each probe reads is_ray's turn angle by closed_side, so
+    Undetermined comparisons resolve to the ray side, consistent with
+    the angle being attained, and from the first failing probe on the
+    search interpolates on T - pi.  If no probe fails, the pole test
+    decides between pi (every geodesic from here is a ray) and the last
+    ray angle.
     """
     def probe(_, kappas):
         out = []
         for kappa in kappas:
             seen = []
             try:
-                hit = is_ray(profile, r_q, kappa, tol=tol, seen=seen)
+                is_ray(profile, r_q, kappa, tol=tol, seen=seen)
             except Undetermined:
-                hit = True
-            out.append((hit, pi_gap(seen[0], tol)))
+                pass  # closed_side reads the turn angle is_ray saw
+            out.append(closed_side(seen[0], tol))
         return out
 
     [(lo, hi)] = search_closed([(0.0, math.pi, kappa_tol, -math.pi - tol, math.nan)], probe)

@@ -105,15 +105,6 @@ class IntegralResult:
         return self.status in (STATUS_DIVERGENT_TANGENCY, STATUS_DIVERGENT_TAIL)
 
 
-def turn_rate(profile, c, r):
-    """The raw integrand F_c(r); +inf where m(r) <= c."""
-    m = np.asarray(profile.m(r), dtype=float)
-    out = np.full_like(m, np.inf)
-    ok = m > c
-    out[ok] = c / (m[ok] * np.sqrt((m[ok] - c) * (m[ok] + c)))
-    return float(out) if np.isscalar(r) else out
-
-
 def _gk15(f, a, b, k):
     """Vectorized GK15 over panels [a_j, b_j] of the integrals k_j:
     f(x, k) gets the panels' nodes as the rows of x.  Returns (values,

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,13 +160,22 @@ def test_scan_disconnected_critical_set(flare, tmp_path):
         except Undetermined:
             return True
 
+    def away(x):
+        try:
+            return an.in_away_set(flare.profile, x)
+        except Undetermined:
+            return False
+
     # every refined end inside the grid is where the critical side flips,
-    # left ends (bisected downward from the grid) as well as right ends
-    for a, b in rep.critical_intervals:
-        for edge, inward in ((a, 1.0), (b, -1.0)):
-            if rep.r[0] < edge < rep.r[-1]:
-                assert critical(edge * (1.0 + inward * 1e-6)), edge
-                assert not critical(edge * (1.0 - inward * 1e-6)), edge
+    # left ends (bisected downward from the grid) as well as right ends;
+    # Undetermined counts as critical (the closed set holds its boundary)
+    # but not as away (the strict set does not)
+    for intervals, side in ((rep.critical_intervals, critical), (rep.away_intervals, away)):
+        for a, b in intervals:
+            for edge, inward in ((a, 1.0), (b, -1.0)):
+                if rep.r[0] < edge < rep.r[-1]:
+                    assert side(edge * (1.0 + inward * 1e-6)), edge
+                    assert not side(edge * (1.0 - inward * 1e-6)), edge
 
     blob = json.loads(rep.to_json())
     assert blob["critical_intervals"] == rep.critical_intervals
@@ -180,6 +191,38 @@ def test_scan_disconnected_critical_set(flare, tmp_path):
     rep.to_svg(str(svg_path))
     text = svg_path.read_text()
     assert text.startswith("<svg") and "<rect" in text
+
+
+def _own_nodes(fn):
+    """The nodes of fn's own scope (not of nested defs or lambdas)."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        n = stack.pop()
+        if not isinstance(n, (ast.FunctionDef, ast.Lambda)):
+            yield n
+            stack.extend(ast.iter_child_nodes(n))
+
+
+def test_one_closed_side_reader():
+    # every search and every pole decision reads its turn angles through
+    # geodesics.closed_side: in analysis only the scan grid's three-state
+    # _side catches Undetermined, and the readings closed_side replaced
+    # are gone from geodesics
+    src = Path(an.__file__).parent
+    trees = {name: ast.parse((src / f"{name}.py").read_text())
+             for name in ("analysis", "geodesics")}
+    defs = {name: {d.name: d for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)}
+            for name, tree in trees.items()}
+    catching = {fn.name for fn in defs["analysis"].values() for n in _own_nodes(fn)
+                if isinstance(n, ast.ExceptHandler)
+                and (n.type is None or "Undetermined" in ast.unparse(n.type)
+                     or "Exception" in ast.unparse(n.type))}
+    assert catching == {"_side"}
+    assert {"pi_gap", "bisect_closed"}.isdisjoint(defs["geodesics"])
+    assert "ray" not in defs["analysis"]
+    for module, name in (("analysis", "scan_sets"), ("analysis", "is_pole"),
+                         ("geodesics", "max_ray_angle")):
+        assert "closed_side" in ast.unparse(defs[module][name]), name
 
 
 def test_scan_flat_stub_single_interval():

@@ -135,20 +135,21 @@ def test_side_of_pi_table():
     pi, tol = math.pi, 1e-8
     und = Undetermined
     table = [
-        # (value, abs_error, status, side or the exception it raises)
-        (math.inf, 0.0, qd.STATUS_DIVERGENT_TANGENCY, 1),
-        (math.inf, 0.0, qd.STATUS_DIVERGENT_TAIL, 1),
-        (pi + 1e-3, 1e-12, qd.STATUS_WINDOW_LIMITED, 1),     # already past pi
-        (pi - 1e-3, 1e-12, qd.STATUS_WINDOW_LIMITED, und),   # unseen tail
-        (pi, 1e-12, qd.STATUS_WINDOW_LIMITED, und),
-        (pi - 1e-3, 1e-12, qd.STATUS_CONVERGED, -1),         # below the band
-        (pi - tol, 1e-12, qd.STATUS_CONVERGED, -1),          # ... on its edge
-        (pi + 1e-3, 1e-12, qd.STATUS_CONVERGED, 1),          # above the band
-        (pi + 1e-7, 1e-6, qd.STATUS_CONVERGED, und),         # band too wide
-        (pi + 1e-9, 1e-12, qd.STATUS_CONVERGED, 0),          # precision floor
-        (pi - 1e-9, 1e-12, qd.STATUS_CONVERGED, 0),
+        # (value, abs_error, status, side or the exception it raises,
+        #  closed_side's inside for T <= pi and for T < pi)
+        (math.inf, 0.0, qd.STATUS_DIVERGENT_TANGENCY, 1, False, False),
+        (math.inf, 0.0, qd.STATUS_DIVERGENT_TAIL, 1, False, False),
+        (pi + 1e-3, 1e-12, qd.STATUS_WINDOW_LIMITED, 1, False, False),   # already past pi
+        (pi - 1e-3, 1e-12, qd.STATUS_WINDOW_LIMITED, und, True, False),  # unseen tail
+        (pi, 1e-12, qd.STATUS_WINDOW_LIMITED, und, True, False),
+        (pi - 1e-3, 1e-12, qd.STATUS_CONVERGED, -1, True, True),         # below the band
+        (pi - tol, 1e-12, qd.STATUS_CONVERGED, -1, True, True),          # ... on its edge
+        (pi + 1e-3, 1e-12, qd.STATUS_CONVERGED, 1, False, False),        # above the band
+        (pi + 1e-7, 1e-6, qd.STATUS_CONVERGED, und, True, False),        # band too wide
+        (pi + 1e-9, 1e-12, qd.STATUS_CONVERGED, 0, True, False),         # precision floor
+        (pi - 1e-9, 1e-12, qd.STATUS_CONVERGED, 0, True, False),
     ]
-    for value, err, status, want in table:
+    for value, err, status, want, closed, strict in table:
         res = qd.IntegralResult(value, err, status)
         if want is und:
             with pytest.raises(Undetermined) as exc:
@@ -157,21 +158,81 @@ def test_side_of_pi_table():
                 assert exc.value.abs_error == math.inf
         else:
             assert gd.side_of_pi(res, tol) == want, (value, err, status)
+        band = max(err, tol)
+        assert gd.closed_side(res, tol) == (closed, value - pi - band), (value, err, status)
+        assert gd.closed_side(res, tol, strict=True) == (strict, value - pi + band)
 
 
-def test_bisect_closed_either_order():
-    # the closed set x <= 0.3, with Undetermined answers near its edge:
-    # they count as inside, so the bracket closes on 0.301
-    def below(x):
-        if abs(x - 0.3) < 1e-3:
-            raise Undetermined(x, 1e-3)
-        return x <= 0.3
+@st.composite
+def _results(draw):
+    """A turn angle of any quadrature status, near pi or far from it,
+    with a band narrower or wider than the tolerance."""
+    status = draw(st.sampled_from([qd.STATUS_CONVERGED, qd.STATUS_WINDOW_LIMITED,
+                                   qd.STATUS_DIVERGENT_TANGENCY, qd.STATUS_DIVERGENT_TAIL]))
+    if status in (qd.STATUS_DIVERGENT_TANGENCY, qd.STATUS_DIVERGENT_TAIL):
+        return qd.IntegralResult(math.inf, 0.0, status)
+    scale = draw(st.sampled_from([1e-12, 1e-8, 1e-6, 1e-3, 1.0]))
+    value = math.pi + scale * draw(st.floats(-3.0, 3.0))
+    err = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-6, 1e-3, math.inf]))
+    return qd.IntegralResult(value, err, status)
 
-    a, b = gd.bisect_closed(0.0, 1.0, below, 1e-9)
+
+@settings(max_examples=300, deadline=None)
+@given(res=_results(), tol=st.sampled_from([1e-10, 1e-8, 1e-6]), strict=st.booleans())
+def test_closed_side_gap_agrees_with_inside(res, tol, strict):
+    # the gap's sign says what the answer says, so the ITP step may read
+    # it, up to the rounding of pi -+ band, where the search takes the
+    # midpoint; the exception is the strict set, which no window-limited
+    # angle is certified to lie in, whatever its gap
+    inside, gap = gd.closed_side(res, tol, strict)
+    if strict and res.status == qd.STATUS_WINDOW_LIMITED:
+        assert not inside
+        return
+    assert inside == (gap <= 0) or abs(gap) <= 2 * math.ulp(math.pi), (inside, gap)
+
+
+def test_search_closed_bisects_either_order():
+    # the closed set x <= 0.3, with turn angles near its edge whose band
+    # is too wide to decide: closed_side counts them as inside, so the
+    # bracket closes on 0.301; with nan values the search bisects
+    def probe(_, xs):
+        out = []
+        for x in xs:
+            err = 1e-3 if abs(x - 0.3) < 1e-3 else 0.0
+            res = qd.IntegralResult(math.pi + x - 0.3, err, qd.STATUS_CONVERGED)
+            out.append((gd.closed_side(res, 1e-12)[0], math.nan))
+        return out
+
+    [(a, b)] = gd.search_closed([(0.0, 1.0, 1e-9, math.nan, math.nan)], probe)
     assert 0.3009 < a < b < 0.3011 and b - a <= 1e-9
     # the closed set x >= 1.7, with the inside end the larger
-    a, b = gd.bisect_closed(2.0, 1.0, lambda x: x >= 1.7, 1e-9)
+    [(a, b)] = gd.search_closed([(2.0, 1.0, 1e-9, math.nan, math.nan)],
+                                lambda _, xs: [(x >= 1.7, math.nan) for x in xs])
     assert b < 1.7 <= a and a - b <= 1e-9
+
+
+def test_search_closed_stops_at_float_spacing(flat):
+    # a width below the spacing of the floats closes the bracket on
+    # neighbouring floats instead of probing them forever
+    for width in (1e-17, 1e-320):
+        probes = []
+
+        def probe(_, xs):
+            probes.extend(xs)
+            assert len(probes) <= 60
+            return [(x <= 1.0, math.nan) for x in xs]
+
+        [(a, b)] = gd.search_closed([(0.0, 3.0, width, math.nan, math.nan)], probe)
+        assert (a, b) == (1.0, math.nextafter(1.0, 3.0))
+    for width in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError):
+            gd.search_closed([(0.0, 3.0, width, math.nan, math.nan)], probe)
+    # every launch from r = 1 on the flat plane is a ray: the search
+    # closes below pi without probing the inward radial, and the pole
+    # test answers pi
+    assert gd.max_ray_angle(flat, 1.0, kappa_tol=1e-17) == math.pi
+    with pytest.raises(ValueError):
+        gd.max_ray_angle(flat, 1.0, kappa_tol=0.0)
 
 
 @st.composite
@@ -264,18 +325,26 @@ def test_search_bound_survives_rounding(root, k, width):
 @settings(max_examples=40, deadline=None)
 @given(bracket=_brackets(), zone=st.floats(0.0, 0.5))
 def test_search_counts_undetermined_as_inside(bracket, zone):
-    # Undetermined answers on the outside of the root, up to zone times
-    # the bracket, close the bracket beyond them
+    # turn angles whose band is too wide to decide, on the outside of the
+    # root up to zone times the bracket, read as inside by closed_side:
+    # the bracket closes beyond them
     inside, outside, width, root = bracket[:4]
     edge = root + zone * (outside - root)
 
-    def pred(x):
-        hit, _ = _answer(bracket, x)
-        if not hit and (x - edge) * (outside - inside) < 0:
-            raise Undetermined(x, 1e-3)
-        return hit
+    def probe(_, xs):
+        out = []
+        for x in xs:
+            hit, _ = _answer(bracket, x)
+            if hit:
+                res = qd.IntegralResult(math.pi - 1.0, 0.0, qd.STATUS_CONVERGED)
+            elif (x - edge) * (outside - inside) < 0:
+                res = qd.IntegralResult(math.pi, 1.0, qd.STATUS_CONVERGED)
+            else:
+                res = qd.IntegralResult(math.pi + 1.0, 0.0, qd.STATUS_CONVERGED)
+            out.append(gd.closed_side(res, 1e-8))
+        return out
 
-    a, o = gd.bisect_closed(inside, outside, pred, width)
+    [(a, o)] = gd.search_closed([(inside, outside, width, math.nan, math.nan)], probe)
     assert abs(o - a) <= width
     assert min(a, o) <= edge <= max(a, o)
 
