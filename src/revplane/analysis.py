@@ -11,8 +11,8 @@ a closed ball -- which is what makes the radii below well-defined:
 
   critical_ball_radius   radius of the critical ball (0 when the radial
                          inverse-square integral diverges, inf when the
-                         slope at infinity is >= 1/2, else the root of
-                         turn_angle(x, pi/2) = pi)
+                         slope at infinity is >= 1/2, else the last
+                         radius closed_side reads as critical)
   half_slope_radius      where m' first drops to 1/2 (the critical ball,
                          when finite, always ends before it)
   pole_ball_radius       largest radius all of whose points are poles
@@ -22,12 +22,12 @@ geodesics module; scan_sets applies it on a log-spaced grid.  The scan
 grid and the pole test's kappa grid are independent turn angles, so each
 goes to geodesics.turn_angles as one batch.  Every search for the place
 where a closed-side answer flips -- the set boundaries of a scan, the
-pole-ball radius, and in geodesics the widest ray angle -- runs on one
-bracket search, geodesics.search_closed: a scan's interval ends close
-together in lockstep, interpolating on the turn angles, and the
-pole-ball radius, which has no value to interpolate, bisects.  Every
-search and every pole decision reads its turn angles through one rule,
-geodesics.closed_side.
+critical-ball and pole-ball radii, and in geodesics the widest ray
+angle -- runs on one bracket search, geodesics.search_closed: a scan's
+interval ends close together in lockstep and the critical-ball radius
+alone, both interpolating on the turn angles, and the pole-ball radius,
+which has no value to interpolate, bisects.  Every search and every pole
+decision reads its turn angles through one rule, geodesics.closed_side.
 """
 
 import csv
@@ -36,7 +36,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from . import geodesics as gd
 from . import jacobi
@@ -143,8 +143,10 @@ def critical_ball_radius(profile, tol=1e-8):
 
     0 when the radial inverse-square integral diverges (only the origin
     is critical), inf when the slope at infinity stays >= 1/2 (every
-    point is critical), otherwise the root of turn_angle(x, pi/2) = pi,
-    which the theory brackets between 0 and the half-slope radius.
+    point is critical), otherwise the last radius closed_side reads as
+    critical: one search_closed bracket from r_max * 1e-4 to the
+    half-slope radius, before which the theory puts the edge.  A bracket
+    end on the wrong side of the edge gives 0 (below) or inf (above).
     """
     if radial_inverse_square_diverges(profile):
         return 0.0
@@ -152,28 +154,21 @@ def critical_ball_radius(profile, tol=1e-8):
     if slope.value >= 0.5 - 1e-9 and not slope.window_limited:
         return math.inf
 
-    def g(x):
-        res = gd.turn_angle(profile, x, math.pi / 2, tol=tol)
-        return res.value - math.pi
+    def sides(xs):
+        return [gd.closed_side(res, tol)
+                for res in gd.turn_angles(profile, xs, math.pi / 2, tol=tol)]
 
-    lo = profile.r_max * 1e-4
-    g_lo = g(lo)
-    if g_lo >= 0:
+    r_half = half_slope_radius(profile)
+    lo, hi = profile.r_max * 1e-4, min(r_half, 0.9 * profile.r_max)
+    (lo_in, g_lo), (hi_in, g_hi) = sides([lo, hi])
+    if not lo_in:
         # critical ball smaller than the probe: treat its radius as 0
         return 0.0
-    hi = half_slope_radius(profile)
-    if math.isinf(hi):
+    if math.isinf(r_half) or hi_in:
         return math.inf
-    hi = min(hi, profile.r_max * 0.9)
-    g_hi = g(hi)
-    tries = 0
-    while g_hi <= 0 and tries < 8:
-        hi = min(hi * 1.5, profile.r_max * 0.98)
-        g_hi = g(hi)
-        tries += 1
-    if g_hi <= 0:
-        return math.inf
-    return float(brentq(g, lo, hi, xtol=1e-9, rtol=1e-12))
+    [(r, _)] = gd.search_closed([(lo, hi, 1e-10 * max(1.0, lo), g_lo, g_hi)],
+                                lambda _, xs: sides(xs))
+    return float(r)
 
 
 def pole_ball_radius(profile, tol=1e-8, rel_tol=1e-3):

@@ -102,17 +102,14 @@ def _cmd_cone(args):
 
 
 def _cmd_example(args):
+    # the drop's defaults differ by example and live in the builders
+    drop = {k: v for k, v in (("mu", args.mu), ("w", args.w)) if v is not None}
     if args.which == "m-prime-zero":
-        mu = 8.0 if args.mu is None else args.mu
-        w = 0.25 if args.w is None else args.w
-        build = cx.build_bulge_plane(a=args.a, mu=mu, w=w, r_max=args.r_max)
+        build = cx.build_bulge_plane(a=args.a, r_max=args.r_max, **drop)
         info = {"a": build.a, "mu": build.mu, "w": build.w,
                 "suggested_r_max": build.profile.r_max}
     else:
-        mu = 1.0 if args.mu is None else args.mu
-        w = 1.0 if args.w is None else args.w
-        build = cx.build_flared_cone(s_base=args.slope, mu=mu, w=w,
-                                     rq_factor=args.rq_factor)
+        build = cx.build_flared_cone(s_base=args.slope, rq_factor=args.rq_factor, **drop)
         info = {"r_q": build.r_q, "splice_radius": build.splice_radius,
                 "base_critical_radius": build.base_critical_radius,
                 "suggested_r_max": build.profile.r_max}

@@ -169,8 +169,11 @@ def side_of_pi(res, tol):
     value counts as closed (equal to pi).  Raises Undetermined where a
     tighter tolerance (abs_error > tol) or a wider window (window-limited
     and not yet past pi) could still decide; the Undetermined raised for
-    a window-limited result carries abs_error = inf.
+    a window-limited result carries abs_error = inf.  Raises ValueError
+    for the inward radial, which has no turn integral: is_pole decides it.
     """
+    if res.status == STATUS_RADIAL_INWARD:
+        raise ValueError("the inward radial has no turn angle to compare; is_pole decides it")
     if res.diverged:
         return 1
     band = max(res.abs_error, tol)
@@ -197,7 +200,8 @@ def closed_side(res, tol, strict=False):
     T lies past the set's edge: T - pi - band, or with strict T - pi +
     band, band = max(abs_error, tol).  inside == (gap <= 0) up to the
     rounding of pi -+ band, except for a window-limited result in the
-    strict set, which is outside whatever its gap.
+    strict set, which is outside whatever its gap.  side_of_pi's
+    ValueError for the inward radial propagates.
     """
     band = max(res.abs_error, tol)
     gap = res.value - math.pi + (band if strict else -band)

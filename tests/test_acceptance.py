@@ -96,7 +96,7 @@ def test_05_smoothed_cone_radius_bundle(cone03):
     rep = an.scan_sets(p, n=160, tol=1e-8)
     assert rep.critical_intervals, "no critical interval found by the scan"
     scan_end = rep.critical_intervals[0][1]
-    assert abs(scan_end - r_crit) <= 1e-4
+    assert abs(scan_end - r_crit) <= 1e-9 * max(1, r_crit)
 
 
 def test_06_critical_ball_edge_cases(flat60, bounded_table, cone05):
@@ -147,6 +147,8 @@ def test_09_bulge_plane_disconnected_critical_set(bulge):
     p = bulge.profile
     rep = an.scan_sets(p, n=128, tol=1e-8)
     assert len(rep.critical_intervals) >= 2
+    r_crit = an.critical_ball_radius(p)
+    assert abs(rep.critical_intervals[0][1] - r_crit) <= 1e-9 * max(1, r_crit)
     assert not an.is_critical(p, math.pi / 2)
     assert an.pole_ball_radius(p, rel_tol=0.05) > 0.0
     # everything sufficiently far out has strictly acute ray access

@@ -153,6 +153,9 @@ def test_scan_disconnected_critical_set(flare, tmp_path):
     # but must stop short of the chosen radius
     first = rep.critical_intervals[0]
     assert flare.base_critical_radius - 1e-6 <= first[1] < flare.r_q
+    # and ends where critical_ball_radius puts the edge of the ball
+    r_crit = an.critical_ball_radius(flare.profile)
+    assert abs(first[1] - r_crit) <= 1e-9 * max(1, r_crit)
 
     def critical(x):
         try:
@@ -221,8 +224,11 @@ def test_one_closed_side_reader():
     assert {"pi_gap", "bisect_closed"}.isdisjoint(defs["geodesics"])
     assert "ray" not in defs["analysis"]
     for module, name in (("analysis", "scan_sets"), ("analysis", "is_pole"),
+                         ("analysis", "critical_ball_radius"),
                          ("geodesics", "max_ray_angle")):
         assert "closed_side" in ast.unparse(defs[module][name]), name
+    # the critical ball's edge is found as the scan's edges are
+    assert "search_closed" in ast.unparse(defs["analysis"]["critical_ball_radius"])
 
 
 def test_scan_flat_stub_single_interval():

@@ -57,6 +57,8 @@ def _side(res):
         return gd.side_of_pi(res, 1e-8)
     except Undetermined:
         return "undetermined"
+    except ValueError:
+        return "no turn integral"
 
 
 def _same(got, want):

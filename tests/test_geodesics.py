@@ -148,16 +148,23 @@ def test_side_of_pi_table():
         (pi + 1e-7, 1e-6, qd.STATUS_CONVERGED, und, True, False),        # band too wide
         (pi + 1e-9, 1e-12, qd.STATUS_CONVERGED, 0, True, False),         # precision floor
         (pi - 1e-9, 1e-12, qd.STATUS_CONVERGED, 0, True, False),
+        # the inward radial has no turn integral: is_pole decides it
+        (math.nan, math.nan, gd.STATUS_RADIAL_INWARD, ValueError, ValueError, ValueError),
     ]
     for value, err, status, want, closed, strict in table:
         res = qd.IntegralResult(value, err, status)
-        if want is und:
-            with pytest.raises(Undetermined) as exc:
+        if want in (und, ValueError):
+            with pytest.raises(want) as exc:
                 gd.side_of_pi(res, tol)
             if status == qd.STATUS_WINDOW_LIMITED:
                 assert exc.value.abs_error == math.inf
         else:
             assert gd.side_of_pi(res, tol) == want, (value, err, status)
+        if closed is ValueError:
+            for flag in (False, True):
+                with pytest.raises(ValueError):
+                    gd.closed_side(res, tol, strict=flag)
+            continue
         band = max(err, tol)
         assert gd.closed_side(res, tol) == (closed, value - pi - band), (value, err, status)
         assert gd.closed_side(res, tol, strict=True) == (strict, value - pi + band)

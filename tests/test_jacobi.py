@@ -316,14 +316,15 @@ def test_only_jacobi_reads_the_profile_cache():
     # representation can change in one place; and no sampled grid of the
     # profile comes back: level searches, monotone stretches and trap
     # tests come from the pieces, and brentq stays only where it roots a
-    # function of a build parameter or of a turn angle
+    # function of a build parameter: turn-angle edges close on
+    # geodesics.search_closed
     src = Path(jacobi.__file__).parent
     texts = {p.name: p.read_text() for p in src.glob("*.py")}
     readers = sorted(n for n, t in texts.items() if re.search(r"_dense_m|_mgrid|_pp", t))
     assert readers == ["jacobi.py"]
     banned = r"8192|_dense_m|_scan_grid|def sample|def crossing|monotone_increasing"
     assert [n for n, t in texts.items() if re.search(banned, t)] == []
-    assert {n for n, t in texts.items() if "brentq" in t} <= {"analysis.py", "constructions.py"}
+    assert {n for n, t in texts.items() if "brentq" in t} <= {"constructions.py"}
 
 
 def _calls(node):
