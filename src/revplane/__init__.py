@@ -15,17 +15,15 @@ from .constructions import (BulgeBuild, ConeBuild, FlareBuild, TableBuild,
                             build_bounded_table_plane, build_bulge_plane,
                             build_flared_cone, build_smoothed_cone)
 from .curvature import (CurvatureSpec, DropParams, VMReport,
-                        check_von_mangoldt, constant, expression, isq,
-                        isq_capped, isq_zero, smoothstep, spliced, table)
+                        check_von_mangoldt, constant, isq, isq_capped,
+                        isq_zero, smoothstep, spliced, table)
 from .errors import (BuildError, OutOfWindow, ShootFailure, StarViolation,
                      Undetermined)
-from .geodesics import (GeodesicLaunch, GeodesicTrace, is_ray, max_ray_angle,
-                        side_of_pi, trace, turn_angle, turn_angles,
-                        turning_radius)
-from .jacobi import (Profile, SlopeReport, SturmReport, TotalCurvatureReport,
-                     embed_profile, export_profile_csv, load_profile_csv,
-                     slope_at_infinity, solve_jacobi, sturm_compare,
-                     total_curvature)
+from .geodesics import (GeodesicTrace, is_ray, max_ray_angle, side_of_pi,
+                        trace, turn_angle, turn_angles, turning_radius)
+from .jacobi import (Profile, SlopeReport, SturmReport, embed_profile,
+                     export_profile_csv, slope_at_infinity, solve_jacobi,
+                     sturm_compare)
 from .oracle import ShootResult, distance_shoot, turn_angle_by_trace
 from .quadrature import (IntegralResult, STATUS_CONVERGED,
                          STATUS_DIVERGENT_TAIL, STATUS_DIVERGENT_TANGENCY,
@@ -42,15 +40,15 @@ __all__ = [
     "build_bounded_table_plane", "build_bulge_plane", "build_flared_cone",
     "build_smoothed_cone",
     "CurvatureSpec", "DropParams", "VMReport", "check_von_mangoldt",
-    "constant", "expression", "isq", "isq_capped", "isq_zero", "smoothstep",
+    "constant", "isq", "isq_capped", "isq_zero", "smoothstep",
     "spliced", "table",
     "BuildError", "OutOfWindow", "ShootFailure",
     "StarViolation", "Undetermined",
-    "GeodesicLaunch", "GeodesicTrace", "is_ray", "max_ray_angle",
+    "GeodesicTrace", "is_ray", "max_ray_angle",
     "side_of_pi", "trace", "turn_angle", "turn_angles", "turning_radius",
-    "Profile", "SlopeReport", "SturmReport", "TotalCurvatureReport",
-    "embed_profile", "export_profile_csv", "load_profile_csv",
-    "slope_at_infinity", "solve_jacobi", "sturm_compare", "total_curvature",
+    "Profile", "SlopeReport", "SturmReport", "embed_profile",
+    "export_profile_csv", "slope_at_infinity", "solve_jacobi",
+    "sturm_compare",
     "ShootResult", "distance_shoot", "turn_angle_by_trace",
     "IntegralResult", "STATUS_CONVERGED", "STATUS_DIVERGENT_TAIL",
     "STATUS_DIVERGENT_TANGENCY", "STATUS_WINDOW_LIMITED",

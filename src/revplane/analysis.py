@@ -335,11 +335,6 @@ def scan_sets(profile, n=256, tol=1e-8, refine=True):
         for (pair, end, _), (a, b) in zip(ends, gd.search_closed(brackets, probe)):
             pair[end] = 0.5 * (a + b)
 
-    spec_dict = None
-    try:
-        spec_dict = profile.spec.to_dict()
-    except (AttributeError, ValueError):
-        pass
     return AnalysisReport(
         r=[float(x) for x in r_grid],
         turn=[float(res.value) for res in results],
@@ -352,7 +347,7 @@ def scan_sets(profile, n=256, tol=1e-8, refine=True):
         undetermined=undet,
         r_max=float(profile.r_max),
         tol=float(tol),
-        spec=spec_dict,
+        spec=profile.spec.to_dict(),
     )
 
 

@@ -13,10 +13,10 @@ function.  Builtin kinds:
   spliced     base curvature with a smooth monotone drop of depth mu and
               width w starting at r0
   table       sampled (r, K) pairs, monotone cubic (PCHIP) interpolation
-  expression  opaque evaluator handle (not serializable)
 
 Specs serialize to/from JSON as {"kind": ..., "params": {...}} and
-round-trip bit-exactly for the builtin numeric kinds.
+round-trip bit-exactly.  Every kind is decided von Mangoldt (K
+non-increasing) or not exactly, by check_von_mangoldt.
 """
 
 import json
@@ -28,10 +28,11 @@ from scipy.interpolate import BPoly, PchipInterpolator
 
 from .errors import OutOfWindow
 
-_BUILTIN_KINDS = ("constant", "isq", "isq_capped", "spliced", "table", "expression")
+_BUILTIN_KINDS = ("constant", "isq", "isq_capped", "spliced", "table")
 
-# increases smaller than this per grid cell are treated as roundoff
-VM_TOLERANCE = 1e-12
+_Poly = np.polynomial.Polynomial
+# the smoothstep's slope 30 t^2 (1 - t)^2
+_SMOOTHSTEP_SLOPE = _Poly([0.0, 0.0, 30.0, -60.0, 30.0])
 
 
 def isq_zero(u):
@@ -134,21 +135,20 @@ class CurvatureSpec:
             p.setdefault("extrapolate", "none")
             if p["extrapolate"] not in ("none", "constant"):
                 raise ValueError("table extrapolate must be 'none' or 'constant'")
-        elif self.kind == "expression":
-            if not callable(p.get("fn")):
-                raise ValueError("expression kind needs a callable 'fn'")
+
+    def _blend_start(self):
+        """The blend's cell [z-eps, z+eps] and K_u's value and first two
+        derivatives at z-eps, which it takes on there."""
+        u, eps = self.params["u"], self.params["eps"]
+        z = isq_zero(u)
+        s = z - eps + 1.0
+        return z - eps, z + eps, (0.25 / s**2 - u, -0.5 / s**3, 1.5 / s**4)
 
     def _make_blend(self):
         # quintic Hermite joining K_u (value + two derivatives) at z-eps
         # to the flat zero function at z+eps
-        u, eps = self.params["u"], self.params["eps"]
-        z = isq_zero(u)
-        a = z - eps
-        s = a + 1.0
-        va = 0.25 / s**2 - u
-        da = -0.5 / s**3
-        dda = 1.5 / s**4
-        return BPoly.from_derivatives([a, z + eps], [[va, da, dda], [0.0, 0.0, 0.0]])
+        a, b, jet = self._blend_start()
+        return BPoly.from_derivatives([a, b], [list(jet), [0.0, 0.0, 0.0]])
 
     # ------------------------------------------------------------------
 
@@ -201,9 +201,6 @@ class CurvatureSpec:
                     f"[{self._table_r[0]:.6g}, {self._table_r[-1]:.6g}]"
                 )
             return out
-        # expression
-        fn = p["fn"]
-        return np.asarray([float(fn(x)) for x in r])
 
     __call__ = evaluate
 
@@ -257,23 +254,15 @@ class CurvatureSpec:
             return None
         return None
 
-    def blend_is_monotone(self, samples=256):
-        """For isq_capped: check the smoothing blend is non-increasing and >= 0."""
-        if self.kind != "isq_capped":
-            return True
-        u, eps = self.params["u"], self.params["eps"]
-        z = isq_zero(u)
-        x = np.linspace(z - eps, z + eps, samples)
-        vals = self._blend(x)
-        dvals = self._blend.derivative()(x)
-        return bool(np.all(dvals <= VM_TOLERANCE) and np.all(vals >= -VM_TOLERANCE))
+    def blend_is_monotone(self):
+        """For isq_capped: whether the smoothing blend is non-increasing
+        (and so >= 0, as it ends at 0), read as check_von_mangoldt reads it."""
+        return self.kind != "isq_capped" or not _rise_cells(self)
 
     # ------------------------------------------------------------------
 
     def to_dict(self):
         p = self.params
-        if self.kind == "expression":
-            raise ValueError("expression specs are opaque and not serializable")
         if self.kind == "spliced":
             drop = p["drop"]
             return {
@@ -302,8 +291,6 @@ class CurvatureSpec:
         return cls.from_dict(json.loads(s))
 
     def __repr__(self):
-        if self.kind == "expression":
-            return "CurvatureSpec(expression)"
         return f"CurvatureSpec({self.to_dict()})"
 
 
@@ -330,10 +317,6 @@ def table(r, K, extrapolate="none"):
     return CurvatureSpec("table", {"r": r, "K": K, "extrapolate": extrapolate})
 
 
-def expression(fn):
-    return CurvatureSpec("expression", {"fn": fn})
-
-
 # ------------------------------------------------------------------------
 
 
@@ -343,35 +326,82 @@ class VMReport:
     first_violation: float | None
 
 
-def check_von_mangoldt(spec, r_max, grid_step=0.01):
-    """Check that K is non-increasing on [0, r_max].
+def check_von_mangoldt(spec, r_max):
+    """Decide whether K is non-increasing on [0, r_max], exactly.
 
-    A table is decided from its data: PCHIP is monotone on a cell exactly
-    when the cell's two data are (Fritsch & Carlson 1980), so the first
-    rising pair K[i+1] > K[i] with r_i in the window is the violation.
-    Other kinds are sampled on a uniform grid, refined 64x around any
-    suspected increase; increases below VM_TOLERANCE per cell are ignored
-    as roundoff.  Report-style result, never raises on a violation.
+    Each kind by rule:
+      constant    non-increasing;
+      isq         K' = -1/(2(r+1)^3) < 0;
+      isq_capped  the isq part is decreasing and K = 0 beyond z+eps, so
+                  the blend decides.  It is (1-t)^3 Q(t) in t = (r-a)/(b-a)
+                  on [a, b] = [z-eps, z+eps], Q quadratic, so its quartic
+                  K' = (1-t)^2 L(t) / (b-a), L = (1-t) Q' - 3 Q, has the sign
+                  of the quadratic L: K rises past L's first upward root;
+      table       from its data: PCHIP is monotone on a cell exactly when
+                  the cell's two data are (Fritsch & Carlson 1980), so K
+                  rises from r_i on through the first pair K[i+1] > K[i];
+      spliced     the drop never rises, so the spec is von Mangoldt when
+                  its base is.  A base rise outside the drop's span
+                  (r0, r0+w) is a violation; one inside is decided on
+                  base' - mu S'((r-r0)/w) / w, a polynomial on each PCHIP
+                  or blend cell.
+    first_violation is the first radius past which K rises.  Report-style
+    result, never raises on a violation; OutOfWindow when K is not
+    defined on all of [0, r_max] (a table missing r = 0).
     """
-    if not (r_max > 0 and grid_step > 0):
-        raise ValueError("r_max and grid_step must be positive")
+    if not r_max > 0:
+        raise ValueError("r_max must be positive")
     hi = min(r_max, spec.domain_hi)
+    spec.evaluate(np.array([0.0, hi]))  # OutOfWindow outside the domain
+    for x0, x1, p, _ in _rise_cells(spec):
+        if x0 >= hi:
+            break
+        t = _first_rise(p, min(1.0, (hi - x0) / (x1 - x0)))
+        r = math.inf if t is None else x0 + t * (x1 - x0)
+        # the cell's end in t may round past a root: a rise from hi on is outside
+        if r < hi:
+            return VMReport(False, float(r))
+    return VMReport(True, None)
+
+
+def _rise_cells(spec):
+    """The cells [x0, x1] on which K may rise, in order, as (x0, x1, p, w):
+    K' = w p, two polynomials in t = (r - x0) / (x1 - x0) with w >= 0 on
+    the cell, so p alone has K's sign.  K' <= 0 off the cells."""
+    p = spec.params
+    if spec.kind == "isq_capped":
+        a, b, (va, da, dda) = spec._blend_start()
+        q1 = da * (b - a) + 3.0 * va
+        q2 = 0.5 * dda * (b - a) ** 2 + 3.0 * (q1 - va)
+        L = _Poly([q1 - 3.0 * va, 2.0 * q2 - 4.0 * q1, -5.0 * q2]) / (b - a)
+        return [(a, b, L, _Poly([1.0, -1.0]) ** 2)] if _first_rise(L, 1.0) is not None else []
     if spec.kind == "table":
-        spec.evaluate(0.0)  # OutOfWindow when the table misses r = 0
-        r, K = spec._table_r, spec._table_K
-        rises = np.nonzero((np.diff(K) > 0.0) & (r[:-1] < hi))[0]
-        return VMReport(rises.size == 0, float(r[rises[0]]) if rises.size else None)
-    n = max(int(hi / grid_step) + 1, 8)
-    r = np.linspace(0.0, hi, n)
-    K = spec.evaluate(r)
-    rises = np.nonzero(np.diff(K) > VM_TOLERANCE)[0]
-    if len(rises) == 0:
-        return VMReport(True, None)
-    i = rises[0]
-    # refine to locate the first genuine increase
-    rr = np.linspace(r[max(i - 1, 0)], r[min(i + 2, n - 1)], 256)
-    KK = spec.evaluate(rr)
-    jumps = np.nonzero(np.diff(KK) > VM_TOLERANCE)[0]
-    if len(jumps) == 0:
-        return VMReport(False, float(r[i]))
-    return VMReport(False, float(rr[jumps[0]]))
+        r, slope = spec._table_r, spec._interp.derivative().c
+        return [(r[i], r[i + 1], _Poly(slope[::-1, i] * (r[i + 1] - r[i]) ** np.arange(3)),
+                 _Poly([1.0])) for i in np.flatnonzero(np.diff(spec._table_K) > 0.0)]
+    if spec.kind != "spliced":
+        return []
+    r0, mu, w = p["r0"], p["drop"].mu, p["drop"].w
+    cells = []
+    for x0, x1, base, weight in _rise_cells(p["base"]):
+        ends = sorted({x0, x1, *(e for e in (r0, r0 + w) if x0 < e < x1)})
+        for a, b in zip(ends, ends[1:]):
+            sub = _Poly([(a - x0) / (x1 - x0), (b - a) / (x1 - x0)])
+            q, v = base(sub), weight(sub)
+            if r0 <= a and b <= r0 + w:
+                q = v * q - mu / w * _SMOOTHSTEP_SLOPE(_Poly([(a - r0) / w, (b - a) / w]))
+                v = _Poly([1.0])
+            cells.append((a, b, q, v))
+    return cells
+
+
+def _first_rise(p, t_hi):
+    """First t in [0, t_hi) past which the polynomial p is positive, or
+    None.  p keeps its sign between neighbouring real roots, so the
+    midpoint of each stretch decides it (a complex root's real part only
+    adds a cut)."""
+    cuts = sorted({0.0, t_hi, *(t.real for t in p.roots() if 0.0 < t.real < t_hi)})
+    for t0, t1 in zip(cuts, cuts[1:]):
+        if p(0.5 * (t0 + t1)) > 0.0:
+            return t0
+    return None

@@ -40,22 +40,6 @@ def _check_launch(r_q, kappa):
         raise ValueError(f"launch radius must be positive, got {r_q}")
 
 
-@dataclass(frozen=True)
-class GeodesicLaunch:
-    """Starting data of a geodesic: radius, angle from outward radial, and
-    the Clairaut constant they induce."""
-
-    r_q: float
-    kappa: float
-    c: float
-
-    @classmethod
-    def at_angle(cls, profile, r_q, kappa):
-        _check_launch(r_q, kappa)
-        return cls(r_q=float(r_q), kappa=float(kappa),
-                   c=float(profile.m(r_q) * math.sin(kappa)))
-
-
 def turning_radius(profile, c, r_q):
     """Largest r <= r_q with m(r) = c: where an inward-swinging geodesic
     with Clairaut constant c turns back outward."""
@@ -344,13 +328,17 @@ def max_ray_angle(profile, r_q, tol=1e-8, kappa_tol=1e-8):
 
 @dataclass
 class GeodesicTrace:
-    """Sampled geodesic path: arclength, radius, angle, radial speed."""
+    """Sampled geodesic path: arclength, radius, angle, radial speed, and
+    the launch radius r_q, its angle kappa from the outward radial and the
+    Clairaut constant c = m(r_q) sin(kappa) they induce."""
 
     s: np.ndarray
     r: np.ndarray
     theta: np.ndarray
     r_dot: np.ndarray
-    launch: GeodesicLaunch
+    r_q: float
+    kappa: float
+    c: float
     status: str
     speed_drift: float
     end_state: tuple = field(default=None)
@@ -377,8 +365,8 @@ class GeodesicTrace:
         canvas.polyline([tf(a, b) for a, b in zip(x, y)], stroke="#d62728", width=1.8)
         sx, sy = tf(x[0], y[0])
         canvas.circle(sx, sy, 4, fill="#1f77b4", stroke="none")
-        canvas.text(10, 20, f"r_q={self.launch.r_q:.4g}  kappa={self.launch.kappa:.4g}  "
-                            f"c={self.launch.c:.4g}  [{self.status}]", size=13)
+        canvas.text(10, 20, f"r_q={self.r_q:.4g}  kappa={self.kappa:.4g}  "
+                            f"c={self.c:.4g}  [{self.status}]", size=13)
         canvas.write(path)
 
 
@@ -395,8 +383,8 @@ def trace(profile, r_q, kappa, s_max, n_points=1001, rtol=1e-11,
     """
     if not s_max > 0:
         raise ValueError(f"s_max must be positive, got {s_max}")
-    launch = GeodesicLaunch.at_angle(profile, r_q, kappa)
-    c = launch.c
+    _check_launch(r_q, kappa)
+    c = float(profile.m(r_q) * math.sin(kappa))
 
     def rhs(s, y):
         r, p, _ = y
@@ -460,7 +448,8 @@ def trace(profile, r_q, kappa, s_max, n_points=1001, rtol=1e-11,
         m = profile.m(np.maximum(r, 1e-12))
         drift = np.abs(p**2 + (c / m) ** 2 - 1.0) if c else np.abs(p**2 - 1.0)
     return GeodesicTrace(
-        s=s, r=r, theta=th, r_dot=p, launch=launch, status=status,
+        s=s, r=r, theta=th, r_dot=p, r_q=float(r_q), kappa=float(kappa), c=c,
+        status=status,
         speed_drift=float(np.max(drift)) if len(s) else 0.0,
         end_state=(s_end, float(y_end[0]), float(y_end[2]), float(y_end[1])),
     )

@@ -11,8 +11,8 @@ m (raising StarViolation with the located root), and provides the profile
 queries everything else is built on: pointwise m and m' from two
 piecewise polynomials, their exact roots (the landmarks), the extrema of
 m and the first or last radius where m reaches a level, comparison of two
-profiles (Sturm), the embedding profile in Euclidean 3-space, the slope at
-infinity, and total curvature.
+profiles (Sturm), the embedding profile in Euclidean 3-space, and the
+slope at infinity.
 """
 
 import bisect
@@ -21,23 +21,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
-from scipy.interpolate import PchipInterpolator, PPoly
+from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.interpolate import PPoly
 
-from . import curvature as cv
 from .errors import OutOfWindow, StarViolation
 
 # below this radius the truncated Taylor seed is more accurate than the ODE
 SEED_RADIUS = 1e-6
+
+# slopes at r_max and r_max/2 further apart than this: the limit is not reached
+SLOPE_SPREAD_TOL = 1e-6
 
 
 class Profile:
     """The warping function m of one curvature spec on [0, r_max].
 
     m and mp are piecewise polynomials (scipy PPoly) for m and m' on the
-    window: the Taylor seed and the DOP853 steps of the Jacobi solve, or
-    the PCHIP interpolants of a table read back from CSV.  Landmarks and
-    levels are their exact roots; no profile query samples a grid.
+    window: the Taylor seed and the DOP853 steps of the Jacobi solve.
+    Landmarks and levels are their exact roots; no profile query samples
+    a grid.
     """
 
     def __init__(self, spec, m, mp, r_max, tol):
@@ -330,7 +332,7 @@ def sturm_compare(profile_hi_k, profile_lo_k, n=512, tol=1e-7):
 # --- embedding in 3-space ------------------------------------------------
 
 
-def embed_profile(profile, n=1024, r_hi=None):
+def embed_profile(profile, n=1024):
     """Isometric embedding of the plane as a surface of revolution.
 
     Returns (r, radius, height): at arclength r from the apex the surface
@@ -338,8 +340,7 @@ def embed_profile(profile, n=1024, r_hi=None):
     z(r) = integral of sqrt(1 - m'^2).  Requires |m'| <= 1 on the window;
     raises ValueError otherwise (the plane spreads too fast to embed).
     """
-    hi = profile.r_max if r_hi is None else min(r_hi, profile.r_max)
-    r = np.linspace(0.0, hi, n)
+    r = np.linspace(0.0, profile.r_max, n)
     mp = profile.mp(r)
     overshoot = np.max(np.abs(mp)) - 1.0
     if overshoot > 1e-9:
@@ -362,65 +363,26 @@ class SlopeReport:
     window_limited: bool
 
 
-def slope_at_infinity(profile, spread_tol=1e-6):
+def slope_at_infinity(profile):
     """Two-window estimate of lim m'(r).
 
     Compares m' at r_max and r_max/2; if they differ by more than
-    spread_tol the window has not captured the limit and the report is
-    flagged window_limited.
+    SLOPE_SPREAD_TOL the window has not captured the limit and the report
+    is flagged window_limited.
     """
     v1 = profile.mp(profile.r_max)
     v0 = profile.mp(profile.r_max / 2.0)
     spread = abs(v1 - v0)
-    return SlopeReport(value=float(v1), spread=float(spread), window_limited=spread > spread_tol)
+    return SlopeReport(value=float(v1), spread=float(spread),
+                       window_limited=spread > SLOPE_SPREAD_TOL)
 
 
-@dataclass
-class TotalCurvatureReport:
-    value: float
-    boundary_route: float
-    integral_route: float
-    agreement: float
-    finite: bool
-    window_limited: bool
+# --- CSV export ----------------------------------------------------------
 
 
-def total_curvature(profile, spread_tol=1e-6):
-    """Total curvature of the plane, by two independent routes.
-
-    The boundary route evaluates 2 pi (1 - m'(r_max)); the integral route
-    integrates 2 pi K(r) m(r) dr numerically over the window.  Their
-    agreement is reported.  When the slope is still growing between the
-    half and full windows by more than 1, the integral diverges to -oo
-    and the value is reported as -inf.
-    """
-    s = slope_at_infinity(profile, spread_tol)
-    boundary = 2.0 * math.pi * (1.0 - s.value)
-
-    def dtc(r):
-        return profile.K(r) * profile.m(r)
-
-    integral, _ = quad(dtc, 0.0, profile.r_max, limit=300)
-    integral *= 2.0 * math.pi
-    agreement = abs(boundary - integral) / max(abs(boundary), 1.0)
-    diverging = s.spread > 1.0 and s.value > 1.0
-    return TotalCurvatureReport(
-        value=-math.inf if diverging else boundary,
-        boundary_route=boundary,
-        integral_route=integral,
-        agreement=float(agreement),
-        finite=not diverging,
-        window_limited=s.window_limited,
-    )
-
-
-# --- CSV round-trips -----------------------------------------------------
-
-
-def export_profile_csv(profile, path, n=2001, r_hi=None):
+def export_profile_csv(profile, path, n=2001):
     """Write columns r,m,mp,K sampled on a uniform grid from r = 0."""
-    hi = profile.r_max if r_hi is None else min(r_hi, profile.r_max)
-    r = np.linspace(0.0, hi, n)
+    r = np.linspace(0.0, profile.r_max, n)
     m = profile.m(r)
     mp = profile.mp(r)
     K = profile.K(r)
@@ -430,21 +392,3 @@ def export_profile_csv(profile, path, n=2001, r_hi=None):
         for row in zip(r, m, mp, K):
             w.writerow([repr(float(x)) for x in row])
 
-
-def load_profile_csv(path):
-    """Read a profile written by export_profile_csv back as a Profile.
-
-    m and m' become PCHIP interpolants of the rows (piecewise cubics), K
-    a table spec.  The first row must be at r = 0, where every profile
-    starts.
-    """
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if [h.strip() for h in header] != ["r", "m", "mp", "K"]:
-            raise ValueError(f"unexpected profile CSV header: {header}")
-        r, m, mp, K = np.array([[float(x) for x in row] for row in rd if row]).T
-    if r[0] != 0.0:
-        raise ValueError(f"profile CSV must start at r = 0, got r = {r[0]:.6g}")
-    return Profile(cv.table(r, K, extrapolate="constant"), PchipInterpolator(r, m),
-                   PchipInterpolator(r, mp), r[-1], math.nan)

@@ -45,7 +45,7 @@ def turn_angle_by_trace(profile, r_q, kappa, rtol=1e-11, tol=1e-8):
         theta_seen = float(tr.theta[-1]) if len(tr.theta) else 0.0
         return qd.IntegralResult(theta_seen, math.inf, qd.STATUS_WINDOW_LIMITED)
     _, _, theta_R, _ = tr.end_state
-    c = tr.launch.c
+    c = tr.c
     tail = qd.integrate_turn_rate(profile, c, r_lo=R, tol=tol)
     if tail.diverged:
         return qd.IntegralResult(math.inf, 0.0, tail.status)

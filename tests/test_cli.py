@@ -47,6 +47,19 @@ def test_plane_check_flags_increasing_table(tmp_path, capsys):
     assert out["is_vm"] is False and out["first_violation"] is not None
 
 
+def test_plane_check_flags_a_rise_outside_the_drop(tmp_path, capsys):
+    # a narrow rise at r = 1 that a drop on (5, 6) does not reach
+    table_path = tmp_path / "rise.csv"
+    table_path.write_text("r,K\n0,0\n1,-1\n1.001,-0.5\n1.002,-1\n2,-1\n10,-1\n")
+    spec_path = tmp_path / "rise.json"
+    code, out, _ = run(capsys, "plane", "build", "--kind", "table", "--table",
+                       str(table_path), "--extrapolate", "constant", "--drop-at", "5",
+                       "--drop-mu", "1", "--drop-w", "1", "-o", str(spec_path))
+    assert code == 0 and out["kind"] == "spliced"
+    assert cli.main(["plane", "check", "--spec", str(spec_path), "--r-max", "10"]) == 0
+    printed = capsys.readouterr().out
+    assert '"is_vm": false' in printed
+    assert json.loads(printed)["first_violation"] == 1.0
 def test_star_violation_exit_code(tmp_path, capsys):
     spec_path = tmp_path / "sphere.json"
     prof_path = tmp_path / "sphere.csv"

@@ -77,7 +77,7 @@ def test_spliced_drop_profile():
 @given(st.floats(min_value=0.1, max_value=5.0), st.floats(min_value=0.1, max_value=5.0))
 def test_spliced_drop_monotone(mu, w):
     spec = cv.spliced(cv.constant(1.0), r0=1.0, drop=cv.DropParams(mu, w))
-    rep = cv.check_von_mangoldt(spec, r_max=10.0, grid_step=0.01)
+    rep = cv.check_von_mangoldt(spec, r_max=10.0)
     assert rep.is_vm
 
 
@@ -100,6 +100,56 @@ def test_vm_check_decides_table_from_its_data():
 def test_vm_check_ok_kinds():
     for spec in (cv.constant(1.0), cv.isq(0.0), cv.isq(0.1), cv.isq_capped(1e-3, 0.5)):
         assert cv.check_von_mangoldt(spec, r_max=50.0).is_vm
+
+
+# a rise of 0.5 on [1, 1.001], flat beyond the data
+NARROW_RISE = cv.table([0.0, 1.0, 1.001, 1.002, 2.0, 10.0],
+                       [0.0, -1.0, -0.5, -1.0, -1.0, -1.0], "constant")
+
+
+def test_vm_check_spliced_rise_outside_the_drop():
+    # the drop on (5, 6) leaves the base's rise at 1 as it is
+    rep = cv.check_von_mangoldt(cv.spliced(NARROW_RISE, 5.0, cv.DropParams(1.0, 1.0)),
+                                r_max=10.0)
+    assert not rep.is_vm and rep.first_violation == 1.0
+
+
+def test_vm_check_spliced_rise_inside_the_drop():
+    # the drop on (0.95, 1.15) falls at about 53 per unit at r = 1, where
+    # the base's slope starts at 0 and grows by about 3e6 per unit: the
+    # base wins 1.79e-5 past 1
+    spec = cv.spliced(NARROW_RISE, 0.95, cv.DropParams(10.0, 0.2))
+    rep = cv.check_von_mangoldt(spec, r_max=10.0)
+    assert not rep.is_vm
+    assert rep.first_violation == pytest.approx(1.0000179, abs=1e-7)
+    r = rep.first_violation + np.array([-1e-7, 1e-7, 2e-7])
+    K = spec.evaluate(r)
+    assert K[0] >= spec.evaluate(rep.first_violation) and K[2] > K[1]
+
+
+def test_vm_check_steep_drop_masks_a_rise():
+    # the base rises 0.1 on [1, 1.5] at slope <= 0.3; the drop on (0.5, 2.5)
+    # falls there at mu S'/w >= 1.05
+    tab = cv.table([0.0, 1.0, 1.5, 2.0, 10.0], [0.0, -1.0, -0.9, -1.0, -1.0], "constant")
+    assert not cv.check_von_mangoldt(tab, r_max=10.0).is_vm
+    spec = cv.spliced(tab, 0.5, cv.DropParams(2.0, 2.0))
+    assert cv.check_von_mangoldt(spec, r_max=10.0) == cv.VMReport(True, None)
+
+
+def test_vm_check_wide_blend_rises_at_its_root():
+    # eps = 0.9 z: the quintic blend overshoots below zero and climbs back
+    u = 1e-6
+    z = cv.isq_zero(u)
+    spec = cv.isq_capped(u, 0.9 * z)
+    assert not spec.blend_is_monotone()
+    rep = cv.check_von_mangoldt(spec, r_max=z + 1.0)
+    assert not rep.is_vm and z - 0.9 * z < rep.first_violation < z + 0.9 * z
+    # the blend's slope crosses zero upward there
+    slope = spec._blend.derivative()
+    assert abs(slope(rep.first_violation)) < 1e-15
+    assert slope(rep.first_violation - 1e-3) < 0.0 < slope(rep.first_violation + 1e-3)
+    # and nothing rises before it
+    assert cv.check_von_mangoldt(spec, r_max=rep.first_violation).is_vm
 
 
 def test_table_interpolates_and_bounds():
@@ -133,13 +183,6 @@ def test_json_round_trip_bit_exact():
         assert back.to_json() == j
         r = np.linspace(0, min(2.7, spec.domain_hi), 57)
         assert np.all(back.evaluate(r) == spec.evaluate(r))
-
-
-def test_expression_not_serializable():
-    spec = cv.expression(lambda r: -r)
-    assert spec.evaluate(2.0) == -2.0
-    with pytest.raises(ValueError):
-        spec.to_dict()
 
 
 def test_tail_certificates():

@@ -30,11 +30,13 @@ def cone_stub(a, r_max=200.0):
 
 def test_launch_validation(flat):
     with pytest.raises(ValueError):
-        gd.GeodesicLaunch.at_angle(flat, 1.0, -0.1)
+        gd.trace(flat, 1.0, -0.1, s_max=1.0)
     with pytest.raises(ValueError):
-        gd.GeodesicLaunch.at_angle(flat, 0.0, 1.0)
-    launch = gd.GeodesicLaunch.at_angle(flat, 2.0, math.pi / 2)
-    assert launch.c == pytest.approx(2.0, rel=1e-10)
+        gd.trace(flat, 0.0, 1.0, s_max=1.0)
+    tr = gd.trace(flat, 2.0, 1.0, s_max=1.0, n_points=3)
+    assert (tr.r_q, tr.kappa) == (2.0, 1.0)
+    assert tr.c == flat.m(2.0) * math.sin(1.0)
+    assert tr.c == pytest.approx(2.0 * math.sin(1.0), rel=1e-10)
 
 
 def test_turning_radius_flat(flat):
