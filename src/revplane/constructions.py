@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.optimize import brentq
 
 from . import curvature as cv
@@ -44,8 +45,8 @@ class ConeBuild:
     z: float
     eps: float
     rho: float      # beyond here the curvature is identically zero
-    slope: float    # m'(rho) as the solve interpolates it: s within SLOPE_TOL;
-                    # m' beyond rho can differ from it by ~1e-8 at tol 1e-10
+    slope: float    # m' beyond rho, where the solve is a pass of its own and
+                    # m' is constant: s within SLOPE_TOL
 
 
 @dataclass
@@ -73,14 +74,35 @@ class TableBuild:
     spec: object
 
 
+def isq_state(u, r):
+    """(m, m') at r of the Jacobi field under isq(u), in closed form.
+
+    Writing m = sqrt(x) f with x = r + 1 turns m'' + (1/(4x^2) - u) m = 0
+    into the order-0 modified Bessel equation for f in sqrt(u) x, so
+    m = sqrt(x) (A I0(sqrt(u) x) + B K0(sqrt(u) x)); m(0) = 0 and
+    m'(0) = 1 give A = K0(sqrt u), B = -I0(sqrt u) by the Wronskian
+    I0 K1 + I1 K0 = 1/t.  u in (0, 1/4].
+    """
+    a = math.sqrt(u)
+    x = r + 1.0
+    t = a * x
+    A, B = special.k0(a), special.i0(a)
+    m = math.sqrt(x) * (A * special.i0(t) - B * special.k0(t))
+    mp = m / (2.0 * x) + math.sqrt(x) * a * (A * special.i1(t) + B * special.k1(t))
+    return m, mp
+
+
 def build_smoothed_cone(s, eps=None, tail=60.0, tol=1e-10):
-    """Plane with K >= 0 non-increasing, K = 0 beyond rho, slope about s.
+    """Plane with K >= 0 non-increasing, K = 0 beyond rho, slope s.
 
     The inverse-square family 1/(4(r+1)^2) - u crosses zero at
     z = 1/(2 sqrt u) - 1; capping it smoothly to zero near z leaves the
     profile linear beyond with some slope sigma(u), increasing in u.
-    Root-finding on u pins the solved m'(rho) to s within SLOPE_TOL (see
-    ConeBuild.slope for how far sigma itself may sit from it).  s = 1
+    Root-finding on u tunes sigma to s.  A trial takes the closed-form
+    isq(u) state at z - eps (isq_state) and solves the blend
+    [z - eps, z + eps] alone, as solve_jacobi solves that stretch; the
+    built profile is one solve_jacobi call, whose slope beyond rho
+    (ConeBuild.slope) must then hit s within SLOPE_TOL.  s = 1
     degenerates to the flat plane.
     """
     if not 0.0 < s <= 1.0:
@@ -101,16 +123,10 @@ def build_smoothed_cone(s, eps=None, tail=60.0, tol=1e-10):
         z = cv.isq_zero(u)
         return eps if eps is not None else min(0.1, z / 10.0)
 
-    # every trial is solved on the window the build keeps, [0, rho + tail]:
-    # m'(rho) depends on the solver's step sequence, which depends on the
-    # window, so a shorter trial window tunes a slope the build misses
-    solved = {}
-
     def f(u):
-        e = eps_for(u)
-        rho_u = cv.isq_zero(u) + e
-        solved[u] = jacobi.solve_jacobi(cv.isq_capped(u, e), r_max=rho_u + tail, tol=tol)
-        return solved[u].mp(rho_u) - s
+        spec = cv.isq_capped(u, eps_for(u))
+        a, b = spec.joins()
+        return jacobi.solve_stretch(spec, a, b, isq_state(u, a), tol).y[1, -1] - s
 
     lo, hi = u_guess / 3.0, min(u_guess * 3.0, 0.25)
     f_lo, f_hi = f(lo), f(hi)
@@ -131,11 +147,10 @@ def build_smoothed_cone(s, eps=None, tail=60.0, tol=1e-10):
     e_star = eps_for(u_star)
     z_star = cv.isq_zero(u_star)
     rho = z_star + e_star
-    # brentq returns a point it evaluated: its trial is the built profile
-    prof = solved[u_star]
-    spec = prof.spec
+    spec = cv.isq_capped(u_star, e_star)
     if not spec.blend_is_monotone():
         raise BuildError("curvature cap lost monotonicity; widen eps")
+    prof = jacobi.solve_jacobi(spec, r_max=rho + tail, tol=tol)
     achieved = prof.mp(rho)
     if abs(achieved - s) > SLOPE_TOL:
         raise BuildError(

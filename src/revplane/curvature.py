@@ -154,10 +154,34 @@ class CurvatureSpec:
 
     @property
     def domain_hi(self):
-        """Upper end of the declared domain (inf for closed-form kinds)."""
+        """Upper end of the declared domain: a table's last radius unless
+        it extrapolates, a splice's base's end, inf for closed-form kinds."""
+        if self.kind == "spliced":
+            return self.params["base"].domain_hi
         if self.kind == "table" and self.params["extrapolate"] == "none":
             return self.params["r"][-1]
         return math.inf
+
+    def joins(self):
+        """Sorted radii where K is only finitely smooth: z-eps and z+eps
+        for isq_capped, where the C^2 blend meets the isq part and zero;
+        for spliced, the base's joins plus r0 and r0+w, the ends of the
+        C^2 drop; none for constant, isq and table.
+
+        The Jacobi solve restarts its integrator at each join: its
+        step-size control assumes a smooth right-hand side.  A table's
+        PCHIP knots (where K' has a kink) are deliberately not restart
+        points: a table has one per sample, often hundreds, and a
+        solver pass per cell would cost more than the error it removes.
+        """
+        p = self.params
+        if self.kind == "isq_capped":
+            z = isq_zero(p["u"])
+            return (z - p["eps"], z + p["eps"])
+        if self.kind == "spliced":
+            r0, w = p["r0"], p["drop"].w
+            return tuple(sorted({*p["base"].joins(), r0, r0 + w}))
+        return ()
 
     def evaluate(self, r):
         """K(r); accepts scalars or arrays, r >= 0 required."""

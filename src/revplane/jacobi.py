@@ -215,10 +215,12 @@ def solve_jacobi(spec, r_max=200.0, tol=1e-10):
     """Integrate m'' + K m = 0, m(0)=0, m'(0)=1 on [0, r_max].
 
     Returns a Profile whose pieces are the Taylor seed on [0, SEED_RADIUS]
-    and the DOP853 dense output of each solver step.  Raises
-    StarViolation when m vanishes at some r > 0 (the root is located to
-    better than 1e-10); the exception carries that first zero.  The
-    window is clipped to the curvature's declared domain.
+    and the DOP853 dense output of each solver step.  The integrator
+    restarts at the curvature's joins (spec.joins()): one pass per
+    stretch between them, each from the state the previous one ends in.
+    Raises StarViolation when m vanishes at some r > 0 (the root is
+    located to better than 1e-10); the exception carries that first
+    zero.  The window is clipped to the curvature's declared domain.
     """
     if not (1e-14 < tol < 1e-3):
         raise ValueError(f"tol must lie in (1e-14, 1e-3), got {tol}")
@@ -226,33 +228,16 @@ def solve_jacobi(spec, r_max=200.0, tol=1e-10):
         raise ValueError(f"r_max must exceed {SEED_RADIUS}")
     r_max = min(float(r_max), spec.domain_hi)
 
-    def rhs(r, y):
-        return [y[1], -spec.evaluate(r) * y[0]]
-
-    def hit_zero(r, y):
-        return y[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
     k0 = spec.evaluate(0.0)
     h0 = SEED_RADIUS
-    y0 = [h0 - k0 * h0**3 / 6.0, 1.0 - k0 * h0**2 / 2.0]
-    sol = solve_ivp(
-        rhs,
-        (h0, r_max),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-4,
-        dense_output=True,
-        events=hit_zero,
-    )
-    if not sol.success:
-        raise RuntimeError(f"Jacobi integration failed: {sol.message}")
-    if sol.t_events[0].size > 0:
-        raise StarViolation(sol.t_events[0][0])
-    steps = sol.sol.interpolants
+    y = [h0 - k0 * h0**3 / 6.0, 1.0 - k0 * h0**2 / 2.0]
+    ends = [h0, *(r for r in spec.joins() if h0 < r < r_max), r_max]
+    steps, ts = [], [0.0, h0]
+    for a, b in zip(ends, ends[1:]):
+        sol = solve_stretch(spec, a, b, y, tol)
+        steps += sol.sol.interpolants
+        ts += sol.sol.ts[1:].tolist()
+        y = sol.y[:, -1]
     h = np.array([s.h for s in steps])
     F = np.array([s.F for s in steps])  # (step, 7, row)
     # each step's dense output y_old + x (F0 + (1 - x)(F1 + x (F2 + ...)))
@@ -270,8 +255,39 @@ def solve_jacobi(spec, r_max=200.0, tol=1e-10):
     seed[6, 0, 0], seed[4, 0, 0] = 1.0, -k0 / 6.0  # m = r - k0 r^3 / 6
     seed[7, 0, 1], seed[5, 0, 1] = 1.0, -k0 / 2.0  # m' = 1 - k0 r^2 / 2
     c = np.concatenate([seed, c], axis=1)
-    x = np.r_[0.0, sol.sol.ts]
+    x = np.array(ts)
     return Profile(spec, PPoly(c[..., 0], x), PPoly(c[..., 1], x), r_max, tol)
+
+
+def solve_stretch(spec, lo, hi, y0, tol):
+    """One DOP853 pass of the Jacobi equation over [lo, hi] from the state
+    y0 = (m, m') at lo, with dense output; the pass solve_jacobi makes
+    on each stretch between joins.  Raises StarViolation at a zero of m."""
+
+    def rhs(r, y):
+        return [y[1], -spec.evaluate(r) * y[0]]
+
+    def hit_zero(r, y):
+        return y[0]
+
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+
+    sol = solve_ivp(
+        rhs,
+        (lo, hi),
+        y0,
+        method="DOP853",
+        rtol=tol,
+        atol=tol * 1e-4,
+        dense_output=True,
+        events=hit_zero,
+    )
+    if not sol.success:
+        raise RuntimeError(f"Jacobi integration failed: {sol.message}")
+    if sol.t_events[0].size > 0:
+        raise StarViolation(sol.t_events[0][0])
+    return sol
 
 
 # --- Sturm comparison ----------------------------------------------------

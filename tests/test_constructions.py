@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from revplane import analysis as an
 from revplane import constructions as cx
 from revplane import curvature as cv
 from revplane import geodesics as gd
+from revplane import jacobi
 from revplane.errors import BuildError
 
 
@@ -23,7 +26,50 @@ def test_cone_slopes_hit_target(cone03, cone05, cone09):
         probe = build.rho + np.linspace(0.5, 30.0, 7)
         assert np.all(build.spec.evaluate(probe) == 0.0)
         # ... so the slope out there is frozen at s
-        assert np.all(np.abs(p.mp(probe) - s) < 1e-7)
+        assert np.all(np.abs(p.mp(probe) - s) < 1e-9)
+        assert abs(p.mp(p.r_max) - s) < 1e-9
+
+
+def test_seeded_cone_slopes_all_build():
+    # 150 seeded slopes, plus the two that stalled the CLI cone op when
+    # the solve stepped straight across the cap's joins
+    rng = random.Random(7)
+    slopes = [rng.uniform(0.15, 0.95) for _ in range(150)]
+    for s in slopes + [0.8316479573726943, 0.9188358768387475]:
+        b = cx.build_smoothed_cone(s)
+        p = b.profile
+        assert abs(p.mp(b.rho) - s) <= 1e-9, s
+        assert abs(p.mp(p.r_max) - s) <= 1e-9, s
+
+
+def test_cone_slope_does_not_jump_with_u():
+    # stepping across the cap's C^2 joins once put ~1e-8 into m' that
+    # jumped with the step count: u* and u*(1 + 1e-14) differed by 1.2e-8
+    b = cx.build_smoothed_cone(0.8316479573726943)
+    ends = []
+    for u in (b.u, b.u * (1 + 1e-14)):
+        spec = cv.isq_capped(u, b.eps)
+        p = jacobi.solve_jacobi(spec, r_max=b.profile.r_max)
+        ends.append(p.mp(p.r_max))
+    assert abs(ends[1] - ends[0]) <= 1e-11
+
+
+@pytest.mark.parametrize("z", [3.3, 74.0, 324.0])
+def test_isq_state_matches_mpmath(z):
+    # m = sqrt(x) (K0(a) I0(a x) - I0(a) K0(a x)), a = sqrt(u), x = r + 1,
+    # at the cap's inner join, against 30 digits
+    u = 0.25 / (z + 1.0) ** 2
+    r = z - min(0.1, z / 10.0)
+    m, mp = cx.isq_state(u, r)
+    with mpmath.workdps(30):
+        a, x = mpmath.sqrt(mpmath.mpf(u)), mpmath.mpf(r) + 1
+        A, B = mpmath.besselk(0, a), mpmath.besseli(0, a)
+        f0 = A * mpmath.besseli(0, a * x) - B * mpmath.besselk(0, a * x)
+        f1 = A * mpmath.besseli(1, a * x) + B * mpmath.besselk(1, a * x)
+        m_ref = mpmath.sqrt(x) * f0
+        mp_ref = m_ref / (2 * x) + mpmath.sqrt(x) * a * f1
+    assert abs(m - m_ref) <= 1e-14 * abs(m_ref)
+    assert abs(mp - mp_ref) <= 1e-14 * abs(mp_ref)
 
 
 def test_cone_curvature_is_monotone(cone09):

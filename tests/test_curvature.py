@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from revplane import curvature as cv
+from revplane import jacobi
 from revplane.errors import OutOfWindow
 
 
@@ -198,3 +199,35 @@ def test_tail_certificates():
     spec = cv.spliced(cv.constant(0.0), 2.0, cv.DropParams(1.0, 1.0))
     assert spec.tail_certificate() == ("nonpositive", 3.0)
     assert cv.table([0.0, 1.0], [0.0, -1.0]).tail_certificate() is None
+
+
+def test_joins_are_the_finitely_smooth_radii():
+    assert cv.constant(-1.0).joins() == ()
+    assert cv.isq(0.01).joins() == ()
+    # PCHIP knots are not joins
+    assert cv.table([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]).joins() == ()
+    cap = cv.isq_capped(0.01, 0.1)
+    z = cv.isq_zero(0.01)
+    assert cap.joins() == (z - 0.1, z + 0.1)
+    # the base's joins and the drop's two ends, sorted
+    spec = cv.spliced(cap, 2.0, cv.DropParams(1.0, 0.5))
+    assert spec.joins() == (2.0, 2.5, z - 0.1, z + 0.1)
+    assert cv.spliced(cv.constant(1.0), 3.0, cv.DropParams(8.0, 0.25)).joins() == (3.0, 3.25)
+
+
+def test_spliced_table_keeps_the_table_domain():
+    t = cv.table([0, 1, 2, 10], [0, -1, -1, -1])
+    spec = cv.spliced(t, 5.0, cv.DropParams(1.0, 1.0))
+    assert spec.domain_hi == t.domain_hi == 10.0
+    # the solve and the von Mangoldt check clip to [0, 10] as for the bare table
+    assert jacobi.solve_jacobi(spec, r_max=20.0).r_max == 10.0
+    rep, bare = cv.check_von_mangoldt(spec, r_max=20.0), cv.check_von_mangoldt(t, r_max=20.0)
+    assert (rep.is_vm, rep.first_violation) == (bare.is_vm, bare.first_violation) == (True, None)
+    # a drop that ends past the table: the solve restarts only inside the window
+    late = cv.spliced(t, 9.5, cv.DropParams(1.0, 1.0))
+    assert late.joins() == (9.5, 10.5)
+    p = jacobi.solve_jacobi(late, r_max=20.0)
+    assert p.r_max == 10.0 and np.isfinite(p.m(10.0))
+    # an extrapolating table stays unbounded
+    assert cv.spliced(cv.table([0, 10], [0, -1], "constant"), 5.0,
+                      cv.DropParams(1.0, 1.0)).domain_hi == math.inf

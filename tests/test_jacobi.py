@@ -342,7 +342,7 @@ def test_one_batched_engine():
 def test_profile_is_scipy_dense_output(plane, request, monkeypatch):
     # Profile expands the DOP853 steps from their F, h, t_old and y_old
     # attributes into powers of r - t_old; every m and m' must agree with
-    # scipy's OdeSolution to rounding
+    # the OdeSolution of the stretch between joins it lies in to rounding
     built = request.getfixturevalue(plane)
     base = built if isinstance(built, jacobi.Profile) else built.profile
     solve_ivp = jacobi.solve_ivp
@@ -354,22 +354,28 @@ def test_profile_is_scipy_dense_output(plane, request, monkeypatch):
 
     monkeypatch.setattr(jacobi, "solve_ivp", keep)
     p = jacobi.solve_jacobi(base.spec, base.r_max, base.tol)
-    sol = solved[-1].sol
+    # one pass per stretch, end to end from SEED_RADIUS to r_max
+    joins = [r for r in base.spec.joins() if jacobi.SEED_RADIUS < r < p.r_max]
+    ends = [jacobi.SEED_RADIUS, *joins, p.r_max]
+    assert [(sol.t[0], sol.t[-1]) for sol in solved] == list(zip(ends, ends[1:]))
     rng = np.random.default_rng(9)
-    r = np.concatenate([rng.uniform(jacobi.SEED_RADIUS, p.r_max, 5000), sol.ts,
-                        [p.r_max]])
-    rng.shuffle(r)
-    want = sol(r)
 
     def close(got, want):
         return np.all(np.abs(got - want) <= 2e-15 * (1 + np.abs(want)))
 
-    assert close(p.m(r), want[0])
-    assert close(p.mp(r), want[1])
-    assert close(p.m(float(r[0])), want[0][0]) and close(p.mp(float(r[0])), want[1][0])
+    for k, stretch in enumerate(solved):
+        sol = stretch.sol
+        r = np.concatenate([rng.uniform(sol.ts[0], sol.ts[-1], 5000), sol.ts])
+        rng.shuffle(r)
+        want = sol(r)
+        assert close(p.m(r), want[0])
+        assert close(p.mp(r), want[1])
+        assert close(p.m(float(r[0])), want[0][0]) and close(p.mp(float(r[0])), want[1][0])
+        if k == 0:
+            first, first_want = r[:50], want[:, :50]
     # radii below SEED_RADIUS take the Taylor seed, the rest still scipy's
     low = np.array([0.0, 3e-7])
-    mixed = np.concatenate([low, r[:50]])
+    mixed = np.concatenate([low, first])
     k0 = base.spec.evaluate(0.0)
-    assert close(p.m(mixed), np.concatenate([low - k0 * low**3 / 6, want[0][:50]]))
-    assert close(p.mp(mixed), np.concatenate([1 - k0 * low**2 / 2, want[1][:50]]))
+    assert close(p.m(mixed), np.concatenate([low - k0 * low**3 / 6, first_want[0]]))
+    assert close(p.mp(mixed), np.concatenate([1 - k0 * low**2 / 2, first_want[1]]))
