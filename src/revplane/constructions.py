@@ -20,6 +20,7 @@ build_bounded_table_plane
                         diverges and only the origin is critical.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from scipy.optimize import brentq
 from . import curvature as cv
 from . import geodesics as gd
 from . import jacobi
-from . import quadrature as qd
 from .errors import BuildError, StarViolation
 
 # how far the tuned m'(rho) of a smoothed cone may miss its slope s
@@ -92,64 +92,59 @@ def isq_state(u, r):
     return m, mp
 
 
-def build_smoothed_cone(s, eps=None, tail=60.0, tol=1e-10):
+def build_smoothed_cone(s, tail=60.0, tol=1e-10):
     """Plane with K >= 0 non-increasing, K = 0 beyond rho, slope s.
 
     The inverse-square family 1/(4(r+1)^2) - u crosses zero at
-    z = 1/(2 sqrt u) - 1; capping it smoothly to zero near z leaves the
-    profile linear beyond with some slope sigma(u), increasing in u.
-    Root-finding on u tunes sigma to s.  A trial takes the closed-form
-    isq(u) state at z - eps (isq_state) and solves the blend
-    [z - eps, z + eps] alone, as solve_jacobi solves that stretch; the
-    built profile is one solve_jacobi call, whose slope beyond rho
-    (ConeBuild.slope) must then hit s within SLOPE_TOL.  s = 1
-    degenerates to the flat plane.
+    z = 1/(2 sqrt u) - 1; capping it smoothly to zero on [z - eps, z + eps],
+    eps = min(0.1, z/10), leaves the profile linear beyond with some slope
+    sigma(z), decreasing in z.  brentq on z tunes sigma to s.  A trial
+    takes the closed-form isq(u) state at z - eps (isq_state) and solves
+    the blend alone, as solve_jacobi solves that stretch; the built profile
+    is one solve_jacobi call, whose slope beyond rho (ConeBuild.slope) must
+    then hit s within SLOPE_TOL.  s = 1 degenerates to the flat plane.
+
+    The bracket starts at z0 = y^2 - 1, y = -W_{-1}(-s/e) / s, where the
+    uncapped isq(0) profile sqrt(x) ln x (x = r + 1) has slope s.  The cap
+    takes u off the curvature all the way in, which outweighs its blend:
+    sigma(z0) > s, so z0 lies below the root (by a margin that shrinks to
+    ~1e-16 as s -> 1; checked, not assumed), and the upper end doubles
+    until sigma <= s.
     """
     if not 0.0 < s <= 1.0:
         raise BuildError(f"slope s must lie in (0, 1], got {s}")
+    if not 0.0 < tail < math.inf:
+        raise BuildError(f"tail must be finite and positive, got {tail}")
     if s == 1.0:
         spec = cv.constant(0.0)
         prof = jacobi.solve_jacobi(spec, r_max=tail, tol=tol)
         return ConeBuild(prof, spec, u=0.0, z=0.0, eps=0.0, rho=0.0, slope=1.0)
 
-    # where the uncapped (u = 0) profile has slope s: a good first guess
-    def slope0(z):
-        return (2.0 + math.log(z + 1.0)) / (2.0 * math.sqrt(z + 1.0)) - s
+    def capped(z):
+        return cv.isq_capped(0.25 / (z + 1.0) ** 2, min(0.1, z / 10.0))
 
-    z_guess = brentq(slope0, 1e-8, 1e8, xtol=1e-10, rtol=1e-14)
-    u_guess = 0.25 / (z_guess + 1.0) ** 2
-
-    def eps_for(u):
-        z = cv.isq_zero(u)
-        return eps if eps is not None else min(0.1, z / 10.0)
-
-    def f(u):
-        spec = cv.isq_capped(u, eps_for(u))
+    @functools.cache
+    def f(z):
+        spec = capped(z)
         a, b = spec.joins()
+        u = spec.params["u"]
         return jacobi.solve_stretch(spec, a, b, isq_state(u, a), tol).y[1, -1] - s
 
-    lo, hi = u_guess / 3.0, min(u_guess * 3.0, 0.25)
-    f_lo, f_hi = f(lo), f(hi)
-    for _ in range(8):
-        if f_lo < 0.0:
+    y = -special.lambertw(-s / math.e, -1).real / s
+    lo = hi = y * y - 1.0
+    for _ in range(64):
+        if not (hi > 0.0 and f(hi) > 0.0):
             break
-        lo /= 3.0
-        f_lo = f(lo)
-    for _ in range(8):
-        if f_hi > 0.0:
-            break
-        hi = min(hi * 3.0, 0.25)
-        f_hi = f(hi)
-    if not (f_lo < 0.0 < f_hi):
+        lo, hi = hi, 2.0 * hi
+    if not (lo > 0.0 and f(lo) > 0.0 >= f(hi)):
         raise BuildError(f"could not bracket the slope {s} in the capped family")
-    u_star = brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=60)
+    z_star = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=100)
 
-    e_star = eps_for(u_star)
-    z_star = cv.isq_zero(u_star)
-    rho = z_star + e_star
-    spec = cv.isq_capped(u_star, e_star)
+    spec = capped(z_star)
     if not spec.blend_is_monotone():
-        raise BuildError("curvature cap lost monotonicity; widen eps")
+        raise BuildError("curvature cap lost monotonicity")
+    u, eps = spec.params["u"], spec.params["eps"]
+    rho = spec.joins()[1]
     prof = jacobi.solve_jacobi(spec, r_max=rho + tail, tol=tol)
     achieved = prof.mp(rho)
     if abs(achieved - s) > SLOPE_TOL:
@@ -157,7 +152,7 @@ def build_smoothed_cone(s, eps=None, tail=60.0, tol=1e-10):
             f"slope tuning stalled: wanted {s}, achieved {achieved} "
             f"(|diff| = {abs(achieved - s):.3g} > {SLOPE_TOL:g})"
         )
-    return ConeBuild(prof, spec, u=u_star, z=z_star, eps=e_star, rho=rho,
+    return ConeBuild(prof, spec, u=u, z=cv.isq_zero(u), eps=eps, rho=rho,
                      slope=achieved)
 
 
@@ -195,6 +190,12 @@ def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
     drops the curvature below zero beyond R.  Whatever the tail does,
     r_q stays non-critical; far radii become critical again, and m'
     remains positive everywhere.
+
+    R needs no second solve of the base: its curvature vanishes beyond
+    rho, so m is linear there and the turn left beyond R is
+    arcsin(c / m(R)) / slope in closed form.  R is placed so that this
+    is the turn above pi + margin, which puts exactly pi + margin on
+    [r_q, R]; only the spliced plane is solved.
     """
     from .analysis import critical_ball_radius
 
@@ -215,23 +216,13 @@ def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
             f"tangential turn angle {total.value:.6g} leaves no room above "
             f"pi + {margin}; increase rq_factor"
         )
-    # the exact linear tail says how far out the leftover swing 'excess'
-    # is pushed: beyond R the remaining turn is arcsin(c/m(R)) / slope
+    # the turn past R on the exact linear tail is arcsin(c / m(R)) / sigma
     sigma = base.slope
     arg = min(sigma * excess, math.pi / 2 - 1e-9)
     m_R = c / math.sin(arg)
     R = base.rho + max((m_R - base.profile.m(base.rho)) / sigma, 0.0)
+    # a larger R only leaves more of the turn inside [r_q, R]
     R = max(R, r_q + 1.0, base.rho + 1.0)
-
-    for _ in range(8):
-        long_prof = jacobi.solve_jacobi(base.spec, r_max=R + 1.0, tol=tol)
-        partial = qd.integrate_turn_rate(long_prof, c, r_lo=r_q, r_hi=R,
-                                         tol=1e-10)
-        if partial.value >= math.pi + margin / 2.0:
-            break
-        R *= 1.25
-    else:
-        raise BuildError("could not push the partial turn past pi; bad geometry")
 
     spec = cv.spliced(base.spec, R, cv.DropParams(mu, w))
     prof = jacobi.solve_jacobi(spec, r_max=R + tail, tol=tol)

@@ -220,13 +220,16 @@ def solve_jacobi(spec, r_max=200.0, tol=1e-10):
     stretch between them, each from the state the previous one ends in.
     Raises StarViolation when m vanishes at some r > 0 (the root is
     located to better than 1e-10); the exception carries that first
-    zero.  The window is clipped to the curvature's declared domain.
+    zero.  The window is clipped to the curvature's declared domain and
+    must be finite after that (ValueError otherwise).
     """
     if not (1e-14 < tol < 1e-3):
         raise ValueError(f"tol must lie in (1e-14, 1e-3), got {tol}")
     if not r_max > SEED_RADIUS:
         raise ValueError(f"r_max must exceed {SEED_RADIUS}")
     r_max = min(float(r_max), spec.domain_hi)
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max}")
 
     k0 = spec.evaluate(0.0)
     h0 = SEED_RADIUS

@@ -211,5 +211,21 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
                  ["trace", "--r", "1", "--kappa", "1", "--s-max", "-1"]):
         code, _, err = run(capsys, *argv, "--spec", spec, "--r-max", "10")
         assert code == 2 and err["error"] == "invalid_input", argv
+    # an unbounded window or cone tail is invalid input, not a crash in
+    # the solve
+    code, _, err = run(capsys, "turn-angle", "--spec", spec, "--r-max", "inf",
+                       "--r", "1", "--kappa", "1")
+    assert code == 2 and err["error"] == "invalid_input"
+    for tail in ("inf", "nan", "-5", "0"):
+        code, _, err = run(capsys, "cone", "--slope", "0.3", "--tail", tail,
+                           "-o", str(tmp_path / "c.json"))
+        assert code == 2 and err["error"] == "invalid_input", tail
+        assert "tail" in err["message"], tail
     with pytest.raises(SystemExit):
         cli.main(["no-such-command"])
+
+
+def test_cone_near_flat_slope(tmp_path, capsys):
+    code, out, _ = run(capsys, "cone", "--slope", "0.99", "-o", str(tmp_path / "c.json"))
+    assert code == 0
+    assert abs(out["slope"] - 0.99) <= 1e-9

@@ -10,6 +10,7 @@ from revplane import constructions as cx
 from revplane import curvature as cv
 from revplane import geodesics as gd
 from revplane import jacobi
+from revplane import quadrature as qd
 from revplane.errors import BuildError
 
 
@@ -32,14 +33,33 @@ def test_cone_slopes_hit_target(cone03, cone05, cone09):
 
 def test_seeded_cone_slopes_all_build():
     # 150 seeded slopes, plus the two that stalled the CLI cone op when
-    # the solve stepped straight across the cap's joins
+    # the solve stepped straight across the cap's joins, plus log-spaced
+    # slopes down to 1e-3 and up to 1 - 1e-6: a search on u once stalled
+    # on the small ones and clipped the large ones to an empty cap
     rng = random.Random(7)
     slopes = [rng.uniform(0.15, 0.95) for _ in range(150)]
-    for s in slopes + [0.8316479573726943, 0.9188358768387475]:
-        b = cx.build_smoothed_cone(s)
+    slopes += [0.8316479573726943, 0.9188358768387475]
+    slopes += [*np.geomspace(1e-3, 0.5, 40), *(1.0 - np.geomspace(0.5, 1e-6, 40))]
+    for s in slopes:
+        b = cx.build_smoothed_cone(float(s))
         p = b.profile
         assert abs(p.mp(b.rho) - s) <= 1e-9, s
         assert abs(p.mp(p.r_max) - s) <= 1e-9, s
+        assert cv.check_von_mangoldt(b.spec, p.r_max).is_vm, s
+
+
+def test_cone_trials_solve_each_stretch_once(monkeypatch):
+    # the bracket ends are trials too: brentq must not solve them again
+    stretches = []
+    solve_stretch = jacobi.solve_stretch
+    monkeypatch.setattr(jacobi, "solve_stretch",
+                        lambda spec, lo, hi, *a: stretches.append((lo, hi))
+                        or solve_stretch(spec, lo, hi, *a))
+    cx.build_smoothed_cone(0.3)
+    # the built profile's own solve starts at the Taylor seed
+    trials = stretches[:[lo for lo, _ in stretches].index(jacobi.SEED_RADIUS)]
+    assert len(trials) > 2
+    assert len(set(trials)) == len(trials)
 
 
 def test_cone_slope_does_not_jump_with_u():
@@ -97,6 +117,13 @@ def test_cone_rejects_bad_slopes():
             cx.build_smoothed_cone(s)
 
 
+def test_cone_rejects_bad_tail():
+    for s in (0.3, 1.0):
+        for tail in (math.inf, math.nan, 0.0, -5.0):
+            with pytest.raises(BuildError, match="tail"):
+                cx.build_smoothed_cone(s, tail=tail)
+
+
 def test_bulge_has_closed_geodesic(bulge):
     p = bulge.profile
     assert abs(p.m(math.pi / 2) - 1.0) < 1e-9
@@ -127,6 +154,19 @@ def test_flare_keeps_point_non_critical(flare):
 def test_flare_slope_stays_positive(flare):
     g = np.linspace(0.0, flare.profile.r_max, 30000)
     assert float(np.min(flare.profile.mp(g))) > 0.0
+
+
+@pytest.mark.parametrize("kw", [{}, {"s_base": 0.2}, {"s_base": 0.4, "rq_factor": 1.2}])
+def test_flare_splice_leaves_pi_inside(kw):
+    # the splice radius comes from the base's exact linear tail; the base
+    # solved past it must turn the tangential geodesic from r_q by pi +
+    # margin before R
+    fl = cx.build_flared_cone(**kw)
+    R = fl.splice_radius
+    base = jacobi.solve_jacobi(fl.base.spec, r_max=R + 1.0)
+    c = base.m(fl.r_q)
+    partial = qd.integrate_turn_rate(base, c, r_lo=fl.r_q, r_hi=R, tol=1e-10)
+    assert partial.value >= math.pi + 0.01 - 1e-9
 
 
 def test_flare_rejects_bad_factor():

@@ -77,6 +77,10 @@ def test_table_domain_clips_window():
     p = jacobi.solve_jacobi(tab, r_max=50.0)
     assert p.r_max == 3.0
     assert p.m(3.0) == pytest.approx(3.0, rel=1e-9)
+    # an unbounded window is clipped too, but only a table's domain ends
+    assert jacobi.solve_jacobi(tab, r_max=math.inf).r_max == 3.0
+    with pytest.raises(ValueError, match="finite"):
+        jacobi.solve_jacobi(cv.constant(0.0), r_max=math.inf)
 
 
 def test_sturm_flat_vs_hyperbolic():
