@@ -45,8 +45,8 @@ class ConeBuild:
     z: float
     eps: float
     rho: float      # beyond here the curvature is identically zero
-    slope: float    # m' beyond rho, where the solve is a pass of its own and
-                    # m' is constant: s within SLOPE_TOL
+    slope: float    # m' beyond rho, where m is one exact linear piece:
+                    # s within SLOPE_TOL
 
 
 @dataclass
@@ -109,7 +109,8 @@ def build_smoothed_cone(s, tail=60.0, tol=1e-10):
     takes u off the curvature all the way in, which outweighs its blend:
     sigma(z0) > s, so z0 lies below the root (by a margin that shrinks to
     ~1e-16 as s -> 1; checked, not assumed), and the upper end doubles
-    until sigma <= s.
+    until sigma <= s.  Where the bracket cannot form with 1 - s within
+    SLOPE_TOL (s = 1 - 2^-52 or 1 - 2^-53), the flat plane is the build.
     """
     if not 0.0 < s <= 1.0:
         raise BuildError(f"slope s must lie in (0, 1], got {s}")
@@ -137,6 +138,9 @@ def build_smoothed_cone(s, tail=60.0, tol=1e-10):
             break
         lo, hi = hi, 2.0 * hi
     if not (lo > 0.0 and f(lo) > 0.0 >= f(hi)):
+        if 1.0 - s <= SLOPE_TOL:
+            # 1 - s is below a trial's rounding: the flat plane meets s
+            return build_smoothed_cone(1.0, tail, tol)
         raise BuildError(f"could not bracket the slope {s} in the capped family")
     z_star = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=100)
 

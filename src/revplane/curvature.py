@@ -245,6 +245,17 @@ class CurvatureSpec:
             return max(r_c, p["r0"] + p["drop"].w), v - p["drop"].mu
         return None
 
+    def constant_on(self, lo, hi):
+        """k if K is exactly the constant k on [lo, hi], else None: on the
+        constant_beyond() tail, or below a splice's drop where its base
+        is constant.  Exact in floats: it is the value evaluate returns."""
+        cb = self.constant_beyond()
+        if cb is not None and lo >= cb[0]:
+            return cb[1]
+        if self.kind == "spliced" and hi <= self.params["r0"]:
+            return self.params["base"].constant_on(lo, hi)
+        return None
+
     def tail_certificate(self):
         """What is certifiably known about K on a tail [r0, oo).
 

@@ -6,9 +6,11 @@ initial value problem
     m'' + K(r) m = 0,   m(0) = 0,   m'(0) = 1,
 
 and the plane is smooth and complete iff m stays positive for r > 0.
-This module integrates that IVP with dense output, watches for a zero of
-m (raising StarViolation with the located root), and provides the profile
-queries everything else is built on: pointwise m and m' from two
+This module solves that IVP stretch by stretch -- in closed form where K
+is constant, with DOP853 dense output where it varies -- watches for a
+zero of m (raising StarViolation with the root: exact in a constant
+stretch, located in a solved one), and provides the profile queries
+everything else is built on: pointwise m and m' from two
 piecewise polynomials, their exact roots (the landmarks), the extrema of
 m and the first or last radius where m reaches a level, comparison of two
 profiles (Sturm), the embedding profile in Euclidean 3-space, and the
@@ -36,10 +38,11 @@ SLOPE_SPREAD_TOL = 1e-6
 class Profile:
     """The warping function m of one curvature spec on [0, r_max].
 
-    m and mp are piecewise polynomials (scipy PPoly) for m and m' on the
-    window: the Taylor seed and the DOP853 steps of the Jacobi solve.
-    Landmarks and levels are their exact roots; no profile query samples
-    a grid.
+    m and mp are piecewise polynomials (scipy PPoly) of degree 7 for m
+    and m' on the window: the Taylor seed, then Hermite pieces of the
+    exact solution where K is constant and the DOP853 steps of the Jacobi
+    solve where it varies.  Landmarks and levels are their exact roots;
+    no profile query samples a grid.
     """
 
     def __init__(self, spec, m, mp, r_max, tol):
@@ -215,13 +218,16 @@ def solve_jacobi(spec, r_max=200.0, tol=1e-10):
     """Integrate m'' + K m = 0, m(0)=0, m'(0)=1 on [0, r_max].
 
     Returns a Profile whose pieces are the Taylor seed on [0, SEED_RADIUS]
-    and the DOP853 dense output of each solver step.  The integrator
-    restarts at the curvature's joins (spec.joins()): one pass per
-    stretch between them, each from the state the previous one ends in.
-    Raises StarViolation when m vanishes at some r > 0 (the root is
-    located to better than 1e-10); the exception carries that first
-    zero.  The window is clipped to the curvature's declared domain and
-    must be finite after that (ValueError otherwise).
+    and then, stretch by stretch between the curvature's joins
+    (spec.joins()), each from the state the previous one ends in:
+    where K is one constant (spec.constant_on), degree-7 Hermite pieces
+    of the exact solution (_constant_stretch); elsewhere the DOP853 dense
+    output of each step of one solver pass (solve_stretch).  Raises
+    StarViolation when m vanishes at some r > 0; the exception carries
+    that first zero, exact in a constant stretch and located to better
+    than 1e-10 in a solved one.  The window is clipped to the
+    curvature's declared domain and must be finite after that
+    (ValueError otherwise).
     """
     if not (1e-14 < tol < 1e-3):
         raise ValueError(f"tol must lie in (1e-14, 1e-3), got {tol}")
@@ -234,13 +240,30 @@ def solve_jacobi(spec, r_max=200.0, tol=1e-10):
     k0 = spec.evaluate(0.0)
     h0 = SEED_RADIUS
     y = [h0 - k0 * h0**3 / 6.0, 1.0 - k0 * h0**2 / 2.0]
+    # powers of r, highest first, on [0, h0]
+    seed = np.zeros((8, 1, 2))
+    seed[6, 0, 0], seed[4, 0, 0] = 1.0, -k0 / 6.0  # m = r - k0 r^3 / 6
+    seed[7, 0, 1], seed[5, 0, 1] = 1.0, -k0 / 2.0  # m' = 1 - k0 r^2 / 2
+    xs, cs = [[0.0, h0]], [seed]
     ends = [h0, *(r for r in spec.joins() if h0 < r < r_max), r_max]
-    steps, ts = [], [0.0, h0]
     for a, b in zip(ends, ends[1:]):
-        sol = solve_stretch(spec, a, b, y, tol)
-        steps += sol.sol.interpolants
-        ts += sol.sol.ts[1:].tolist()
-        y = sol.y[:, -1]
+        k = spec.constant_on(a, b)
+        if k is None:
+            x, c, y = _step_pieces(solve_stretch(spec, a, b, y, tol))
+        else:
+            x, c, y = _constant_stretch(k, a, b, y)
+        xs.append(x)
+        cs.append(c)
+    x = np.concatenate(xs)
+    c = np.concatenate(cs, axis=1)
+    return Profile(spec, PPoly(c[..., 0], x), PPoly(c[..., 1], x), r_max, tol)
+
+
+def _step_pieces(sol):
+    """A solver pass's steps as pieces: (the step ends after the first,
+    coefficients (8, step, row) in powers of r - t_old, highest first,
+    the state at the end)."""
+    steps = sol.sol.interpolants
     h = np.array([s.h for s in steps])
     F = np.array([s.F for s in steps])  # (step, 7, row)
     # each step's dense output y_old + x (F0 + (1 - x)(F1 + x (F2 + ...)))
@@ -252,14 +275,79 @@ def solve_jacobi(spec, r_max=200.0, tol=1e-10):
         x_p = np.roll(p, 1, axis=0)  # x * p: the top power is still 0
         p = x_p if j % 2 == 0 else p - x_p
     p[0] += np.array([s.y_old for s in steps])
-    # powers of r - t_old, highest first, after the Taylor seed on [0, h0]
     c = p[::-1] / h[:, None] ** np.arange(7, -1, -1)[:, None, None]
-    seed = np.zeros((8, 1, 2))
-    seed[6, 0, 0], seed[4, 0, 0] = 1.0, -k0 / 6.0  # m = r - k0 r^3 / 6
-    seed[7, 0, 1], seed[5, 0, 1] = 1.0, -k0 / 2.0  # m' = 1 - k0 r^2 / 2
-    c = np.concatenate([seed, c], axis=1)
-    x = np.array(ts)
-    return Profile(spec, PPoly(c[..., 0], x), PPoly(c[..., 1], x), r_max, tol)
+    return sol.sol.ts[1:], c, sol.y[:, -1]
+
+
+# the widest cell, in q (r - lo), on which the degree-7 Hermite remainder
+# (h/2)^8 / 8! max|m^(8)| = (h/2)^8 / 8! k^4 max|m| stays below 1e-16 max|m|
+_CELL = 2.0 * (math.factorial(8) * 1e-16) ** 0.125
+# binomial(j, n): a cell's Taylor coefficients at its left end, carried
+# to its right end in s = (r - x_i) / h ...
+_CARRY = np.array([[1, 1, 1, 1], [0, 1, 2, 3], [0, 0, 1, 3], [0, 0, 0, 1]], dtype=float)
+# ... and the inverse of binomial(j, n), j = 4..7, n = 0..3: the top four
+# coefficients from what the bottom four leave of the right end's jet
+_HERMITE = np.array([[35, -15, 5, -1], [-84, 39, -14, 3], [70, -34, 13, -3],
+                     [-20, 10, -4, 1]], dtype=float)
+
+
+def _constant_stretch(k, lo, hi, y0):
+    """The pieces of m and m' on [lo, hi], where K is the constant k, in
+    closed form; returned as _step_pieces returns a solver pass's.
+
+    The exact solution through y0 = (m, m') at lo is m = m0 C + m0' S / q,
+    q = sqrt|k|, with C, S = cos, sin (k > 0) or cosh, sinh (k < 0) of
+    q (r - lo), and m linear for k = 0 (one piece).  It is written as
+    degree-7 Hermite pieces through the exact jets of m (m, m', -k m,
+    -k m') and of m' (m', -k m, -k m', k^2 m) at uniform nodes, whose
+    spacing keeps the remainder below 1e-16 of max|m| on each cell.
+    Raises StarViolation at the exact first zero of m, and RuntimeError
+    when m overflows.
+    """
+    m0, mp0 = float(y0[0]), float(y0[1])
+    q = math.sqrt(abs(k))
+    if k > 0.0:
+        t_zero = (math.atan2(mp0 / q, m0) + math.pi / 2) / q
+    elif k < 0.0:
+        t_zero = math.atanh(-q * m0 / mp0) / q if mp0 < -q * m0 else math.inf
+    else:
+        t_zero = -m0 / mp0 if mp0 < 0.0 else math.inf
+    if lo + t_zero <= hi:
+        raise StarViolation(lo + t_zero)
+    if k == 0.0:
+        c = np.zeros((8, 1, 2))
+        c[6, 0, 0], c[7, 0, 0], c[7, 0, 1] = mp0, m0, mp0
+        return np.array([hi]), c, (m0 + mp0 * (hi - lo), mp0)
+
+    def exact(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # r - lo as d + e, e its rounding (exact, since x >= lo):
+            # C and S take e to first order
+            d = x - lo
+            t, dt = q * d, q * (-lo - (d - x))
+            if k > 0.0:
+                C, S = np.cos(t), np.sin(t)
+                C, S = C - dt * S, S + dt * C
+            else:
+                C, S = np.cosh(t), np.sinh(t)
+                C, S = C + dt * S, S + dt * C
+            return m0 * C + (mp0 / q) * S, mp0 * C - (k * m0 / q) * S
+
+    # without a zero, |m| and |m'| are largest at an end (m'' = -k m)
+    if not np.all(np.isfinite(exact(np.array([hi])))):
+        raise RuntimeError(f"Jacobi integration failed: m overflows on [{lo:.6g}, {hi:.6g}] "
+                           f"under K = {k:.6g}")
+    x = np.linspace(lo, hi, max(1, math.ceil(q * (hi - lo) / _CELL)) + 1)
+    m, mp = exact(x)
+    # the jets of m and m' at the nodes, over n!: (order, node, row)
+    jet = np.stack([m, mp, -k * m, -k * mp, k * k * m])
+    d = np.stack([jet[:4], jet[1:]], axis=-1) / np.array([1, 1, 2, 6])[:, None, None]
+    # in s = (r - x_i) / h the coefficients scale by h^power
+    scale = (np.diff(x) ** np.arange(8)[:, None])[..., None]
+    low = d[:, :-1] * scale[:4]
+    top = np.tensordot(_HERMITE, d[:, 1:] * scale[:4] - np.tensordot(_CARRY, low, 1), 1)
+    c = np.concatenate([d[:, :-1], top / scale[4:]])[::-1]
+    return x[1:], c, (m[-1], mp[-1])
 
 
 def solve_stretch(spec, lo, hi, y0, tol):

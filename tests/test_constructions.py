@@ -111,6 +111,20 @@ def test_cone_degenerate_slope_is_flat():
     assert flat.rho == 0.0
 
 
+@pytest.mark.parametrize("k", [51, 52, 53])
+def test_cone_slope_within_rounding_of_one(k):
+    # past 1 - 2^-51 the slope's distance to 1 is below a trial's
+    # rounding, so no bracket forms; the flat plane meets those slopes
+    s = 1.0 - 2.0**-k
+    b = cx.build_smoothed_cone(s)
+    assert abs(b.slope - s) <= cx.SLOPE_TOL
+    assert abs(b.profile.mp(b.profile.r_max) - s) <= cx.SLOPE_TOL
+    if k == 51:
+        assert b.spec.kind == "isq_capped" and b.u > 0.0 and b.rho > 0.0
+    else:
+        assert b.spec.kind == "constant" and b.rho == 0.0
+
+
 def test_cone_rejects_bad_slopes():
     for s in (0.0, -0.2, 1.2):
         with pytest.raises(BuildError):

@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -96,6 +98,36 @@ def test_turn_angle_hyperbolic(hyperbolic):
     for rq in (0.5, 1.0, 2.0):
         res = gd.turn_angle(hyperbolic, rq, math.pi / 2)
         assert res.value == pytest.approx(math.atan(1.0 / math.sinh(rq)), abs=1e-6)
+
+
+def _hyperbolic_turn(r_q, kappa):
+    """The turn angle on the hyperbolic plane in closed form, in 30 digits:
+    with c = sinh(r_q) sin kappa, d = asinh c, s = acosh(cosh r_q / cosh d),
+    theta = atan(tanh s / sinh d) and P = atan(1 / sinh d), it is P - theta
+    for kappa <= pi/2 and P + theta above.  In floats the acosh loses
+    digits near tangential launches."""
+    with mpmath.workdps(30):
+        r_q, kappa = mpmath.mpf(r_q), mpmath.mpf(kappa)
+        d = mpmath.asinh(mpmath.sinh(r_q) * mpmath.sin(kappa))
+        s = mpmath.acosh(mpmath.cosh(r_q) / mpmath.cosh(d))
+        theta = mpmath.atan(mpmath.tanh(s) / mpmath.sinh(d))
+        big = mpmath.atan(1 / mpmath.sinh(d))
+        return float(big - theta if kappa <= mpmath.pi / 2 else big + theta)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_hyperbolic_sweep_stays_in_band(hyperbolic, tol):
+    # 300 seeded launches, r_q log-uniform in [0.01, 10]: each turn angle
+    # lies within its abs_error of the closed form (and the rounding of
+    # pi); with the profile from DOP853, 218 of them missed, by up to
+    # 1,392 times their band
+    rng = random.Random(7)
+    launches = [(0.01 * 1000.0 ** rng.random(), rng.uniform(0.01, math.pi - 0.01))
+                for _ in range(300)]
+    r_q, kappa = zip(*launches)
+    for (r, k), res in zip(launches, gd.turn_angles(hyperbolic, r_q, kappa, tol=tol)):
+        assert res.status == "converged"
+        assert abs(res.value - _hyperbolic_turn(r, k)) <= res.abs_error + 4 * math.ulp(math.pi)
 
 
 def test_turn_angle_exact_cone_linear_in_kappa():

@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,81 @@ def test_hyperbolic_plane():
 def test_sphere_hits_zero_at_pi():
     with pytest.raises(StarViolation) as exc:
         jacobi.solve_jacobi(cv.constant(1.0), r_max=10.0)
-    assert exc.value.first_zero == pytest.approx(math.pi, abs=1e-8)
+    assert exc.value.first_zero == pytest.approx(math.pi, abs=1e-12)
+
+
+def test_sphere_zero_in_a_constant_tail():
+    # K = 1 out to 3 pi / 4, then a drop to K = -2 too shallow to stop the
+    # dive: m vanishes in the closed-form tail, at its exact root
+    spec = cv.spliced(cv.constant(1.0), 3 * math.pi / 4, cv.DropParams(3.0, 0.5))
+    with pytest.raises(StarViolation) as exc:
+        jacobi.solve_jacobi(spec, r_max=50.0)
+    assert spec.constant_on(exc.value.first_zero, 50.0) == -2.0
+    assert exc.value.first_zero == pytest.approx(3.52163653, abs=1e-9)
+
+
+def test_overflow_raises():
+    with pytest.raises(RuntimeError):
+        jacobi.solve_jacobi(cv.constant(-100.0), r_max=200.0)
+
+
+def _two_term(m0, mp0, k, lo, r):
+    """m and m' at r of the solution through (m0, mp0) at lo under the
+    constant k < 0 or k > 0, in 30 digits."""
+    with mpmath.workdps(30):
+        q = mpmath.sqrt(abs(k))
+        t = q * (mpmath.mpf(r) - mpmath.mpf(lo))
+        if k > 0:
+            m = m0 * mpmath.cos(t) + mp0 / q * mpmath.sin(t)
+            mp = -m0 * q * mpmath.sin(t) + mp0 * mpmath.cos(t)
+        else:
+            m = m0 * mpmath.cosh(t) + mp0 / q * mpmath.sinh(t)
+            mp = m0 * q * mpmath.sinh(t) + mp0 * mpmath.cosh(t)
+        return float(m), float(mp)
+
+
+def _two_term_error(p, m0, mp0, k, lo, hi):
+    """The errors of m and m' on [lo, hi] (500 radii and every
+    breakpoint) against the two-term solution, relative to |m| + |m'| / q
+    and q |m| + |m'|, which do not vanish where m' or m does."""
+    r = np.r_[np.linspace(lo, hi, 500), p.knots(lo, hi)[0]]
+    m, mp = np.array([_two_term(m0, mp0, k, lo, x) for x in r.tolist()]).T
+    q = math.sqrt(abs(k))
+    scale = np.abs(m) + np.abs(mp) / q
+    return (np.abs(p.m(r) - m) / scale, np.abs(p.mp(r) - mp) / (q * scale)), r
+
+
+def test_hyperbolic_profile_is_exact(hyp30):
+    # sinh and cosh to rounding on all of [0, 30], relative; DOP853 at
+    # tol 1e-10 was off by 4.3e-10
+    r = np.r_[np.linspace(0.0, 30.0, 1001)[1:], hyp30.knots(0.0, 30.0)[0], 3e-7]
+    with mpmath.workdps(30):
+        m = np.array([float(mpmath.sinh(x)) for x in r.tolist()])
+        mp = np.array([float(mpmath.cosh(x)) for x in r.tolist()])
+    assert np.max(np.abs(hyp30.m(r) - m) / m) <= 1e-14
+    assert np.max(np.abs(hyp30.mp(r) - mp) / mp) <= 1e-14
+
+
+def test_bulge_constant_stretches_are_two_term(bulge):
+    # K = 1 from the Taylor seed to a, and K = 1 - mu beyond the drop
+    # from the state the drop's pass ends in
+    p, h0 = bulge.profile, jacobi.SEED_RADIUS
+    (err_m, err_mp), _ = _two_term_error(p, h0 - h0**3 / 6, 1 - h0**2 / 2, 1.0, h0, bulge.a)
+    assert err_m.max() <= 1e-15 and err_mp.max() <= 1e-15
+    lo, k = bulge.a + bulge.w, 1.0 - bulge.mu
+    (err_m, err_mp), r = _two_term_error(p, p.m(lo), p.mp(lo), k, lo, p.r_max)
+    # q (r - lo) is rounded to floats: the error grows with it
+    bound = 4.4e-16 * (1.0 + math.sqrt(-k) * (r - lo))
+    assert np.all(err_m <= bound) and np.all(err_mp <= bound)
+
+
+def test_cone_slope_is_exactly_constant_beyond_the_cap(cone03, cone05, cone09, cone03_long,
+                                                        flare):
+    for b in (cone03, cone05, cone09, cone03_long, flare.base):
+        p = b.profile
+        assert p.mp(b.rho) == p.mp(p.r_max) == b.slope
+        r = np.linspace(b.rho, p.r_max, 101)
+        assert np.all(p.mp(r) == b.slope)
 
 
 def test_isq0_closed_form():
@@ -342,11 +417,20 @@ def test_one_batched_engine():
         assert _loop_calls_reaching(analysis[name], "turn_angle") == []
 
 
+def _numerical_stretches(spec, r_max):
+    """The stretches between joins that solve_jacobi passes to DOP853:
+    those where K is not one constant."""
+    joins = [r for r in spec.joins() if jacobi.SEED_RADIUS < r < r_max]
+    ends = [jacobi.SEED_RADIUS, *joins, r_max]
+    return [(a, b) for a, b in zip(ends, ends[1:]) if spec.constant_on(a, b) is None]
+
+
 @pytest.mark.parametrize("plane", ["flat60", "hyp30", "cone03", "cone09", "bulge", "flare"])
 def test_profile_is_scipy_dense_output(plane, request, monkeypatch):
     # Profile expands the DOP853 steps from their F, h, t_old and y_old
-    # attributes into powers of r - t_old; every m and m' must agree with
-    # the OdeSolution of the stretch between joins it lies in to rounding
+    # attributes into powers of r - t_old; on every numerically solved
+    # stretch, m and m' must agree with that stretch's OdeSolution to
+    # rounding
     built = request.getfixturevalue(plane)
     base = built if isinstance(built, jacobi.Profile) else built.profile
     solve_ivp = jacobi.solve_ivp
@@ -358,15 +442,14 @@ def test_profile_is_scipy_dense_output(plane, request, monkeypatch):
 
     monkeypatch.setattr(jacobi, "solve_ivp", keep)
     p = jacobi.solve_jacobi(base.spec, base.r_max, base.tol)
-    # one pass per stretch, end to end from SEED_RADIUS to r_max
-    joins = [r for r in base.spec.joins() if jacobi.SEED_RADIUS < r < p.r_max]
-    ends = [jacobi.SEED_RADIUS, *joins, p.r_max]
-    assert [(sol.t[0], sol.t[-1]) for sol in solved] == list(zip(ends, ends[1:]))
+    # one pass per stretch between joins where K is not constant
+    assert [(sol.t[0], sol.t[-1]) for sol in solved] == _numerical_stretches(base.spec, p.r_max)
     rng = np.random.default_rng(9)
 
     def close(got, want):
         return np.all(np.abs(got - want) <= 2e-15 * (1 + np.abs(want)))
 
+    first, first_want = np.empty(0), np.empty((2, 0))
     for k, stretch in enumerate(solved):
         sol = stretch.sol
         r = np.concatenate([rng.uniform(sol.ts[0], sol.ts[-1], 5000), sol.ts])
@@ -383,3 +466,48 @@ def test_profile_is_scipy_dense_output(plane, request, monkeypatch):
     k0 = base.spec.evaluate(0.0)
     assert close(p.m(mixed), np.concatenate([low - k0 * low**3 / 6, first_want[0]]))
     assert close(p.mp(mixed), np.concatenate([1 - k0 * low**2 / 2, first_want[1]]))
+
+
+@pytest.mark.parametrize("plane, passes", [("flat60", 0), ("hyp30", 0), ("cone03", 2),
+                                           ("cone09", 2), ("bulge", 1), ("flare", 3)])
+def test_dop853_runs_only_where_curvature_varies(plane, passes, request, monkeypatch):
+    # constant stretches are closed form: flat and hyperbolic need no
+    # pass, a cone its isq part and its cap's blend, the bulge its drop,
+    # and the flare the cone's two and its own drop
+    built = request.getfixturevalue(plane)
+    base = built if isinstance(built, jacobi.Profile) else built.profile
+    calls = []
+    solve_stretch = jacobi.solve_stretch
+    monkeypatch.setattr(jacobi, "solve_stretch",
+                        lambda *a: calls.append(a[1:3]) or solve_stretch(*a))
+    jacobi.solve_jacobi(base.spec, base.r_max, base.tol)
+    assert len(calls) == passes
+
+
+@pytest.mark.parametrize("name", ["bounded_table", "isq0", "cone03", "cone09", "flare"])
+def test_closed_forms_leave_numerical_pieces_alone(name, request, monkeypatch):
+    # every piece before the first constant stretch is what one DOP853
+    # pass per stretch gives, bit for bit: a table or isq(0) profile
+    # throughout, a cone's on [0, rho]
+    if name == "isq0":
+        spec, r_max, tol = cv.isq(0.0), 60.0, 1e-10
+    else:
+        p = request.getfixturevalue(name).profile
+        spec, r_max, tol = p.spec, p.r_max, p.tol
+    p = jacobi.solve_jacobi(spec, r_max, tol)
+    with monkeypatch.context() as patch:
+        patch.setattr(type(spec), "constant_on", lambda *a: None)
+        ref = jacobi.solve_jacobi(spec, r_max, tol)
+    # the numerical stretches that chain from the seed on
+    upto = jacobi.SEED_RADIUS
+    for a, b in _numerical_stretches(spec, p.r_max):
+        if a != upto:
+            break
+        upto = b
+    if name in ("bounded_table", "isq0"):
+        assert upto == p.r_max
+    n = bisect.bisect_left(p._breaks, upto)
+    assert n >= 2 and p._breaks[n] == upto
+    assert np.array_equal(p._m_pp.x[:n + 1], ref._m_pp.x[:n + 1])
+    assert np.array_equal(p._m_pp.c[:, :n], ref._m_pp.c[:, :n])
+    assert np.array_equal(p._mp_pp.c[:, :n], ref._mp_pp.c[:, :n])
