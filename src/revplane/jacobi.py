@@ -43,10 +43,17 @@ class Profile:
     exact solution where K is constant and the DOP853 steps of the Jacobi
     solve where it varies.  Landmarks and levels are their exact roots;
     no profile query samples a grid.
+
+    tail is (r_a, k, E) when K is the constant k <= 0 from r_a on and m
+    rises there (m' > 0 beyond r_a), E = m'^2 + k m^2 being the
+    stretch's conserved quantity, taken from its start state; the turn
+    integral is closed-form on that tail.  None for a profile built by
+    hand, or when no such tail starts in the window.
     """
 
-    def __init__(self, spec, m, mp, r_max, tol):
+    def __init__(self, spec, m, mp, r_max, tol, tail=None):
         self.spec = spec
+        self.tail = tail
         self._m_pp = m
         self._mp_pp = mp
         self.r_max = float(r_max)
@@ -225,9 +232,11 @@ def solve_jacobi(spec, r_max=200.0, tol=1e-10):
     output of each step of one solver pass (solve_stretch).  Raises
     StarViolation when m vanishes at some r > 0; the exception carries
     that first zero, exact in a constant stretch and located to better
-    than 1e-10 in a solved one.  The window is clipped to the
-    curvature's declared domain and must be finite after that
-    (ValueError otherwise).
+    than 1e-10 in a solved one.  When the last stretch lies on the
+    constant_beyond() tail with k <= 0, the profile records where m
+    rises on it (Profile.tail, from _rising_tail).  The window is
+    clipped to the curvature's declared domain and must be finite after
+    that (ValueError otherwise).
     """
     if not (1e-14 < tol < 1e-3):
         raise ValueError(f"tol must lie in (1e-14, 1e-3), got {tol}")
@@ -246,17 +255,39 @@ def solve_jacobi(spec, r_max=200.0, tol=1e-10):
     seed[7, 0, 1], seed[5, 0, 1] = 1.0, -k0 / 2.0  # m' = 1 - k0 r^2 / 2
     xs, cs = [[0.0, h0]], [seed]
     ends = [h0, *(r for r in spec.joins() if h0 < r < r_max), r_max]
+    tail, cb = None, spec.constant_beyond()
     for a, b in zip(ends, ends[1:]):
         k = spec.constant_on(a, b)
         if k is None:
             x, c, y = _step_pieces(solve_stretch(spec, a, b, y, tol))
         else:
+            if k <= 0.0 and a >= cb[0]:
+                tail = _rising_tail(k, a, b, y)
             x, c, y = _constant_stretch(k, a, b, y)
         xs.append(x)
         cs.append(c)
     x = np.concatenate(xs)
     c = np.concatenate(cs, axis=1)
-    return Profile(spec, PPoly(c[..., 0], x), PPoly(c[..., 1], x), r_max, tol)
+    return Profile(spec, PPoly(c[..., 0], x), PPoly(c[..., 1], x), r_max, tol, tail)
+
+
+def _rising_tail(k, lo, hi, y0):
+    """(r_a, k, E) for the stretch [lo, hi] under the constant K = k <= 0
+    from the state y0 = (m, m') at lo: r_a is lo, or the one zero of m'
+    (m'' = -k m >= 0, so m' rises) when m' starts negative; None when m'
+    stays negative up to hi.  E = m'^2 + k m^2 is constant on the
+    stretch and taken here, from y0: far out m'^2 and k m^2 are huge and
+    their sum cancels."""
+    m0, mp0 = float(y0[0]), float(y0[1])
+    r_a = lo
+    if mp0 <= 0.0:
+        q = math.sqrt(-k)
+        if not -mp0 < q * m0:  # m' < 0 throughout, or m' = 0 with k = 0
+            return None
+        r_a = lo + math.atanh(-mp0 / (q * m0)) / q
+        if r_a > hi:
+            return None
+    return r_a, k, mp0 * mp0 + k * m0 * m0
 
 
 def _step_pieces(sol):

@@ -18,11 +18,17 @@ both ends:
     independent sqrt-factorization route and the disagreement feeds the
     error estimate;
   * the smooth body uses adaptive Gauss-Kronrod 15 panels, vectorized;
-  * the infinite tail is resolved by a certificate read off the
-    curvature: an exactly-linear m gives a closed-form arcsin tail, an
-    eventually nonpositive curvature gives a two-sided bracket (m grows
-    at least linearly, and m^2 - c^2 >= m^2/2 once m >= sqrt(2) c), and
-    anything weaker leaves the result flagged window_limited.
+  * on a solved profile's constant-curvature tail (Profile.tail: K = k
+    <= 0 and m rising from r_a on) the turn integral is closed-form, so
+    a leg is split at r_a: the part beyond it, to infinity for an
+    improper leg, is G(b) - G(a) with a rounding-only error, and only
+    the part below it runs through the passes above;
+  * otherwise the infinite tail is resolved by a certificate read off
+    the curvature: an exactly-linear m gives the k = 0 case of that
+    closed form, asin(c / m) / m', an eventually nonpositive curvature
+    gives a two-sided bracket (m grows at least linearly, and m^2 - c^2
+    >= m^2/2 once m >= sqrt(2) c), and anything weaker leaves the
+    result flagged window_limited.
 
 Divergent integrals report value = +inf, never a large finite number:
 status divergent_tangency when the geodesic cannot leave the turning
@@ -34,8 +40,9 @@ runs each pass -- head, cross-check, body -- over all of them together:
 every GK panel carries the index of its integral, so one refinement
 round makes one profile call over the new panels of every integral
 still refining.  Everything else is decided per integral: the trap and
-tangency tests, the head cut, the adaptive split rule and panel budget,
-and the tail certificate.  An integral's result therefore does not
+tangency tests (over the whole leg, before any split), the head cut,
+the adaptive split rule and panel budget, the closed-form part and the
+tail certificate.  An integral's result therefore does not
 depend on which others share its batch, and integrate_turn_rate is the
 batch of one.
 """
@@ -281,14 +288,21 @@ def _integrate(profile, rows):
     n = len(rows)
     out = [None] * n
     c, r_lo, hi, improper, tol, w_start, w_end = np.array(rows, dtype=float).T
+    # the profile's closed-form tail from r_a on: a leg's part beyond r_a
+    # is G(b) - G(a), and only the part below it is integrated
+    tail = profile.tail
+    r_a, at_a = (tail[0], [tail[0]]) if tail is not None else (math.inf, [])
     # m is monotone between its extrema: m at those past r_lo and at the
     # window end decides the trap and where the head's monotone stretch ends
     ext = profile.extrema
-    m_at = profile.m(np.concatenate((r_lo, ext, hi))).tolist()
+    m_at = profile.m(np.concatenate((r_lo, ext, hi, at_a))).tolist()
     m_lo, m_ext, m_hi = m_at[:n], m_at[n:n + ext.size], m_at[n + ext.size:]
     ext = ext.tolist()
 
-    heads, bodies = [], []  # (integral, w_lo, w_hi, r_cut, m_cut); (integral, from)
+    heads, bodies = [], []  # (integral, w_lo, w_hi, r_cut, m_cut); (integral, from, to)
+    # integral: the closed part's start and (unless at infinity) end, as
+    # (m, index of m' in mp_at, sin w, cos w)
+    closed = {}
     singular = [False] * n
     for i, (ci, lo, hi_i, m_i, w_s, w_e) in enumerate(zip(
             c.tolist(), r_lo.tolist(), hi.tolist(), m_lo, w_start.tolist(), w_end.tolist())):
@@ -317,9 +331,21 @@ def _integrate(profile, rows):
             out[i] = IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
             continue
 
+        m_end = m_hi[i]
+        if hi_i > r_a:
+            # m rises beyond r_a, so the trap test above covers the closed part
+            end = [] if improper[i] else [(m_end, n + i, *_sin_cos(ci, m_end, w_e))]
+            if lo >= r_a:
+                start = (0.0, 1.0) if w_lo == 0.0 else _sin_cos(ci, m_i, w_s)
+                closed[i] = [(m_i, i, *start), *end]
+                continue
+            # the rest is a finite leg up to r_a (m_hi[n] is m(r_a))
+            hi_i, m_end, w_e = r_a, m_hi[n], math.nan
+            closed[i] = [(m_end, 2 * n, *_sin_cos(ci, m_end)), *end]
+
         root2c = math.sqrt(2.0) * ci
         body_from = lo
-        r_s, m_s = (ext[first], m_ends[0]) if m_ends else (hi_i, m_hi[i])
+        r_s, m_s = (ext[first], m_ends[0]) if m_ends and ext[first] < hi_i else (hi_i, m_end)
         if m_i < root2c and m_s > m_i:
             # the head inverts m, so it stays on the stretch where m rises from
             # r_lo: cut where m reaches sqrt(2) c, and short of an extremum,
@@ -338,23 +364,23 @@ def _integrate(profile, rows):
                     heads.append((i, w_lo, w_hi, r_cut, m_cut))
                 body_from = r_cut
         if hi_i > body_from * (1 + 1e-15):
-            bodies.append((i, body_from))
+            bodies.append((i, body_from, hi_i))
 
     # m' at the starts (the tangency test, and the heads' first knots), at
-    # the window ends (the tail) and at the head cuts (their last knots)
-    mp_at = profile.mp(np.concatenate((r_lo, hi, [h[3] for h in heads]))).tolist()
+    # the window ends (the tail), at r_a and at the head cuts (their last knots)
+    mp_at = profile.mp(np.concatenate((r_lo, hi, at_a, [h[3] for h in heads]))).tolist()
     mp_lo, mp_hi = mp_at[:n], mp_at[n:2 * n]
     for i in range(n):
         if singular[i] and out[i] is None and mp_lo[i] <= TANGENT_SLOPE:
             # the geodesic is asymptotic to the parallel circle: log divergence
             out[i] = IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
-    heads = [h + (mp,) for h, mp in zip(heads, mp_at[2 * n:]) if out[h[0]] is None]
+    heads = [h + (mp,) for h, mp in zip(heads, mp_at[2 * n + len(at_a):]) if out[h[0]] is None]
     bodies = [b for b in bodies if out[b[0]] is None]
 
     head, head_err, cross_err = _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n)
     body, body_err = np.zeros(n), np.zeros(n)
     if bodies:
-        at, start = np.array(bodies).T
+        at, start, end = np.array(bodies).T
         at = at.astype(int)
         bc = c[at]
 
@@ -363,7 +389,7 @@ def _integrate(profile, rows):
             ck = bc[k][:, None]
             return ck / (m * np.sqrt(np.maximum((m - ck) * (m + ck), 1e-300)))
 
-        body[at], body_err[at] = _adaptive_gk(f_r, start, hi[at], tol[at] / 2.0, 32,
+        body[at], body_err[at] = _adaptive_gk(f_r, start, end, tol[at] / 2.0, 32,
                                               log_spaced=True)
 
     cert = profile.spec.tail_certificate() if improper.any() else None
@@ -374,9 +400,20 @@ def _integrate(profile, rows):
             continue
         value = h + b
         err = h_err + x_err + b_err + 1e-16 * (1.0 + abs(value))
-        if improper[i]:
-            c_i, _, hi_i = rows[i][:3]
-            out[i] = _tail(cert, hi_i, m_hi[i], mp_hi[i], c_i, value, err)
+        c_i = rows[i][0]
+        if i in closed:
+            # G(inf) - G(r) at the closed part's start, less that at its end;
+            # m' = 0 at r_a when it is m's minimum, up to rounding
+            (g, g_err), *end = [_closed_turn(tail[1], tail[2], c_i, m, max(mp_at[j], 0.0), sw, cw)
+                                for m, j, sw, cw in closed[i]]
+            if end:
+                g, g_err = g - end[0][0], g_err + end[0][1]
+            if not g < math.inf:
+                out[i] = IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
+            else:
+                out[i] = IntegralResult(max(value + g, 0.0), err + g_err, STATUS_CONVERGED)
+        elif improper[i]:
+            out[i] = _tail(cert, rows[i][2], m_hi[i], mp_hi[i], c_i, value, err)
         else:
             out[i] = IntegralResult(max(value, 0.0), err, STATUS_CONVERGED)
     return out
@@ -427,6 +464,50 @@ def _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n):
     return head, head_err, cross_err
 
 
+def _sin_cos(c, m, w=math.nan):
+    """(sin w, cos w) of the angle w = arccos(c / m): from w itself when
+    the caller knows it exactly, else from c / m and sqrt((m - c)(m + c))
+    / m, which keep their digits where arccos(c / m) has lost them."""
+    if not math.isnan(w):
+        return math.sin(w), math.cos(w)
+    return math.sqrt(max((m - c) * (m + c), 0.0)) / m, min(c / m, 1.0)
+
+
+def _closed_turn(k, E, c, m, mp, sw, cw):
+    """G(inf) - G(r): the turn integral from r on to infinity where K is
+    the constant k <= 0 and m rises, in closed form.
+
+    E = m'^2 + k m^2 is constant there, and the caller passes the one
+    value its stretch started with; m and mp are m(r) and m'(r), (sw,
+    cw) is (sin w, cos w) for w = arccos(c / m(r)).  With F_c dr = dw /
+    m' and m' = sqrt(E - k c^2 / cos^2 w), G is atan(sqrt(E) t) /
+    sqrt(E) for E > 0, atanh (or acoth) of sqrt(-E) t over sqrt(-E)
+    for E < 0, and t for E = 0, where t = tan w / m' tends to 1 / (c
+    sqrt(-k)) (k < 0) or to infinity (k = 0).  By the addition theorem
+    G(inf) - G(r) is the same function of D = cos w / (sqrt(-k) m + m'
+    sin w), a sum of nonnegative terms; for k = 0 this is asin(c / m) /
+    m'.  Returns (value, error): the error is rounding only, 1e-14 (1 +
+    value), plus, for E < 0, what the rounding of 1 - sqrt(-E) D costs
+    where it cancels, near a tangency at the tail's minimum; the value is
+    inf when the integral diverges, which takes m' = 0 at the turning
+    circle.
+    """
+    den = math.sqrt(-k) * m + mp * sw
+    e = math.sqrt(abs(E))
+    if E > 0.0:
+        value = math.atan2(e * cw, den) / e
+        return value, 1e-14 * (1.0 + value)
+    if E == 0.0:
+        return cw / den, 1e-14 * (1.0 + cw / den)
+    # atanh(e D) = log1p(x) / 2, x = 2 e D / (1 - e D)
+    gap = den - e * cw
+    if not gap > 0.0:
+        return math.inf, 0.0
+    x = 2.0 * e * cw / gap
+    value = math.log1p(x) / (2.0 * e)
+    return value, 1e-14 * (1.0 + value) + 4.4e-16 * den / gap * x / (1.0 + x) / e
+
+
 def _tail(cert, hi, m_R, a_R, c, value, err):
     """Close an improper integral whose window part is value +- err: the
     tail beyond the window end hi, from the curvature's certificate."""
@@ -437,14 +518,15 @@ def _tail(cert, hi, m_R, a_R, c, value, err):
                 return IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TAIL)
             # slope may still recover (K <= 0), but nothing is certified
             return IntegralResult(max(value, 0.0), err, STATUS_WINDOW_LIMITED)
+        # the tail if m stayed linear beyond the window: asin(c / m_R) / a_R
+        linear, linear_err = _closed_turn(0.0, a_R * a_R, c, m_R, a_R, *_sin_cos(c, m_R))
         if cert[0] == "zero":
             # m is exactly linear beyond the window: closed-form tail
-            tail = math.asin(min(c / m_R, 1.0)) / a_R
-            value += tail
-            err += 1e-14 * (1.0 + tail)
+            value += linear
+            err += linear_err
         else:
             # m grows at least linearly (m'' = -K m >= 0): bracket the tail
-            bound = math.asin(min(c / m_R, 1.0)) / a_R
+            bound = linear
             if m_R >= math.sqrt(2.0) * c:
                 bound = min(bound, math.sqrt(2.0) * c / (a_R * m_R))
             value += bound / 2.0
