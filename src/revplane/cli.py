@@ -5,7 +5,8 @@ as JSON (--spec, as written by `plane build`, `cone`, or `example`),
 solves it on [0, --r-max], and prints a JSON result on stdout.  Failures
 print a JSON object on stderr and exit with:
 
-    2   invalid input (bad parameters, malformed spec, out-of-window)
+    2   invalid input (bad parameters, malformed spec, out-of-window, or
+        a profile that overflows in the window)
     3   the profile vanishes at finite radius (not a plane)
     4   the requested quantity is window-limited
     5   the comparison cannot be certified at the working tolerance
@@ -46,7 +47,7 @@ def _load_spec(path):
 
 def _solve(args):
     spec = _load_spec(args.spec)
-    return jacobi.solve_jacobi(spec, r_max=args.r_max, tol=args.tol)
+    return jacobi.solve_jacobi(spec, r_max=args.r_max)
 
 
 def _write_spec(spec, path):
@@ -74,7 +75,7 @@ def _cmd_plane_build(args):
     _write_spec(spec, args.output)
     out = {"spec": args.output, "kind": spec.kind}
     if args.profile_csv:
-        prof = jacobi.solve_jacobi(spec, r_max=args.r_max, tol=args.tol)
+        prof = jacobi.solve_jacobi(spec, r_max=args.r_max)
         jacobi.export_profile_csv(prof, args.profile_csv)
         out["profile_csv"] = args.profile_csv
         out["r_max"] = prof.r_max
@@ -223,8 +224,6 @@ def build_parser():
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("--r-max", type=float, default=200.0,
                         help="solve window (default 200)")
-    window.add_argument("--tol", type=float, default=1e-10,
-                        help="profile solve tolerance")
 
     onspec = argparse.ArgumentParser(add_help=False, parents=[window])
     onspec.add_argument("--spec", required=True, help="curvature spec JSON")
@@ -346,7 +345,7 @@ def main(argv=None):
         return _fail(2, "out_of_window", message=str(exc))
     except (BuildError, ShootFailure) as exc:
         return _fail(2, "invalid_input", message=str(exc))
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError, KeyError) as exc:
         return _fail(2, "invalid_input", message=str(exc))
 
 

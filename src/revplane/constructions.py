@@ -92,15 +92,15 @@ def isq_state(u, r):
     return m, mp
 
 
-def build_smoothed_cone(s, tail=60.0, tol=1e-10):
+def build_smoothed_cone(s, tail=60.0):
     """Plane with K >= 0 non-increasing, K = 0 beyond rho, slope s.
 
     The inverse-square family 1/(4(r+1)^2) - u crosses zero at
     z = 1/(2 sqrt u) - 1; capping it smoothly to zero on [z - eps, z + eps],
     eps = min(0.1, z/10), leaves the profile linear beyond with some slope
     sigma(z), decreasing in z.  brentq on z tunes sigma to s.  A trial
-    takes the closed-form isq(u) state at z - eps (isq_state) and solves
-    the blend alone, as solve_jacobi solves that stretch; the built profile
+    takes the closed-form isq(u) state at z - eps (isq_state) and runs
+    the series over the blend alone, as solve_jacobi does; the built profile
     is one solve_jacobi call, whose slope beyond rho (ConeBuild.slope) must
     then hit s within SLOPE_TOL.  s = 1 degenerates to the flat plane.
 
@@ -118,7 +118,7 @@ def build_smoothed_cone(s, tail=60.0, tol=1e-10):
         raise BuildError(f"tail must be finite and positive, got {tail}")
     if s == 1.0:
         spec = cv.constant(0.0)
-        prof = jacobi.solve_jacobi(spec, r_max=tail, tol=tol)
+        prof = jacobi.solve_jacobi(spec, r_max=tail)
         return ConeBuild(prof, spec, u=0.0, z=0.0, eps=0.0, rho=0.0, slope=1.0)
 
     def capped(z):
@@ -129,7 +129,7 @@ def build_smoothed_cone(s, tail=60.0, tol=1e-10):
         spec = capped(z)
         a, b = spec.joins()
         u = spec.params["u"]
-        return jacobi.solve_stretch(spec, a, b, isq_state(u, a), tol).y[1, -1] - s
+        return jacobi.series_stretch(spec, a, b, isq_state(u, a))[3][1] - s
 
     y = -special.lambertw(-s / math.e, -1).real / s
     lo = hi = y * y - 1.0
@@ -140,7 +140,7 @@ def build_smoothed_cone(s, tail=60.0, tol=1e-10):
     if not (lo > 0.0 and f(lo) > 0.0 >= f(hi)):
         if 1.0 - s <= SLOPE_TOL:
             # 1 - s is below a trial's rounding: the flat plane meets s
-            return build_smoothed_cone(1.0, tail, tol)
+            return build_smoothed_cone(1.0, tail)
         raise BuildError(f"could not bracket the slope {s} in the capped family")
     z_star = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=100)
 
@@ -149,7 +149,7 @@ def build_smoothed_cone(s, tail=60.0, tol=1e-10):
         raise BuildError("curvature cap lost monotonicity")
     u, eps = spec.params["u"], spec.params["eps"]
     rho = spec.joins()[1]
-    prof = jacobi.solve_jacobi(spec, r_max=rho + tail, tol=tol)
+    prof = jacobi.solve_jacobi(spec, r_max=rho + tail)
     achieved = prof.mp(rho)
     if abs(achieved - s) > SLOPE_TOL:
         raise BuildError(
@@ -160,7 +160,7 @@ def build_smoothed_cone(s, tail=60.0, tol=1e-10):
                      slope=achieved)
 
 
-def build_bulge_plane(a=3 * math.pi / 4, mu=8.0, w=0.25, r_max=50.0, tol=1e-10):
+def build_bulge_plane(a=3 * math.pi / 4, mu=8.0, w=0.25, r_max=50.0):
     """Spherical bulge out to a, then a drop of depth mu over width w.
 
     Requires a in (pi/2, pi) so the slope m' = cos r has already turned
@@ -173,7 +173,7 @@ def build_bulge_plane(a=3 * math.pi / 4, mu=8.0, w=0.25, r_max=50.0, tol=1e-10):
         raise BuildError(f"bulge extent a must lie in (pi/2, pi), got {a}")
     spec = cv.spliced(cv.constant(1.0), a, cv.DropParams(mu, w))
     try:
-        prof = jacobi.solve_jacobi(spec, r_max=r_max, tol=tol)
+        prof = jacobi.solve_jacobi(spec, r_max=r_max)
     except StarViolation as exc:
         raise BuildError(
             f"profile vanishes at r = {exc.first_zero:.6g}: the drop "
@@ -184,7 +184,7 @@ def build_bulge_plane(a=3 * math.pi / 4, mu=8.0, w=0.25, r_max=50.0, tol=1e-10):
 
 
 def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
-                      tail=40.0, tol=1e-10):
+                      tail=40.0):
     """Positive-slope plane whose critical set is disconnected.
 
     Starts from a smoothed cone (slope s_base, finite critical ball),
@@ -205,7 +205,7 @@ def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
 
     if rq_factor <= 1.0:
         raise BuildError("rq_factor must exceed 1 (the point must be non-critical)")
-    base = build_smoothed_cone(s_base, tol=tol)
+    base = build_smoothed_cone(s_base)
     r_crit = critical_ball_radius(base.profile)
     if not 0.0 < r_crit < math.inf:
         raise BuildError(
@@ -229,7 +229,7 @@ def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
     R = max(R, r_q + 1.0, base.rho + 1.0)
 
     spec = cv.spliced(base.spec, R, cv.DropParams(mu, w))
-    prof = jacobi.solve_jacobi(spec, r_max=R + tail, tol=tol)
+    prof = jacobi.solve_jacobi(spec, r_max=R + tail)
     # the smallest slope sits at an end or where m'' = 0
     min_slope = float(np.min(prof.mp(np.r_[0.0, prof.r_max,
                                            prof.roots(2, 0.0, 0.0, prof.r_max)])))
@@ -239,11 +239,11 @@ def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
                       base_critical_radius=float(r_crit), base=base)
 
 
-def build_bounded_table_plane(r_max=60.0, n=1201, tol=1e-10):
+def build_bounded_table_plane(r_max=60.0, n=1201):
     """Table-sampled curvature 3/(1+r^2)^2: its profile is r/sqrt(1+r^2),
     which stays below 1, so the inverse-square radial integral diverges."""
     r = np.linspace(0.0, r_max, n)
     K = 3.0 / (1.0 + r * r) ** 2
     spec = cv.table(r, K, extrapolate="constant")
-    prof = jacobi.solve_jacobi(spec, r_max=r_max, tol=tol)
+    prof = jacobi.solve_jacobi(spec, r_max=r_max)
     return TableBuild(prof, spec)

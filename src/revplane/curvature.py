@@ -19,20 +19,22 @@ round-trip bit-exactly.  Every kind is decided von Mangoldt (K
 non-increasing) or not exactly, by check_von_mangoldt.
 """
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BPoly, PchipInterpolator
+from scipy.interpolate import BPoly, PchipInterpolator, PPoly
 
 from .errors import OutOfWindow
 
 _BUILTIN_KINDS = ("constant", "isq", "isq_capped", "spliced", "table")
 
 _Poly = np.polynomial.Polynomial
-# the smoothstep's slope 30 t^2 (1 - t)^2
-_SMOOTHSTEP_SLOPE = _Poly([0.0, 0.0, 30.0, -60.0, 30.0])
+# the smoothstep 10 t^3 - 15 t^4 + 6 t^5 and its slope 30 t^2 (1 - t)^2
+_SMOOTHSTEP = _Poly([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
+_SMOOTHSTEP_SLOPE = _SMOOTHSTEP.deriv()
 
 
 def isq_zero(u):
@@ -61,15 +63,32 @@ class DropParams:
     w: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"drop depth mu must be > 0, got {self.mu}")
-        if not self.w > 0:
-            raise ValueError(f"drop width w must be > 0, got {self.w}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"drop depth mu must be finite and > 0, got {self.mu}")
+        if not 0 < self.w < math.inf:
+            raise ValueError(f"drop width w must be finite and > 0, got {self.w}")
 
 
 def _isq_value(r, u):
     r = np.asarray(r, dtype=float)
     return 0.25 / (r + 1.0) ** 2 - u
+
+
+def _shift(coefs, d):
+    """p(d + t) in powers of t for p(s) = sum_n coefs[n] s^n, both lowest
+    first: Horner's scheme, q <- q (d + t) + coefs[n] from the top down."""
+    q = []
+    for c in reversed(coefs):
+        q = [d * a + b for a, b in zip(q + [0.0], [c] + q)]
+    return q
+
+
+def _isq_taylor(r, u, n):
+    """The first n Taylor coefficients at r of 1/(4(r+1)^2) - u."""
+    x = r + 1.0
+    out = [0.25 * (j + 1) * (-1.0 / x) ** j / (x * x) for j in range(n)]
+    out[0] -= u
+    return out
 
 
 class CurvatureSpec:
@@ -84,6 +103,8 @@ class CurvatureSpec:
         self._blend = None
         if kind == "isq_capped":
             self._blend = self._make_blend()
+            # the blend in powers of r - (z - eps), lowest first
+            self._blend_coefs = PPoly.from_bernstein_basis(self._blend).c[::-1, 0].tolist()
         if kind == "table":
             r = np.asarray(self.params["r"], dtype=float)
             K = np.asarray(self.params["K"], dtype=float)
@@ -95,6 +116,8 @@ class CurvatureSpec:
         p = self.params
         if self.kind == "constant":
             p["k"] = float(p["k"])
+            if not math.isfinite(p["k"]):
+                raise ValueError(f"constant curvature k must be finite, got {p['k']}")
         elif self.kind == "isq":
             u = float(p["u"])
             if not 0.0 <= u <= 0.25:
@@ -115,8 +138,8 @@ class CurvatureSpec:
                 base = CurvatureSpec(base["kind"], base["params"])
             p["base"] = base
             p["r0"] = float(p["r0"])
-            if p["r0"] < 0:
-                raise ValueError("splice radius r0 must be >= 0")
+            if not 0 <= p["r0"] < math.inf:
+                raise ValueError(f"splice radius r0 must be finite and >= 0, got {p['r0']}")
             drop = p["drop"]
             if not isinstance(drop, DropParams):
                 drop = DropParams(float(drop["mu"]), float(drop["w"]))
@@ -163,16 +186,15 @@ class CurvatureSpec:
         return math.inf
 
     def joins(self):
-        """Sorted radii where K is only finitely smooth: z-eps and z+eps
-        for isq_capped, where the C^2 blend meets the isq part and zero;
-        for spliced, the base's joins plus r0 and r0+w, the ends of the
-        C^2 drop; none for constant, isq and table.
+        """Sorted radii where K is not analytic: z-eps and z+eps for
+        isq_capped, where the C^2 blend meets the isq part and zero; a
+        table's knots up to where its values turn constant (its PCHIP
+        cubics meet there, and past its last knot the constant
+        extrapolation); for spliced, the base's joins plus r0 and r0+w,
+        the ends of the C^2 drop; none for constant and isq.
 
-        The Jacobi solve restarts its integrator at each join: its
-        step-size control assumes a smooth right-hand side.  A table's
-        PCHIP knots (where K' has a kink) are deliberately not restart
-        points: a table has one per sample, often hundreds, and a
-        solver pass per cell would cost more than the error it removes.
+        The Jacobi solve restarts its series at each join: K's Taylor
+        series there (taylor) is that of the piece starting at it.
         """
         p = self.params
         if self.kind == "isq_capped":
@@ -181,7 +203,55 @@ class CurvatureSpec:
         if self.kind == "spliced":
             r0, w = p["r0"], p["drop"].w
             return tuple(sorted({*p["base"].joins(), r0, r0 + w}))
+        if self.kind == "table":
+            return tuple(r for r in p["r"][:self._flat_from() + 1] if r > 0.0)
         return ()
+
+    def _flat_from(self):
+        """A table's first knot index from which every value equals the
+        last: PCHIP is exactly that constant from there on."""
+        K = self.params["K"]
+        i = len(K) - 1
+        while i > 0 and K[i - 1] == K[-1]:
+            i -= 1
+        return i
+
+    def taylor(self, r, n):
+        """K's first n Taylor coefficients at r, lowest power first, for
+        the analytic piece of K that starts at r (the one on [r, next
+        join)): k for constant; the isq term; for isq_capped the isq term
+        below z-eps, the blend's quintic on the cap and 0 beyond; a
+        table's PCHIP cubic of the cell, or its end value where it
+        extrapolates as a constant; for spliced the base's plus the
+        drop's smoothstep polynomial."""
+        p = self.params
+        if self.kind == "constant":
+            coefs = [p["k"]]
+        elif self.kind == "isq" or (self.kind == "isq_capped" and r < self._blend.x[0]):
+            coefs = _isq_taylor(r, p["u"], n)
+        elif self.kind == "isq_capped":
+            a, b = self._blend.x
+            coefs = _shift(self._blend_coefs, r - a) if r < b else []
+        elif self.kind == "spliced":
+            coefs = p["base"].taylor(r, n)
+            r0, drop = p["r0"], p["drop"]
+            if r >= r0:
+                # S((r - r0 + t) / w), and 1 beyond the drop
+                step = _shift(_SMOOTHSTEP.coef, (r - r0) / drop.w) if r < r0 + drop.w else [1.0]
+                for j, c in enumerate(step[:n]):
+                    coefs[j] -= drop.mu * c / drop.w**j
+        else:
+            knots = p["r"]
+            i = bisect.bisect_right(knots, r) - 1
+            if 0 <= i < len(knots) - 1 or (r == knots[-1] and p["extrapolate"] == "none"):
+                i = min(i, len(knots) - 2)
+                coefs = _shift(self._interp.c[::-1, i].tolist(), r - knots[i])
+            elif p["extrapolate"] == "constant":
+                coefs = [p["K"][0] if i < 0 else p["K"][-1]]
+            else:
+                raise OutOfWindow(f"r = {r:.6g} outside table range "
+                                  f"[{knots[0]:.6g}, {knots[-1]:.6g}]")
+        return (coefs + [0.0] * n)[:n]
 
     def evaluate(self, r):
         """K(r); accepts scalars or arrays, r >= 0 required."""
@@ -243,6 +313,8 @@ class CurvatureSpec:
                 return None
             r_c, v = base_cb
             return max(r_c, p["r0"] + p["drop"].w), v - p["drop"].mu
+        if self.kind == "table" and p["extrapolate"] == "constant":
+            return p["r"][self._flat_from()], p["K"][-1]
         return None
 
     def constant_on(self, lo, hi):

@@ -6,30 +6,28 @@ initial value problem
     m'' + K(r) m = 0,   m(0) = 0,   m'(0) = 1,
 
 and the plane is smooth and complete iff m stays positive for r > 0.
-This module solves that IVP stretch by stretch -- in closed form where K
-is constant, with DOP853 dense output where it varies -- watches for a
-zero of m (raising StarViolation with the root: exact in a constant
-stretch, located in a solved one), and provides the profile queries
-everything else is built on: pointwise m and m' from two
-piecewise polynomials, their exact roots (the landmarks), the extrema of
-m and the first or last radius where m reaches a level, comparison of two
-profiles (Sturm), the embedding profile in Euclidean 3-space, and the
-slope at infinity.
+This module solves that IVP stretch by stretch from r = 0 -- in closed
+form where K is constant, by the Taylor series of m where it varies --
+watches for a zero of m (raising StarViolation with the root: exact in a
+constant stretch, the root of its piece in a series one), and provides
+the profile queries everything else is built on: pointwise m and m' from
+two piecewise polynomials, their exact roots (the landmarks), the
+extrema of m and the first or last radius where m reaches a level,
+comparison of two profiles (Sturm), the embedding profile in Euclidean
+3-space, and the slope at infinity.
 """
 
 import bisect
 import csv
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import PPoly
 
 from .errors import OutOfWindow, StarViolation
-
-# below this radius the truncated Taylor seed is more accurate than the ODE
-SEED_RADIUS = 1e-6
 
 # slopes at r_max and r_max/2 further apart than this: the limit is not reached
 SLOPE_SPREAD_TOL = 1e-6
@@ -39,10 +37,11 @@ class Profile:
     """The warping function m of one curvature spec on [0, r_max].
 
     m and mp are piecewise polynomials (scipy PPoly) of degree 7 for m
-    and m' on the window: the Taylor seed, then Hermite pieces of the
-    exact solution where K is constant and the DOP853 steps of the Jacobi
-    solve where it varies.  Landmarks and levels are their exact roots;
-    no profile query samples a grid.
+    and m' on the window: Hermite pieces through the jets of the exact
+    solution where K is constant, and of m's Taylor series on each cell
+    where it varies, within 1e-13 of m (and of m') on each cell
+    (solve_jacobi).  Landmarks and levels are their exact roots; no
+    profile query samples a grid.
 
     tail is (r_a, k, E) when K is the constant k <= 0 from r_a on and m
     rises there (m' > 0 beyond r_a), E = m'^2 + k m^2 being the
@@ -51,13 +50,12 @@ class Profile:
     hand, or when no such tail starts in the window.
     """
 
-    def __init__(self, spec, m, mp, r_max, tol, tail=None):
+    def __init__(self, spec, m, mp, r_max, tail=None):
         self.spec = spec
         self.tail = tail
         self._m_pp = m
         self._mp_pp = mp
         self.r_max = float(r_max)
-        self.tol = float(tol)
         # the breakpoints as a list: bisection on it costs what a scalar does
         self._breaks = m.x.tolist()
         # each piece's value at its left end, and (filled as the level
@@ -95,12 +93,21 @@ class Profile:
         equals level.
 
         m'' is the derivative of the m' pieces.  A piece that equals the
-        level throughout contributes its left end.
+        level throughout contributes its left end.  Only pieces whose
+        left-end value lies within reach of the level (twice the sum of
+        their other terms' sizes over the piece) are solved.
         """
         pp = self._m_pp if order == 0 else self._mp_pp
         if order == 2:
             pp = pp.derivative()
-        r = pp.solve(level, extrapolate=False)
+        c, x = pp.c, pp.x
+        reach = np.abs(c[:-1]) * np.diff(x) ** np.arange(len(c) - 1, 0, -1)[:, None]
+        near = (np.abs(c[-1] - level) <= 2.0 * reach.sum(axis=0)) & (x[1:] >= lo) & (x[:-1] <= hi)
+        # each run of neighbouring candidates is solved as one PPoly
+        runs = np.flatnonzero(np.diff(np.r_[0, near, 0]))
+        r = np.concatenate([np.empty(0)] + [
+            PPoly(c[:, i:j], x[i:j + 1]).solve(level, extrapolate=False)
+            for i, j in zip(runs[::2], runs[1::2])])
         return np.sort(r[(lo <= r) & (r <= hi)])
 
     @property
@@ -221,54 +228,46 @@ def _neg(x):
     return -x
 
 
-def solve_jacobi(spec, r_max=200.0, tol=1e-10):
+def solve_jacobi(spec, r_max=200.0):
     """Integrate m'' + K m = 0, m(0)=0, m'(0)=1 on [0, r_max].
 
-    Returns a Profile whose pieces are the Taylor seed on [0, SEED_RADIUS]
-    and then, stretch by stretch between the curvature's joins
-    (spec.joins()), each from the state the previous one ends in:
-    where K is one constant (spec.constant_on), degree-7 Hermite pieces
-    of the exact solution (_constant_stretch); elsewhere the DOP853 dense
-    output of each step of one solver pass (solve_stretch).  Raises
-    StarViolation when m vanishes at some r > 0; the exception carries
-    that first zero, exact in a constant stretch and located to better
-    than 1e-10 in a solved one.  When the last stretch lies on the
-    constant_beyond() tail with k <= 0, the profile records where m
-    rises on it (Profile.tail, from _rising_tail).  The window is
-    clipped to the curvature's declared domain and must be finite after
-    that (ValueError otherwise).
+    Returns a Profile built stretch by stretch between the curvature's
+    joins (spec.joins()), each from the state the previous one ends in,
+    starting at r = 0 itself: where K is one constant (spec.constant_on)
+    from the exact solution (_constant_stretch), elsewhere from the
+    Taylor series of m on each cell (series_stretch).  Either way the
+    pieces are degree-7 Hermite interpolants through jets of m and m'
+    (_hermite).  Raises StarViolation when m vanishes at some r > 0, with
+    that first zero: exact in a constant stretch, the root of its piece
+    in a series one; OverflowError when m overflows.  When the last
+    stretch lies on the constant_beyond() tail with k <= 0, the profile
+    records where m rises on it (Profile.tail, from _rising_tail).  The
+    window is clipped to the curvature's declared domain and must be
+    finite after that (ValueError otherwise).
     """
-    if not (1e-14 < tol < 1e-3):
-        raise ValueError(f"tol must lie in (1e-14, 1e-3), got {tol}")
-    if not r_max > SEED_RADIUS:
-        raise ValueError(f"r_max must exceed {SEED_RADIUS}")
+    if not r_max > 0.0:
+        raise ValueError(f"r_max must be positive, got {r_max}")
     r_max = min(float(r_max), spec.domain_hi)
     if not math.isfinite(r_max):
         raise ValueError(f"r_max must be finite, got {r_max}")
 
-    k0 = spec.evaluate(0.0)
-    h0 = SEED_RADIUS
-    y = [h0 - k0 * h0**3 / 6.0, 1.0 - k0 * h0**2 / 2.0]
-    # powers of r, highest first, on [0, h0]
-    seed = np.zeros((8, 1, 2))
-    seed[6, 0, 0], seed[4, 0, 0] = 1.0, -k0 / 6.0  # m = r - k0 r^3 / 6
-    seed[7, 0, 1], seed[5, 0, 1] = 1.0, -k0 / 2.0  # m' = 1 - k0 r^2 / 2
-    xs, cs = [[0.0, h0]], [seed]
-    ends = [h0, *(r for r in spec.joins() if h0 < r < r_max), r_max]
-    tail, cb = None, spec.constant_beyond()
+    ends = [0.0, *(r for r in spec.joins() if 0.0 < r < r_max), r_max]
+    y, tail, cb = (0.0, 1.0), None, spec.constant_beyond()
+    xs, lefts, rights = [np.zeros(1)], [], []
     for a, b in zip(ends, ends[1:]):
         k = spec.constant_on(a, b)
         if k is None:
-            x, c, y = _step_pieces(solve_stretch(spec, a, b, y, tol))
+            x, left, right, y = series_stretch(spec, a, b, y)
         else:
             if k <= 0.0 and a >= cb[0]:
                 tail = _rising_tail(k, a, b, y)
-            x, c, y = _constant_stretch(k, a, b, y)
-        xs.append(x)
-        cs.append(c)
+            x, left, right, y = _constant_stretch(k, a, b, y)
+        xs.append(x[1:])
+        lefts += left
+        rights += right
     x = np.concatenate(xs)
-    c = np.concatenate(cs, axis=1)
-    return Profile(spec, PPoly(c[..., 0], x), PPoly(c[..., 1], x), r_max, tol, tail)
+    c = _hermite(x, _jets(lefts), _jets(rights))
+    return Profile(spec, PPoly(c[..., 0], x), PPoly(c[..., 1], x), r_max, tail)
 
 
 def _rising_tail(k, lo, hi, y0):
@@ -290,26 +289,6 @@ def _rising_tail(k, lo, hi, y0):
     return r_a, k, mp0 * mp0 + k * m0 * m0
 
 
-def _step_pieces(sol):
-    """A solver pass's steps as pieces: (the step ends after the first,
-    coefficients (8, step, row) in powers of r - t_old, highest first,
-    the state at the end)."""
-    steps = sol.sol.interpolants
-    h = np.array([s.h for s in steps])
-    F = np.array([s.F for s in steps])  # (step, 7, row)
-    # each step's dense output y_old + x (F0 + (1 - x)(F1 + x (F2 + ...)))
-    # in x = (r - t_old) / h, expanded from the inside out into powers of
-    # x, lowest first: p[k, step, row]
-    p = np.zeros((8, len(steps), 2))
-    for j in range(6, -1, -1):
-        p[0] += F[:, j]
-        x_p = np.roll(p, 1, axis=0)  # x * p: the top power is still 0
-        p = x_p if j % 2 == 0 else p - x_p
-    p[0] += np.array([s.y_old for s in steps])
-    c = p[::-1] / h[:, None] ** np.arange(7, -1, -1)[:, None, None]
-    return sol.sol.ts[1:], c, sol.y[:, -1]
-
-
 # the widest cell, in q (r - lo), on which the degree-7 Hermite remainder
 # (h/2)^8 / 8! max|m^(8)| = (h/2)^8 / 8! k^4 max|m| stays below 1e-16 max|m|
 _CELL = 2.0 * (math.factorial(8) * 1e-16) ** 0.125
@@ -322,18 +301,30 @@ _HERMITE = np.array([[35, -15, 5, -1], [-84, 39, -14, 3], [70, -34, 13, -3],
                      [-20, 10, -4, 1]], dtype=float)
 
 
+def _hermite(x, left, right):
+    """The pieces of m and m' on the cells [x_i, x_i+1]: degree-7
+    Hermite interpolants through the jets (f, f', f''/2, f'''/6) of
+    f = m and f = m' at each cell's left and right ends, given as
+    (order, cell, row) arrays, row 0 for m and 1 for m'.  Returns
+    coefficients (8, cell, row) in powers of r - x_i, highest first."""
+    # in s = (r - x_i) / h the coefficients scale by h^power
+    scale = (np.diff(x) ** np.arange(8)[:, None])[..., None]
+    low = left * scale[:4]
+    top = np.tensordot(_HERMITE, right * scale[:4] - np.tensordot(_CARRY, low, 1), 1)
+    return np.concatenate([left, top / scale[4:]])[::-1]
+
+
 def _constant_stretch(k, lo, hi, y0):
-    """The pieces of m and m' on [lo, hi], where K is the constant k, in
-    closed form; returned as _step_pieces returns a solver pass's.
+    """The cells of [lo, hi], where K is the constant k, in closed form;
+    returned as series_stretch returns its cells.
 
     The exact solution through y0 = (m, m') at lo is m = m0 C + m0' S / q,
     q = sqrt|k|, with C, S = cos, sin (k > 0) or cosh, sinh (k < 0) of
-    q (r - lo), and m linear for k = 0 (one piece).  It is written as
-    degree-7 Hermite pieces through the exact jets of m (m, m', -k m,
-    -k m') and of m' (m', -k m, -k m', k^2 m) at uniform nodes, whose
-    spacing keeps the remainder below 1e-16 of max|m| on each cell.
-    Raises StarViolation at the exact first zero of m, and RuntimeError
-    when m overflows.
+    q (r - lo), and m linear for k = 0 (one cell).  Its exact jets of m
+    (m, m', -k m, -k m') and of m' (m', -k m, -k m', k^2 m) are taken at
+    uniform nodes, whose spacing keeps the Hermite remainder below 1e-16
+    of max|m| on each cell.  Raises StarViolation at the exact first
+    zero of m, and OverflowError when m overflows.
     """
     m0, mp0 = float(y0[0]), float(y0[1])
     q = math.sqrt(abs(k))
@@ -345,12 +336,10 @@ def _constant_stretch(k, lo, hi, y0):
         t_zero = -m0 / mp0 if mp0 < 0.0 else math.inf
     if lo + t_zero <= hi:
         raise StarViolation(lo + t_zero)
-    if k == 0.0:
-        c = np.zeros((8, 1, 2))
-        c[6, 0, 0], c[7, 0, 0], c[7, 0, 1] = mp0, m0, mp0
-        return np.array([hi]), c, (m0 + mp0 * (hi - lo), mp0)
 
     def exact(x):
+        if k == 0.0:
+            return m0 + mp0 * (x - lo), np.full_like(x, mp0)
         with np.errstate(over="ignore", invalid="ignore"):
             # r - lo as d + e, e its rounding (exact, since x >= lo):
             # C and S take e to first order
@@ -366,50 +355,100 @@ def _constant_stretch(k, lo, hi, y0):
 
     # without a zero, |m| and |m'| are largest at an end (m'' = -k m)
     if not np.all(np.isfinite(exact(np.array([hi])))):
-        raise RuntimeError(f"Jacobi integration failed: m overflows on [{lo:.6g}, {hi:.6g}] "
-                           f"under K = {k:.6g}")
+        raise OverflowError(f"m overflows on [{lo:.6g}, {hi:.6g}] under K = {k:.6g}")
     x = np.linspace(lo, hi, max(1, math.ceil(q * (hi - lo) / _CELL)) + 1)
     m, mp = exact(x)
-    # the jets of m and m' at the nodes, over n!: (order, node, row)
-    jet = np.stack([m, mp, -k * m, -k * mp, k * k * m])
-    d = np.stack([jet[:4], jet[1:]], axis=-1) / np.array([1, 1, 2, 6])[:, None, None]
-    # in s = (r - x_i) / h the coefficients scale by h^power
-    scale = (np.diff(x) ** np.arange(8)[:, None])[..., None]
-    low = d[:, :-1] * scale[:4]
-    top = np.tensordot(_HERMITE, d[:, 1:] * scale[:4] - np.tensordot(_CARRY, low, 1), 1)
-    c = np.concatenate([d[:, :-1], top / scale[4:]])[::-1]
-    return x[1:], c, (m[-1], mp[-1])
+    # m's first five Taylor coefficients at the nodes, from m'' = -k m
+    t = np.stack([m, mp, -k * m / 2, -k * mp / 6, k * k * m / 24], axis=1).tolist()
+    return x, t[:-1], t[1:], (m[-1], mp[-1])
 
 
-def solve_stretch(spec, lo, hi, y0, tol):
-    """One DOP853 pass of the Jacobi equation over [lo, hi] from the state
-    y0 = (m, m') at lo, with dense output; the pass solve_jacobi makes
-    on each stretch between joins.  Raises StarViolation at a zero of m."""
+# terms of a cell's Taylor series of m
+_TERMS = 20
+# the cell rule: on a cell of width h the Hermite remainder of m stays
+# below _CELL_TOL max(|m|, |m'| h), and that of m' below _CELL_TOL
+# max(|m'|, |m''| h), both read at the cell's left end
+_CELL_TOL = 1e-13
+# a series term a_n t^n, n >= 8, leaves at most |a_n| h^n C(n - 4, 4) / 4^4
+# of Hermite remainder on [0, h] (s^4 (1 - s)^4 <= 4^-4 times s^n's
+# divided difference, at most C(n - 4, 4)); term n gets 2^(7 - n) of the rule
+_WEIGHT = [math.comb(n - 4, 4) / 256 * 2.0 ** (n - 7) / _CELL_TOL if n >= 8 else 0.0
+           for n in range(_TERMS)]
+# binomial(n, j), for the series' Taylor coefficients at h
+_BINOM = [[math.comb(n, j) for n in range(_TERMS)] for j in range(5)]
 
-    def rhs(r, y):
-        return [y[1], -spec.evaluate(r) * y[0]]
 
-    def hit_zero(r, y):
-        return y[0]
+def _series(kc, m, mp):
+    """The Taylor coefficients of m at a node, lowest first: m'' = -K m
+    term by term, a_(n+2) = -sum_(j <= n) k_j a_(n-j) / ((n+2)(n+1)),
+    from m, m' there and K's coefficients kc there."""
+    while len(kc) > 1 and kc[-1] == 0.0:
+        kc.pop()
+    a = [m, mp]
+    for n in range(_TERMS - 2):
+        a.append(-sum(map(operator.mul, kc, a[n::-1])) / ((n + 2) * (n + 1)))
+    return a
 
-    hit_zero.terminal = True
-    hit_zero.direction = -1
 
-    sol = solve_ivp(
-        rhs,
-        (lo, hi),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-4,
-        dense_output=True,
-        events=hit_zero,
-    )
-    if not sol.success:
-        raise RuntimeError(f"Jacobi integration failed: {sol.message}")
-    if sol.t_events[0].size > 0:
-        raise StarViolation(sol.t_events[0][0])
-    return sol
+def _width(a):
+    """The widest cell the rule allows for the series a: each term of
+    degree n >= 8 of m and of m' within its share."""
+    h = math.inf
+    for n in range(8, _TERMS - 1):
+        for c, s0, s1 in ((abs(a[n]), abs(a[0]), abs(a[1])),
+                          ((n + 1) * abs(a[n + 1]), abs(a[1]), 2.0 * abs(a[2]))):
+            if c:
+                # the scale is max(s0, s1 h): either keeps the term in its share
+                h = min(h, max((s0 / c / _WEIGHT[n]) ** (1.0 / n),
+                               (s1 / c / _WEIGHT[n]) ** (1.0 / (n - 1))))
+    return h
+
+
+def series_stretch(spec, lo, hi, y0):
+    """The cells of [lo, hi], where K has no join inside, from the state
+    y0 = (m, m') at lo.
+
+    On each cell m is its Taylor series at the cell's left end
+    (_series, from spec.taylor); the cell is as wide as the cell rule
+    (_width) allows, and the series summed at its right end gives that
+    end's coefficients and the next cell's state.  Returns (nodes, m's
+    first five Taylor coefficients at each cell's left end, at its right
+    end, the state at hi).  Raises StarViolation at the root of the piece
+    where m changes sign, OverflowError when m overflows, and ValueError
+    when a cell rounds to nothing (K too large to resolve there).
+    """
+    x, m, mp = lo, float(y0[0]), float(y0[1])
+    xs, left, right = [lo], [], []
+    while x < hi:
+        a = _series(spec.taylor(x, _TERMS), m, mp)
+        if not math.isfinite(sum(map(abs, a))):
+            raise OverflowError(f"m overflows on [{lo:.6g}, {hi:.6g}] near r = {x:.6g}")
+        h = _width(a)
+        x_new = hi if h >= hi - x else x + h
+        if not x_new > x:
+            raise ValueError(f"curvature too large to resolve at r = {x:.6g}")
+        # the series' first five Taylor coefficients at the right end
+        h = x_new - x
+        t = [coef * h**n for n, coef in enumerate(a)]
+        end = [sum(map(operator.mul, _BINOM[j], t)) / h**j for j in range(5)]
+        xs.append(x_new)
+        left.append(a[:5])
+        right.append(end)
+        if end[0] <= 0.0:
+            # the zero is the first root of this cell's piece past x
+            cell = np.array([x, x_new])
+            c = _hermite(cell, _jets(left[-1:]), _jets(right[-1:]))
+            roots = PPoly(c[:, :, 0], cell).solve(0.0, extrapolate=False)
+            raise StarViolation(min(roots[roots > x], default=x_new))
+        x, m, mp = x_new, end[0], end[1]
+    return np.array(xs), left, right, (m, mp)
+
+
+def _jets(taylor):
+    """The jets _hermite takes, (order, point, row), from m's first five
+    Taylor coefficients at each point, (point, 5)."""
+    t = np.array(taylor)
+    return np.stack([t[:, :4], t[:, 1:] * [1.0, 2.0, 3.0, 4.0]], axis=-1).transpose(1, 0, 2)
 
 
 # --- Sturm comparison ----------------------------------------------------

@@ -124,17 +124,22 @@ def _gk15(f, a, b, k):
     return gk, np.abs(gk - g7)
 
 
-def _adaptive_gk(f, a, b, tol, initial, log_spaced=False):
+def _adaptive_gk(f, a, b, tol, initial, log_spaced=False, cuts=()):
     """Adaptive GK15 on the intervals [a_i, b_i] (a_i < b_i) together.
 
     f(x, k) evaluates integrand k_j at row j of x, the nodes of one
     panel.  Integral i starts from `initial` equal panels (geometric ones
-    when log_spaced and b_i / a_i > 10) and splits every panel whose
-    error estimate exceeds tol_i over twice its panel count, until its
-    summed estimate drops below tol_i or it holds MAX_PANELS panels, for
-    at most 48 rounds; each round calls f once, on the new panels of all
-    integrals still refining.  Sums run over each integral's panels in
-    order, so its panels and sums do not depend on the others.  Returns
+    when log_spaced and b_i / a_i > 10).  Each of cuts[i], fewer than
+    `initial` sorted radii inside (a_i, b_i) where the integrand is only
+    finitely smooth, takes the place of its own inner edge: the nearest,
+    or the next one up where an earlier cut took that (down from the
+    last edge where none is left above), so no panel straddles one and
+    the panel count stays.  It splits every panel whose error estimate
+    exceeds tol_i over twice its panel count, until its summed estimate
+    drops below tol_i or it holds MAX_PANELS panels, for at most 48
+    rounds; each round calls f once, on the new panels of all integrals
+    still refining.  Sums run over each integral's panels in order, so
+    its panels and sums do not depend on the others.  Returns
     per-integral (values, error estimates).
     """
     n = len(a)
@@ -145,6 +150,18 @@ def _adaptive_gk(f, a, b, tol, initial, log_spaced=False):
         if geo.any():
             edges[geo] = a[geo, None] * (b[geo] / a[geo])[:, None] ** t
     edges[:, -1] = b
+    for i, row in enumerate(cuts):
+        if row:
+            inner, at = edges[i, 1:-1], []
+            for x in row:
+                j = bisect.bisect_left(inner, x)
+                if j == len(inner) or (j and x - inner[j - 1] < inner[j] - x):
+                    j -= 1
+                at.append(max(j, at[-1] + 1) if at else j)
+            for q, (j, x) in enumerate(zip(at, row)):
+                inner[min(j, len(inner) - len(at) + q)] = x
+            if len(row) > 1:  # one cut on its nearest edge keeps the order
+                inner.sort()
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     k = np.repeat(np.arange(n), initial)
     vals, errs = _gk15(f, lo, hi, k)
@@ -198,35 +215,33 @@ def _invert_m(profile, targets, r_lo, r_hi, r):
     return r, mp_r
 
 
-def _inverse_seed(knots):
+def _inverse_seed(m, r, s, k):
     """Cubic Hermite interpolants of r(m), one per integral.
 
-    knots[k] lists integral k's knots (m, r, dr/dm) in rising m.
-    Returns seed(t, k): integral k's interpolant at the levels t,
-    extrapolated past its end knots.
+    The knots (m, r, dr/dm) of all integrals in turn, each integral's
+    (at least two) in rising m; k[i] is knot i's integral.  Returns
+    seed(t, k): integral k's interpolant at the levels t, extrapolated
+    past its end knots.
     """
     # complex numbers order by real part, then imaginary part: the number
     # of keys k + 1j m at or below k + 1j t counts the knots of the
-    # integrals before k and those of k up to t.  Integral k owns one
-    # row per knot plus one, so adding k gives the row of t: the
-    # polynomial, in d = t - m_i, of the interval of knots i and i + 1
-    # that holds t, or of the end interval beyond either end knot
-    keys, rows = [], []
-    for k, pts in enumerate(knots):
-        keys += [complex(k, m) for m, _, _ in pts]
-        polys = []
-        for (m0, r0, s0), (m1, r1, s1) in zip(pts, pts[1:]):
-            h = m1 - m0 if m1 > m0 else math.inf
-            slope = (r1 - r0) / h
-            polys.append((m0, r0, s0, (3.0 * slope - 2.0 * s0 - s1) / h,
-                          (s0 + s1 - 2.0 * slope) / (h * h)))
-        rows += [polys[0]] + polys + [polys[-1]]
-    keys, rows = np.array(keys), np.array(rows)
+    # integrals before k and those of k up to t
+    keys = k + 1j * m
+    first = np.searchsorted(k, np.arange(k[-1] + 2))
+    # the cubic in d = t - m_i of each pair of neighbouring knots (a pair
+    # across two integrals is never used)
+    h = m[1:] - m[:-1]
+    h = np.where(h > 0.0, h, np.inf)
+    slope = (r[1:] - r[:-1]) / h
+    s0, s1 = s[:-1], s[1:]
+    c2, c3 = (3.0 * slope - 2.0 * s0 - s1) / h, (s0 + s1 - 2.0 * slope) / (h * h)
 
     def seed(t, k):
-        m_i, r_i, s_i, c2, c3 = rows[np.searchsorted(keys, k + 1j * t, side="right") + k].T
-        d = t - m_i
-        return r_i + d * (s_i + d * (c2 + d * c3))
+        # the pair that holds t, or the end pair beyond either end knot
+        i = np.searchsorted(keys, k + 1j * t, side="right") - 1
+        i = np.minimum(np.maximum(i, first[k]), first[k + 1] - 2)
+        d = t - m[i]
+        return r[i] + d * (s[i] + d * (c2[i] + d * c3[i]))
 
     return seed
 
@@ -300,6 +315,7 @@ def _integrate(profile, rows):
     ext = ext.tolist()
 
     heads, bodies = [], []  # (integral, w_lo, w_hi, r_cut, m_cut); (integral, from, to)
+    joins = profile.spec.joins()
     # integral: the closed part's start and (unless at infinity) end, as
     # (m, index of m' in mp_at, sin w, cos w)
     closed = {}
@@ -389,8 +405,14 @@ def _integrate(profile, rows):
             ck = bc[k][:, None]
             return ck / (m * np.sqrt(np.maximum((m - ck) * (m + ck), 1e-300)))
 
+        # K's joins inside a body, where m is only finitely smooth, are
+        # panel edges, unless a fine table puts more there than it has
+        cuts = []
+        for _, s, e in bodies:
+            j0, j1 = bisect.bisect_right(joins, s), bisect.bisect_left(joins, e)
+            cuts.append(joins[j0:j1] if j1 - j0 < 32 else ())
         body[at], body_err[at] = _adaptive_gk(f_r, start, end, tol[at] / 2.0, 32,
-                                              log_spaced=True)
+                                              log_spaced=True, cuts=cuts)
 
     cert = profile.spec.tail_certificate() if improper.any() else None
     for i, (h, h_err, x_err, b, b_err) in enumerate(zip(
@@ -427,13 +449,14 @@ def _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n):
         return head, head_err, cross_err
     # the knots of r(m): the start (where m may sit a rounding below c),
     # the profile's breakpoints, and the cut, with slopes 1 / m'
-    knots = []
-    for i, _, _, r_cut, m_cut, mp_cut in heads:
+    m, r, mp, k = [], [], [], []
+    for j, (i, _, _, r_cut, m_cut, mp_cut) in enumerate(heads):
         kr, km, kmp = profile.knots(r_lo[i], r_cut)
-        knots.append(list(zip([min(m_lo[i], c[i]), *km.tolist(), m_cut],
-                              [r_lo[i], *kr.tolist(), r_cut],
-                              [1.0 / max(mp, 1e-300) for mp in [mp_lo[i], *kmp.tolist(), mp_cut]])))
-    seed = _inverse_seed(knots)
+        m += [min(m_lo[i], c[i]), *km.tolist(), m_cut]
+        r += [r_lo[i], *kr.tolist(), r_cut]
+        mp += [mp_lo[i], *kmp.tolist(), mp_cut]
+        k += [j] * (kr.size + 2)
+    seed = _inverse_seed(np.array(m), np.array(r), 1.0 / np.maximum(mp, 1e-300), np.array(k))
     at, w_lo, w_hi, r_cut = np.array([h[:4] for h in heads]).T
     at = at.astype(int)
     hc, hlo = c[at], r_lo[at]

@@ -15,7 +15,7 @@ def linear_profile(a, b=0.0, r_max=50.0):
     under zero curvature: it takes the solved profiles' code path."""
     x = [0.0, r_max]
     return jacobi.Profile(cv.constant(0.0), PPoly(np.array([[a], [b]]), x),
-                          PPoly(np.array([[a]]), x), r_max, math.nan)
+                          PPoly(np.array([[a]]), x), r_max)
 
 
 def bump_profile(base, height, center, half_width, r_max=50.0):
@@ -29,7 +29,7 @@ def bump_profile(base, height, center, half_width, r_max=50.0):
     c[-1] = base
     c[:, 1] = bump
     mp = PPoly(c, [0.0, center - half_width, center + half_width, r_max])
-    return jacobi.Profile(cv.constant(0.0), mp.antiderivative(), mp, r_max, math.nan)
+    return jacobi.Profile(cv.constant(0.0), mp.antiderivative(), mp, r_max)
 
 
 def sine_profile(r_max=40.0):
@@ -40,8 +40,7 @@ def sine_profile(r_max=40.0):
     x = np.arange(math.ceil(r_max / (math.pi / 64)) + 1) * (math.pi / 64)
     m = PPoly.from_bernstein_basis(
         BPoly.from_derivatives(x, np.stack([2.0 + np.sin(x), np.cos(x), -np.sin(x)], axis=1)))
-    return jacobi.Profile(cv.table([0.0, r_max], [0.0, 0.0]), m, m.derivative(), r_max,
-                          math.nan)
+    return jacobi.Profile(cv.table([0.0, r_max], [0.0, 0.0]), m, m.derivative(), r_max)
 
 
 def flat_m(r):

@@ -9,12 +9,12 @@ from revplane import jacobi as jb
 
 @pytest.fixture(scope="session")
 def flat60():
-    return jb.solve_jacobi(cv.constant(0.0), r_max=60.0, tol=1e-10)
+    return jb.solve_jacobi(cv.constant(0.0), r_max=60.0)
 
 
 @pytest.fixture(scope="session")
 def hyp30():
-    return jb.solve_jacobi(cv.constant(-1.0), r_max=30.0, tol=1e-10)
+    return jb.solve_jacobi(cv.constant(-1.0), r_max=30.0)
 
 
 @pytest.fixture(scope="session")

@@ -26,18 +26,18 @@ def test_01_closed_form_profiles_and_star_violation():
     t0 = time.perf_counter()
     r = np.linspace(0.1, 10.0, 397)
 
-    flat = jb.solve_jacobi(cv.constant(0.0), r_max=12.0, tol=1e-10)
+    flat = jb.solve_jacobi(cv.constant(0.0), r_max=12.0)
     assert np.max(np.abs(flat.m(r) - r) / r) <= 1e-8
 
-    hyp = jb.solve_jacobi(cv.constant(-1.0), r_max=12.0, tol=1e-10)
+    hyp = jb.solve_jacobi(cv.constant(-1.0), r_max=12.0)
     assert np.max(np.abs(hyp.m(r) - np.sinh(r)) / np.sinh(r)) <= 1e-8
 
-    lg = jb.solve_jacobi(cv.isq(0.0), r_max=12.0, tol=1e-10)
+    lg = jb.solve_jacobi(cv.isq(0.0), r_max=12.0)
     exact = np.sqrt(r + 1.0) * np.log(r + 1.0)
     assert np.max(np.abs(lg.m(r) - exact) / exact) <= 1e-8
 
     with pytest.raises(StarViolation) as exc:
-        jb.solve_jacobi(cv.constant(1.0), r_max=10.0, tol=1e-10)
+        jb.solve_jacobi(cv.constant(1.0), r_max=10.0)
     assert abs(exc.value.first_zero - math.pi) <= 1e-8
 
     assert time.perf_counter() - t0 < 5.0
@@ -130,15 +130,15 @@ def test_08_curvature_comparison_ordering():
     for _ in range(10):
         k_hi = float(rng.uniform(-1.0, 0.0))
         k_lo = k_hi - float(rng.uniform(0.05, 1.0))
-        hi = jb.solve_jacobi(cv.constant(k_hi), r_max=10.0, tol=1e-10)
-        lo = jb.solve_jacobi(cv.constant(k_lo), r_max=10.0, tol=1e-10)
+        hi = jb.solve_jacobi(cv.constant(k_hi), r_max=10.0)
+        lo = jb.solve_jacobi(cv.constant(k_lo), r_max=10.0)
         rep = jb.sturm_compare(hi, lo)
         assert rep.curvature_ordered and rep.m_ordered and rep.mp_ordered
     for _ in range(10):
         u1 = float(rng.uniform(0.0, 0.1))
         u2 = u1 + float(rng.uniform(0.01, 0.1))
-        hi = jb.solve_jacobi(cv.isq(u1), r_max=10.0, tol=1e-10)
-        lo = jb.solve_jacobi(cv.isq(u2), r_max=10.0, tol=1e-10)
+        hi = jb.solve_jacobi(cv.isq(u1), r_max=10.0)
+        lo = jb.solve_jacobi(cv.isq(u2), r_max=10.0)
         rep = jb.sturm_compare(hi, lo)
         assert rep.curvature_ordered and rep.m_ordered and rep.mp_ordered
 
@@ -197,7 +197,7 @@ def test_11b_neck_exclusion_wide_window(cone03_long):
 def test_12_tangency_derivative_blowup():
     # as the launch tends to tangential, dT/dc * sqrt(c_q^2 - c^2)
     # approaches -1/m'(r_q)
-    p = jb.solve_jacobi(cv.isq(0.0), r_max=1e4, tol=1e-10)
+    p = jb.solve_jacobi(cv.isq(0.0), r_max=1e4)
     r_q = 1.0
     c_q = p.m(r_q)
     mp_q = p.mp(r_q)

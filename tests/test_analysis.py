@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from revplane import geodesics as gd
 from revplane import jacobi
 from revplane.errors import Undetermined
 
+import referee
 from closedforms import bump_profile, linear_profile
 
 
@@ -320,3 +322,59 @@ def test_neck_bound_on_cone_tail_reaches_and_misses(cone03_long):
     assert x <= f
     for r in np.linspace(x, f, 12):
         assert not an.is_critical(p, float(r))
+
+
+# --- tables with a constant tail ----------------------------------------------
+
+_TABLE_R = np.linspace(0.0, 12.0, 49)
+
+
+def _tangential_turn(m, r_c, r_q):
+    """The tangential turn angle from r_q on the referee's m (a function
+    of one radius, referee.dense): 20-point Gauss-Legendre on each cell
+    of the table below r_c, where K turns to 0 (on the first in s, r =
+    r_q + s^2, which takes out the integrand's inverse square root), plus
+    the exact linear tail asin(c / m(r_c)) / m'(r_c) beyond."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    c = m(r_q)
+    ends = [r_q, *(t for t in _TABLE_R.tolist() if r_q < t < r_c), r_c]
+    total = 0.0
+    for k, (a, b) in enumerate(zip(ends, ends[1:])):
+        if k == 0:
+            half = math.sqrt(b - a) / 2
+            for s, ws in zip(half * (x + 1), half * w):
+                mr = m(a + s * s)
+                total += float(ws * 2 * s * c / (mr * mpmath.sqrt((mr - c) * (mr + c))))
+        else:
+            for t, wt in zip((b - a) / 2 * (x + 1) + a, (b - a) / 2 * w):
+                mr = m(t)
+                total += float(wt * c / (mr * mpmath.sqrt((mr - c) * (mr + c))))
+    m_c = m(r_c)
+    mp_c = (m(r_c + 0.5) - m_c) / 0.5  # m is linear beyond r_c
+    return total + float(mpmath.asin(c / m_c) / mp_c)
+
+
+def test_table_with_a_constant_tail_closes_its_turn_angles():
+    # K = 0.3 (1 - r/6)^2 below 6 and 0 beyond, as a table to 12: the tail
+    # from r = 6 on is exact, so nothing is window-limited, and the
+    # critical ball is where the referee's turn angle is pi
+    K = np.where(_TABLE_R < 6.0, 0.3 * (1.0 - _TABLE_R / 6.0) ** 2, 0.0)
+    spec = cv.table(_TABLE_R, K, extrapolate="constant")
+    assert spec.constant_beyond() == (6.0, 0.0)
+    p = jacobi.solve_jacobi(spec, r_max=120.0)
+    assert p.tail[:2] == (6.0, 0.0)
+    assert set(an.scan_sets(p, n=64).status) == {"converged"}
+    got = an.critical_ball_radius(p, tol=1e-12)
+    # the secant method on T - pi from the library's answer
+    m = referee.dense(spec, 7.0)
+    r0, r1 = got - 1e-5, got + 1e-5
+    t0, t1 = (_tangential_turn(m, 6.0, r) - math.pi for r in (r0, r1))
+    for _ in range(3):
+        r0, r1 = r1, r1 - t1 * (r1 - r0) / (t1 - t0)
+        t0, t1 = t1, _tangential_turn(m, 6.0, r1) - math.pi
+    assert abs(got - r1) <= 1e-9 * max(1.0, r1)
+    # slope 0.634 beyond r = 4: every point is critical, and decided so
+    K = np.where(_TABLE_R < 4.0, 0.5 * (1.0 - _TABLE_R / 4.0) ** 3, 0.0)
+    p = jacobi.solve_jacobi(cv.table(_TABLE_R, K, extrapolate="constant"), r_max=120.0)
+    assert set(an.scan_sets(p, n=64).status) == {"converged"}
+    assert an.critical_ball_radius(p) == math.inf

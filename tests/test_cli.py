@@ -229,3 +229,22 @@ def test_cone_near_flat_slope(tmp_path, capsys):
     code, out, _ = run(capsys, "cone", "--slope", "0.99", "-o", str(tmp_path / "c.json"))
     assert code == 0
     assert abs(out["slope"] - 0.99) <= 1e-9
+
+
+def test_non_finite_specs_and_overflow_exit_2(tmp_path, capsys):
+    # a NaN curvature, an infinite drop and a profile that overflows in
+    # the window are invalid input, not a crash
+    specs = {"nan": '{"kind": "constant", "params": {"k": NaN}}',
+             "drop": '{"kind": "spliced", "params": {"base": {"kind": "constant", '
+                     '"params": {"k": 0.0}}, "r0": 1.0, "drop": {"mu": Infinity, "w": 1.0}}}',
+             "steep": cv.constant(-1e6).to_json()}
+    for name, text in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        if name != "steep":
+            code, _, err = run(capsys, "plane", "check", "--spec", str(path))
+            assert code == 2 and err["error"] == "invalid_input", name
+        code, _, err = run(capsys, "turn-angle", "--spec", str(path), "--r", "1",
+                           "--kappa", "1.5", "--r-max", "50")
+        assert code == 2 and err["error"] == "invalid_input", name
+    assert "overflows" in err["message"]

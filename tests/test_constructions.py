@@ -51,13 +51,13 @@ def test_seeded_cone_slopes_all_build():
 def test_cone_trials_solve_each_stretch_once(monkeypatch):
     # the bracket ends are trials too: brentq must not solve them again
     stretches = []
-    solve_stretch = jacobi.solve_stretch
-    monkeypatch.setattr(jacobi, "solve_stretch",
+    series_stretch = jacobi.series_stretch
+    monkeypatch.setattr(jacobi, "series_stretch",
                         lambda spec, lo, hi, *a: stretches.append((lo, hi))
-                        or solve_stretch(spec, lo, hi, *a))
+                        or series_stretch(spec, lo, hi, *a))
     cx.build_smoothed_cone(0.3)
-    # the built profile's own solve starts at the Taylor seed
-    trials = stretches[:[lo for lo, _ in stretches].index(jacobi.SEED_RADIUS)]
+    # the built profile's own solve starts at the origin
+    trials = stretches[:[lo for lo, _ in stretches].index(0.0)]
     assert len(trials) > 2
     assert len(set(trials)) == len(trials)
 

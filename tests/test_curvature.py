@@ -204,8 +204,9 @@ def test_tail_certificates():
 def test_joins_are_the_finitely_smooth_radii():
     assert cv.constant(-1.0).joins() == ()
     assert cv.isq(0.01).joins() == ()
-    # PCHIP knots are not joins
-    assert cv.table([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]).joins() == ()
+    # a table's knots are joins, up to where its values turn constant
+    assert cv.table([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]).joins() == (1.0, 2.0)
+    assert cv.table([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0], "constant").joins() == (1.0,)
     cap = cv.isq_capped(0.01, 0.1)
     z = cv.isq_zero(0.01)
     assert cap.joins() == (z - 0.1, z + 0.1)
@@ -225,9 +226,21 @@ def test_spliced_table_keeps_the_table_domain():
     assert (rep.is_vm, rep.first_violation) == (bare.is_vm, bare.first_violation) == (True, None)
     # a drop that ends past the table: the solve restarts only inside the window
     late = cv.spliced(t, 9.5, cv.DropParams(1.0, 1.0))
-    assert late.joins() == (9.5, 10.5)
+    assert late.joins() == (1.0, 9.5, 10.5)
     p = jacobi.solve_jacobi(late, r_max=20.0)
     assert p.r_max == 10.0 and np.isfinite(p.m(10.0))
     # an extrapolating table stays unbounded
     assert cv.spliced(cv.table([0, 10], [0, -1], "constant"), 5.0,
                       cv.DropParams(1.0, 1.0)).domain_hi == math.inf
+
+
+def test_non_finite_parameters_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            cv.constant(bad)
+        with pytest.raises(ValueError):
+            cv.spliced(cv.constant(0.0), bad, cv.DropParams(1.0, 1.0))
+        with pytest.raises(ValueError):
+            cv.DropParams(bad, 1.0)
+        with pytest.raises(ValueError):
+            cv.DropParams(1.0, bad)

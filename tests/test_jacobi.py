@@ -17,9 +17,13 @@ from revplane import jacobi
 from revplane.errors import OutOfWindow, StarViolation
 
 import closedforms as cf
+import referee
 
 
 RGRID = np.linspace(0.1, 10.0, 173)
+# how far a solved profile may lie from the referee, relative to
+# max(1, |m|) and max(1, |m'|): the cell rule's 1e-13 (jacobi._CELL_TOL)
+REFEREE_TOL = 1e-13
 
 
 def rel_err(got, want):
@@ -28,14 +32,14 @@ def rel_err(got, want):
 
 def test_flat_plane():
     p = jacobi.solve_jacobi(cv.constant(0.0), r_max=20.0)
-    assert rel_err(p.m(RGRID), cf.flat_m(RGRID)) < 1e-9
-    assert rel_err(p.mp(RGRID), cf.flat_mp(RGRID)) < 1e-9
+    assert rel_err(p.m(RGRID), cf.flat_m(RGRID)) < REFEREE_TOL
+    assert rel_err(p.mp(RGRID), cf.flat_mp(RGRID)) < REFEREE_TOL
 
 
 def test_hyperbolic_plane():
     p = jacobi.solve_jacobi(cv.constant(-1.0), r_max=20.0)
-    assert rel_err(p.m(RGRID), cf.hyperbolic_m(RGRID)) < 1e-8
-    assert rel_err(p.mp(RGRID), cf.hyperbolic_mp(RGRID)) < 1e-8
+    assert rel_err(p.m(RGRID), cf.hyperbolic_m(RGRID)) < REFEREE_TOL
+    assert rel_err(p.mp(RGRID), cf.hyperbolic_mp(RGRID)) < REFEREE_TOL
 
 
 def test_sphere_hits_zero_at_pi():
@@ -55,8 +59,28 @@ def test_sphere_zero_in_a_constant_tail():
 
 
 def test_overflow_raises():
-    with pytest.raises(RuntimeError):
+    # in a constant stretch, and in a series one (the table is not
+    # extrapolated, so K = -1e6 has no closed-form tail)
+    with pytest.raises(OverflowError):
         jacobi.solve_jacobi(cv.constant(-100.0), r_max=200.0)
+    with pytest.raises(OverflowError):
+        jacobi.solve_jacobi(cv.table([0.0, 1.0], [-1e6, -1e6]), r_max=1.0)
+
+
+def test_zero_in_a_series_stretch_is_its_piece_root():
+    # K = 1 from a table (no closed form) vanishes at pi; a drop from
+    # K = 1 that starts at r = 2, where m already falls, does not stop the
+    # dive, and m vanishes inside the drop: the referee's m is 0 there
+    with pytest.raises(StarViolation) as exc:
+        jacobi.solve_jacobi(cv.table([0.0, 10.0], [1.0, 1.0]), r_max=10.0)
+    assert exc.value.first_zero == pytest.approx(math.pi, abs=1e-13)
+    spec = cv.spliced(cv.constant(1.0), 2.0, cv.DropParams(0.5, 2.0))
+    with pytest.raises(StarViolation) as exc:
+        jacobi.solve_jacobi(spec, r_max=10.0)
+    r = exc.value.first_zero
+    assert 2.0 < r < 4.0 and spec.constant_on(r, r) is None
+    m, mp = referee.profile(spec, [r])
+    assert abs(m[0]) <= REFEREE_TOL * abs(mp[0])
 
 
 def _two_term(m0, mp0, k, lo, r):
@@ -97,10 +121,10 @@ def test_hyperbolic_profile_is_exact(hyp30):
 
 
 def test_bulge_constant_stretches_are_two_term(bulge):
-    # K = 1 from the Taylor seed to a, and K = 1 - mu beyond the drop
-    # from the state the drop's pass ends in
-    p, h0 = bulge.profile, jacobi.SEED_RADIUS
-    (err_m, err_mp), _ = _two_term_error(p, h0 - h0**3 / 6, 1 - h0**2 / 2, 1.0, h0, bulge.a)
+    # K = 1 from the origin to a, and K = 1 - mu beyond the drop from the
+    # state the drop's series ends in
+    p = bulge.profile
+    (err_m, err_mp), _ = _two_term_error(p, 0.0, 1.0, 1.0, 0.0, bulge.a)
     assert err_m.max() <= 1e-15 and err_mp.max() <= 1e-15
     lo, k = bulge.a + bulge.w, 1.0 - bulge.mu
     (err_m, err_mp), r = _two_term_error(p, p.m(lo), p.mp(lo), k, lo, p.r_max)
@@ -120,11 +144,12 @@ def test_cone_slope_is_exactly_constant_beyond_the_cap(cone03, cone05, cone09, c
 
 def test_isq0_closed_form():
     p = jacobi.solve_jacobi(cv.isq(0.0), r_max=20.0)
-    assert rel_err(p.m(RGRID), cf.isq0_m(RGRID)) < 1e-8
-    assert rel_err(p.mp(RGRID), cf.isq0_mp(RGRID)) < 1e-8
+    assert rel_err(p.m(RGRID), cf.isq0_m(RGRID)) < REFEREE_TOL
+    assert rel_err(p.mp(RGRID), cf.isq0_mp(RGRID)) < REFEREE_TOL
 
 
 def test_origin_and_seed_region():
+    # the solve starts at r = 0, a regular point of the series: no seed
     p = jacobi.solve_jacobi(cv.constant(-1.0), r_max=5.0)
     assert p.m(0.0) == 0.0
     assert p.mp(0.0) == 1.0
@@ -138,13 +163,6 @@ def test_window_enforced():
         p.m(5.1)
     with pytest.raises(OutOfWindow):
         p.mp(-0.2)
-
-
-def test_tol_validated():
-    with pytest.raises(ValueError):
-        jacobi.solve_jacobi(cv.constant(0.0), tol=1e-2)
-    with pytest.raises(ValueError):
-        jacobi.solve_jacobi(cv.constant(0.0), tol=1e-15)
 
 
 def test_table_domain_clips_window():
@@ -418,88 +436,69 @@ def test_one_batched_engine():
 
 
 def _numerical_stretches(spec, r_max):
-    """The stretches between joins that solve_jacobi passes to DOP853:
+    """The stretches between joins that solve_jacobi runs the series on:
     those where K is not one constant."""
-    joins = [r for r in spec.joins() if jacobi.SEED_RADIUS < r < r_max]
-    ends = [jacobi.SEED_RADIUS, *joins, r_max]
+    ends = [0.0, *(r for r in spec.joins() if 0.0 < r < r_max), r_max]
     return [(a, b) for a, b in zip(ends, ends[1:]) if spec.constant_on(a, b) is None]
 
 
-@pytest.mark.parametrize("plane", ["flat60", "hyp30", "cone03", "cone09", "bulge", "flare"])
-def test_profile_is_scipy_dense_output(plane, request, monkeypatch):
-    # Profile expands the DOP853 steps from their F, h, t_old and y_old
-    # attributes into powers of r - t_old; on every numerically solved
-    # stretch, m and m' must agree with that stretch's OdeSolution to
-    # rounding
-    built = request.getfixturevalue(plane)
-    base = built if isinstance(built, jacobi.Profile) else built.profile
-    solve_ivp = jacobi.solve_ivp
-    solved = []
-
-    def keep(*args, **kwargs):
-        solved.append(solve_ivp(*args, **kwargs))
-        return solved[-1]
-
-    monkeypatch.setattr(jacobi, "solve_ivp", keep)
-    p = jacobi.solve_jacobi(base.spec, base.r_max, base.tol)
-    # one pass per stretch between joins where K is not constant
-    assert [(sol.t[0], sol.t[-1]) for sol in solved] == _numerical_stretches(base.spec, p.r_max)
-    rng = np.random.default_rng(9)
-
-    def close(got, want):
-        return np.all(np.abs(got - want) <= 2e-15 * (1 + np.abs(want)))
-
-    first, first_want = np.empty(0), np.empty((2, 0))
-    for k, stretch in enumerate(solved):
-        sol = stretch.sol
-        r = np.concatenate([rng.uniform(sol.ts[0], sol.ts[-1], 5000), sol.ts])
-        rng.shuffle(r)
-        want = sol(r)
-        assert close(p.m(r), want[0])
-        assert close(p.mp(r), want[1])
-        assert close(p.m(float(r[0])), want[0][0]) and close(p.mp(float(r[0])), want[1][0])
-        if k == 0:
-            first, first_want = r[:50], want[:, :50]
-    # radii below SEED_RADIUS take the Taylor seed, the rest still scipy's
-    low = np.array([0.0, 3e-7])
-    mixed = np.concatenate([low, first])
-    k0 = base.spec.evaluate(0.0)
-    assert close(p.m(mixed), np.concatenate([low - k0 * low**3 / 6, first_want[0]]))
-    assert close(p.mp(mixed), np.concatenate([1 - k0 * low**2 / 2, first_want[1]]))
+@pytest.mark.parametrize("plane", ["flat60", "hyp30", "cone03", "cone09", "bulge", "flare",
+                                   "bounded_table", "isq0"])
+def test_profile_matches_referee(plane, request):
+    # m and m' within the cell rule's bound of the 30-digit referee: at
+    # every breakpoint and three radii inside each piece (a cone's isq
+    # stretch and blend, the drops, the table's cells), and radii on the
+    # constant stretches
+    if plane == "isq0":
+        p = jacobi.solve_jacobi(cv.isq(0.0), r_max=60.0)
+    else:
+        built = request.getfixturevalue(plane)
+        p = built if isinstance(built, jacobi.Profile) else built.profile
+    x = p._m_pp.x
+    # at most 600 pieces (the bulge's and flare's constant tails are long)
+    step = max(1, x.size // 600)
+    cells = x[:-1][::step], np.diff(x)[::step]
+    r = np.unique(np.concatenate([x[::step], [p.r_max],
+                                  *(cells[0] + f * cells[1] for f in (0.21, 0.5, 0.79))]))
+    m, mp = (np.array(v) for v in referee.profile(p.spec, r.tolist()))
+    assert np.all(np.abs(p.m(r) - m) <= REFEREE_TOL * np.maximum(1.0, np.abs(m)))
+    assert np.all(np.abs(p.mp(r) - mp) <= REFEREE_TOL * np.maximum(1.0, np.abs(mp)))
 
 
 @pytest.mark.parametrize("plane, passes", [("flat60", 0), ("hyp30", 0), ("cone03", 2),
                                            ("cone09", 2), ("bulge", 1), ("flare", 3)])
 def test_dop853_runs_only_where_curvature_varies(plane, passes, request, monkeypatch):
     # constant stretches are closed form: flat and hyperbolic need no
-    # pass, a cone its isq part and its cap's blend, the bulge its drop,
-    # and the flare the cone's two and its own drop
+    # series, a cone its isq part and its cap's blend, the bulge its drop,
+    # and the flare the cone's two and its own drop (the name is from when
+    # DOP853 ran those stretches)
     built = request.getfixturevalue(plane)
     base = built if isinstance(built, jacobi.Profile) else built.profile
     calls = []
-    solve_stretch = jacobi.solve_stretch
-    monkeypatch.setattr(jacobi, "solve_stretch",
-                        lambda *a: calls.append(a[1:3]) or solve_stretch(*a))
-    jacobi.solve_jacobi(base.spec, base.r_max, base.tol)
+    series_stretch = jacobi.series_stretch
+    monkeypatch.setattr(jacobi, "series_stretch",
+                        lambda *a: calls.append(a[1:3]) or series_stretch(*a))
+    jacobi.solve_jacobi(base.spec, base.r_max)
     assert len(calls) == passes
+    assert calls == _numerical_stretches(base.spec, base.r_max)
 
 
 @pytest.mark.parametrize("name", ["bounded_table", "isq0", "cone03", "cone09", "flare"])
 def test_closed_forms_leave_numerical_pieces_alone(name, request, monkeypatch):
-    # every piece before the first constant stretch is what one DOP853
-    # pass per stretch gives, bit for bit: a table or isq(0) profile
+    # every piece before the first constant stretch is what the series
+    # gives stretch by stretch, bit for bit: a table or isq(0) profile
     # throughout, a cone's on [0, rho]
     if name == "isq0":
-        spec, r_max, tol = cv.isq(0.0), 60.0, 1e-10
+        spec, r_max = cv.isq(0.0), 60.0
     else:
         p = request.getfixturevalue(name).profile
-        spec, r_max, tol = p.spec, p.r_max, p.tol
-    p = jacobi.solve_jacobi(spec, r_max, tol)
+        spec, r_max = p.spec, p.r_max
+    p = jacobi.solve_jacobi(spec, r_max)
     with monkeypatch.context() as patch:
         patch.setattr(type(spec), "constant_on", lambda *a: None)
-        ref = jacobi.solve_jacobi(spec, r_max, tol)
-    # the numerical stretches that chain from the seed on
-    upto = jacobi.SEED_RADIUS
+        ref = jacobi.solve_jacobi(spec, r_max)
+    # the numerical stretches that chain from the origin on
+    upto = 0.0
     for a, b in _numerical_stretches(spec, p.r_max):
         if a != upto:
             break
@@ -511,3 +510,33 @@ def test_closed_forms_leave_numerical_pieces_alone(name, request, monkeypatch):
     assert np.array_equal(p._m_pp.x[:n + 1], ref._m_pp.x[:n + 1])
     assert np.array_equal(p._m_pp.c[:, :n], ref._m_pp.c[:, :n])
     assert np.array_equal(p._mp_pp.c[:, :n], ref._mp_pp.c[:, :n])
+
+
+@pytest.mark.parametrize("plane", ["hyp30", "cone03", "cone09", "bulge", "flare", "bounded_table"])
+def test_roots_skip_only_pieces_out_of_reach(plane, request):
+    # solving only the pieces whose left value lies within reach of the
+    # level loses no root: the radii are those of solving every piece
+    built = request.getfixturevalue(plane)
+    p = built if isinstance(built, jacobi.Profile) else built.profile
+    for order in (0, 1, 2):
+        pp = p._m_pp if order == 0 else p._mp_pp
+        pp = pp.derivative() if order == 2 else pp
+        for level in (0.0, 0.3, 0.5, 1.0, float(p.m(0.6 * p.r_max))):
+            everywhere = pp.solve(level, extrapolate=False)
+            for lo, hi in ((0.0, p.r_max), (0.3 * p.r_max, 0.7 * p.r_max)):
+                want = np.sort(everywhere[(lo <= everywhere) & (everywhere <= hi)])
+                assert np.array_equal(p.roots(order, level, lo, hi), want)
+
+
+def test_no_ode_solver_and_no_tol_in_the_solve():
+    # the profile has one way to write a piece: jacobi.py calls no
+    # solve_ivp, and neither solve_jacobi nor a builder takes a tol
+    src = Path(jacobi.__file__).parent
+    tree = ast.parse((src / "jacobi.py").read_text())
+    assert "solve_ivp" not in _calls(tree)
+    builders = ast.parse((src / "constructions.py").read_text())
+    defs = {d.name: d for t in (tree, builders) for d in ast.walk(t)
+            if isinstance(d, ast.FunctionDef)}
+    for name in ("solve_jacobi", "build_smoothed_cone", "build_bulge_plane",
+                 "build_flared_cone", "build_bounded_table_plane"):
+        assert "tol" not in [a.arg for a in defs[name].args.args], name

@@ -261,12 +261,11 @@ def _two_term_turn(p, c, r_lo, r_hi=None):
 
 
 def test_tail_start_recorded(flat60, hyp30, cone03, bulge, flare):
-    # (r_a, k, E): the seed radius on the flat and hyperbolic planes, the
+    # (r_a, k, E): the origin on the flat and hyperbolic planes, the
     # cap's end on the cone and the drop's end on the flare; on the bulge
     # m still falls where K = -7 starts, and r_a is its minimum
-    assert flat60.tail == (jacobi.SEED_RADIUS, 0.0, 1.0)
-    assert hyp30.tail[:2] == (jacobi.SEED_RADIUS, -1.0)
-    assert hyp30.tail[2] == pytest.approx(1.0, abs=1e-15)
+    assert flat60.tail == (0.0, 0.0, 1.0)
+    assert hyp30.tail == (0.0, -1.0, 1.0)
     assert cone03.profile.tail[:2] == (cone03.rho, 0.0)
     assert cone03.profile.tail[2] == cone03.slope ** 2
     r_c, k = bulge.spec.constant_beyond()
@@ -281,13 +280,13 @@ def test_tail_start_recorded(flat60, hyp30, cone03, bulge, flare):
 
 
 def test_flat_turn_is_kappa_without_panels(flat60, panels):
-    # every leg from SEED_RADIUS on is closed-form: T = kappa to within
-    # the rounding of the launch angle pi/2 - kappa, at the scale of 1
+    # every leg is closed-form: T = kappa to within the rounding of the
+    # launch angle pi/2 - kappa, at the scale of 1
     rng = random.Random(11)
     launches = []
     while len(launches) < 400:
-        r, k = jacobi.SEED_RADIUS * (5e7 ** rng.random()), rng.uniform(0.0, math.pi)
-        if k < math.pi and r * math.sin(k) >= jacobi.SEED_RADIUS:
+        r, k = 1e-6 * (5e7 ** rng.random()), rng.uniform(0.0, math.pi)
+        if k < math.pi and r * math.sin(k) >= 1e-6:
             launches.append((r, k))
     for (r, k), res in zip(launches, gd.turn_angles(flat60, *zip(*launches))):
         assert res.status == "converged"
@@ -358,6 +357,56 @@ def test_legs_across_tail_start_match_numeric_route(cone03, panels):
             assert res.status == ref.status == "converged"
             band = ref.abs_error if tol == 1e-12 else ref.abs_error + res.abs_error
             assert abs(res.value - ref.value) <= band
+
+
+def test_no_body_panel_straddles_a_join(cone03, monkeypatch):
+    # with no tail the cone's legs from inside the cap integrate through
+    # its joins z -+ eps, 0.2 apart, to r_max: both are edges of the
+    # bodies' GK15 panels, so no panel (nor a half of one) straddles them
+    p = copy.copy(cone03.profile)
+    p.tail = None
+    panels, gk15 = [], qd._gk15
+
+    def spy(f, lo, hi, k):
+        if f.__name__ == "f_r":
+            panels.append(np.stack([lo, hi]))
+        return gk15(f, lo, hi, k)
+
+    monkeypatch.setattr(qd, "_gk15", spy)
+    rng = random.Random(14)
+    launches = [(cone03.rho * rng.random(), rng.uniform(0.01, math.pi - 0.01))
+                for _ in range(60)]
+    gd.turn_angles(p, *zip(*launches), tol=1e-12)
+    lo, hi = np.concatenate(panels, axis=1)
+    joins = p.spec.joins()
+    assert len(joins) == 2 and joins[1] - joins[0] < 0.25
+    for join in joins:
+        assert not np.any((lo < join) & (join < hi))
+        assert np.count_nonzero(lo == join) >= 30
+
+
+def test_cuts_take_their_own_initial_edges(monkeypatch):
+    # three cuts inside the last of 8 geometric panels on [1, 1000] (the
+    # last two back off the end), two inside one of 8 equal panels on
+    # [0, 1]: each is an edge of the first round's panels, and the panel
+    # count stays
+    first, gk15 = [], qd._gk15
+
+    def spy(f, lo, hi, k):
+        if not first:
+            first.append((lo, hi))
+        return gk15(f, lo, hi, k)
+
+    monkeypatch.setattr(qd, "_gk15", spy)
+    a, b = np.array([1.0, 0.0]), np.array([1000.0, 1.0])
+    cuts = [(999.1, 999.5, 999.9), (0.5, 0.51)]
+    val, _ = qd._adaptive_gk(lambda x, k: np.ones_like(x), a, b, np.full(2, 1e-9), 8,
+                             log_spaced=True, cuts=cuts)
+    lo, hi = first[0]
+    assert val == pytest.approx(b - a, rel=1e-14)
+    assert lo.size == 16 and np.all(lo < hi)
+    for i, row in enumerate(cuts):
+        assert set(row) <= set(hi[8 * i:8 * i + 7].tolist())
 
 
 @pytest.mark.parametrize("plane", ["flat60", "hyp30", "cone03", "cone09", "bulge", "flare"])
