@@ -15,7 +15,8 @@ a closed ball -- which is what makes the radii below well-defined:
                          radius closed_side reads as critical)
   half_slope_radius      where m' first drops to 1/2 (the critical ball,
                          when finite, always ends before it)
-  pole_ball_radius       largest radius all of whose points are poles
+  pole_ball_radius       largest radius all of whose points is_pole
+                         accepts as poles (a sampled test)
 
 Boundary comparisons against pi follow the closed-side protocol from the
 geodesics module; scan_sets applies it on a log-spaced grid.  The scan
@@ -79,14 +80,21 @@ def is_pole(profile, r_q, tol=1e-8):
 
     The turn angle is monotone in the Clairaut constant below kappa =
     pi/2, so only [pi/2, pi) needs scanning.  A coarse grid over
-    [pi/2, pi - 0.2] is refined around its maximum by one bounded
-    maximise, and the approach to the inward radial (where the turn
-    angle tends to pi) is probed separately; the grid and the approach
-    probes run as one turn_angles batch.  Each of the grid maximum, the
-    polished peak and the approach probes must be a ray by
-    geodesics.closed_side: any certified angle beyond pi means not a
-    pole, and comparisons at the precision floor, and those left
-    Undetermined, resolve to the pole side.
+    [pi/2, pi - 0.2] and three approach probes towards the inward radial
+    (where the turn angle tends to pi) run as one turn_angles batch.
+    Each candidate must be a ray by geodesics.closed_side: any certified
+    angle beyond pi means not a pole, and comparisons at the precision
+    floor, and those left Undetermined, resolve to the pole side.
+
+    The candidates are read lazily, cheapest first: the grid maximum and
+    the approach probes, which the batch holds, then the grid maximum
+    polished by one bounded maximise in scalar turn angles, which runs
+    only when every batched candidate is a ray.  all() over the same
+    candidates gives the same answer in any order.  The polish stops at
+    xatol = sqrt(tol): Brent's bounded method ends within about xatol of
+    the maximiser, so at an interior peak T is then within |T''| tol / 2
+    of the top, the size of the band closed_side reads.  A peak on the
+    bracket's end is a grid point, whose result is already a candidate.
     """
     kappas = np.linspace(math.pi / 2, math.pi - 0.2, POLE_GRID)
     results = gd.turn_angles(profile, r_q,
@@ -96,8 +104,9 @@ def is_pole(profile, r_q, tol=1e-8):
     worst = int(np.argmax([res.value for res in grid]))
 
     def candidates():
-        # lazily, so the polish runs only once the grid maximum is a ray
+        # lazily, so the polish runs only once every batched candidate is a ray
         yield grid[worst]
+        yield from approach
         # polish the grid maximum within its two neighbouring cells; the
         # maximiser returns a point it has evaluated, so its result is kept
         seen = {}
@@ -109,8 +118,7 @@ def is_pole(profile, r_q, tol=1e-8):
         lo = kappas[max(worst - 1, 0)]
         hi = kappas[min(worst + 1, POLE_GRID - 1)]
         yield seen[minimize_scalar(minus_turn, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-6}).x]
-        yield from approach
+                                   options={"xatol": math.sqrt(tol)}).x]
 
     return all(gd.closed_side(res, tol)[0] for res in candidates())
 
@@ -172,9 +180,18 @@ def critical_ball_radius(profile, tol=1e-8):
 
 
 def pole_ball_radius(profile, tol=1e-8, rel_tol=1e-3):
-    """Largest radius certified to consist of poles (bisection on the
-    closed pole ball).  Returns 0.0 when even tiny radii fail, and inf
-    when poles persist to the edge of the solved window."""
+    """Largest radius that is_pole accepts, to rel_tol * max(r, 1): a
+    doubling search from r_max * 1e-4 for a radius it rejects, then a
+    bisection on its answer, taking the accepted radii to form one ball.
+
+    is_pole samples the turn angle on its kappa grid and approach probes
+    and does not bound it between them, so this is not certified: the
+    geodesics that turn past pi first leave within 0.02 of the inward
+    radial, and the radius found can lie outside the true pole ball (on
+    the s = 0.3 cone it is 2.2367, yet at r = 2.234 the launch at kappa
+    = pi - 1e-3 turns 4.2e-7 past pi with abs_error 2.5e-13, and is_pole
+    accepts it).  Returns 0.0 when even r_max * 1e-4 is rejected, and
+    inf when every radius up to 0.6 r_max is accepted."""
     lo = profile.r_max * 1e-4
     if not is_pole(profile, lo, tol=tol):
         return 0.0

@@ -48,6 +48,12 @@ def turning_radius(profile, c, r_q):
     m_q = profile.m(r_q)
     if c > m_q * (1 + 1e-12):
         raise ValueError(f"c = {c:.6g} exceeds m(r_q) = {m_q:.6g}")
+    return _turning_radius(profile, c, r_q, m_q)
+
+
+def _turning_radius(profile, c, r_q, m_q):
+    """turning_radius for 0 < c <= m_q (1 + 1e-12), with m_q = m(r_q)
+    already read."""
     if c >= m_q:
         return float(r_q)
     # m(0) = 0 < c <= m(r_q), so m reaches c on [0, r_q]
@@ -88,7 +94,7 @@ def _plan(profile, r_q, kappa, tol):
         if k <= math.pi / 2:
             terms.append([(1, leg(c=c, r_lo=r, tol=tol, w_start=w_q))])
             continue
-        r_u = turning_radius(profile, c, r)
+        r_u = _turning_radius(profile, c, r, m)
         if r_u < r:
             leg_in = leg(c=c, r_lo=r_u, r_hi=r, tol=tol / 2, w_end=w_q)
         else:

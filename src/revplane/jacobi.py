@@ -193,14 +193,14 @@ class Profile:
         Newton steps, with a bisection wherever a step leaves the
         bracket.  dl is the piece's own value at left; when the piece
         ends on the same side of the level at right, the root has rounded
-        out of the cell and the nearer end is the answer."""
+        out of the cell and the nearer end is the answer.  right is
+        judged by dr, as Profile.m reads it: at a breakpoint that is the
+        next piece's value, which the piece's own can miss by rounding."""
         fr = self._piece_at(right, piece)[0] - level
-        if fr == 0.0:
-            return right
-        if (dl < 0.0) == (fr < 0.0):
+        if fr != 0.0 and (dl < 0.0) == (fr < 0.0):
             return left if abs(dl) <= abs(dr) else right
-        neg, pos = (left, right) if dl < 0.0 else (right, left)
-        f_neg, f_pos = min(dl, fr), max(dl, fr)
+        ends = ((left, dl), (right, dr))
+        (neg, f_neg), (pos, f_pos) = ends if dl < 0.0 else ends[::-1]
         r = left - dl * (right - left) / (fr - dl)
         while True:
             if not min(neg, pos) < r < max(neg, pos):

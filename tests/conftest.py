@@ -1,10 +1,16 @@
 """Shared plane builds.  Session-scoped: the cones take a moment each."""
 
 import pytest
+from hypothesis import settings
 
 from revplane import constructions as cx
 from revplane import curvature as cv
 from revplane import jacobi as jb
+
+# a failing draw prints its @reproduce_failure line, so it can be replayed
+# without the .hypothesis/ example database; the draws are unchanged
+settings.register_profile("revplane", print_blob=True)
+settings.load_profile("revplane")
 
 
 @pytest.fixture(scope="session")

@@ -102,6 +102,26 @@ def test_pole_decision_matches_brute_force(cone03):
     assert an.is_pole(p, r_q) == (sup <= math.pi + 1e-6)
 
 
+@pytest.mark.parametrize("plane, r_q, pole, most", [("flat60", 1.0, True, 16),
+                                                    ("cone09", 4.0, False, 0)])
+def test_pole_test_reads_its_batch_before_polishing(plane, r_q, pole, most, request,
+                                                    monkeypatch):
+    # the polish is the only scalar turn_angle work, to sqrt(tol), and an
+    # approach probe that is not a ray settles the answer without it
+    p = request.getfixturevalue(plane)
+    p = getattr(p, "profile", p)
+    calls = []
+    turn_angle = gd.turn_angle
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return turn_angle(*args, **kw)
+
+    monkeypatch.setattr(gd, "turn_angle", counted)
+    assert an.is_pole(p, r_q) is pole
+    assert len(calls) <= most
+
+
 def test_pole_ball_flat_and_cone():
     assert an.pole_ball_radius(flat_stub()) == math.inf
     assert an.pole_ball_radius(cone_stub(0.4)) == 0.0

@@ -317,6 +317,24 @@ def _level_radius_by_merge(p, level, lo, hi, last=False):
     return float(r[k] if abs(d[k]) <= abs(d[k + 1]) else r[k + 1])
 
 
+def _check_level_radius(p, level, lo, hi, last):
+    want = _level_radius_by_merge(p, level, lo, hi, last)
+    got = p.level_radius(level, lo, hi, last)
+    assert (got is None) == (want is None), (level, lo, hi, last, got, want)
+    if got is None:
+        return
+    assert lo <= got <= hi
+    # the bound of test_level_radius_is_exact_on_solved_profiles, plus the
+    # spacing of the floats next to the root where m is steep; a root the
+    # merge left further off sets its own bound
+    err = abs(p.m(got) - level)
+    bound = 4.4e-16 * abs(level) + abs(p.mp(got)) * math.ulp(got)
+    assert err <= max(bound, abs(p.m(want) - level)), (level, lo, hi, last, got, want)
+    # the same crossing: near an extremum the level is met twice, a few
+    # 1e-8 apart, at rounding
+    assert abs(got - want) <= 1e-6 * (1.0 + want)
+
+
 @pytest.fixture(scope="module")
 def level_planes(hyp30, bulge):
     # sine and bulge have falling stretches, hyperbolic and flare rise only
@@ -343,21 +361,16 @@ def test_level_radius_matches_merged_search(level_planes, data):
         st.sampled_from(p.knots(0.0, p.r_max)[1].tolist()),     # a breakpoint value
         st.floats(0.9 * min(m_lo, m_hi), 1.1 * max(m_lo, m_hi)),
         st.sampled_from(p.m(p.extrema).tolist() or [m_hi])))    # an extremum's m
-    want = _level_radius_by_merge(p, level, lo, hi, last)
-    got = p.level_radius(level, lo, hi, last)
-    assert (got is None) == (want is None), (level, lo, hi, last, got, want)
-    if got is None:
-        return
-    assert lo <= got <= hi
-    # the bound of test_level_radius_is_exact_on_solved_profiles, plus the
-    # spacing of the floats next to the root where m is steep; a root the
-    # merge left further off sets its own bound
-    err = abs(p.m(got) - level)
-    bound = 4.4e-16 * abs(level) + abs(p.mp(got)) * math.ulp(got)
-    assert err <= max(bound, abs(p.m(want) - level)), (level, lo, hi, last, got, want)
-    # the same crossing: near an extremum the level is met twice, a few
-    # 1e-8 apart, at rounding
-    assert abs(got - want) <= 1e-6 * (1.0 + want)
+    _check_level_radius(p, level, lo, hi, last)
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_level_radius_at_a_breakpoint_reads_the_next_piece(last):
+    # the root rounds to fl(79 pi / 64), a breakpoint: the piece on its
+    # left is 2.2e-16 off there, the one Profile.m reads 1.33e-15
+    p = cf.sine_profile()
+    assert 79 * math.pi / 64 in p.knots(0.0, p.r_max)[0]
+    _check_level_radius(p, 1.328441045152983, 0.0, 4.0, last)
 
 
 def test_level_radius_sums_like_ppoly(level_planes):
