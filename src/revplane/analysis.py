@@ -179,8 +179,8 @@ def critical_ball_radius(profile, tol=1e-8):
     return float(r)
 
 
-def pole_ball_radius(profile, tol=1e-8, rel_tol=1e-3):
-    """Largest radius that is_pole accepts, to rel_tol * max(r, 1): a
+def pole_ball_radius(profile, tol=1e-8):
+    """Largest radius that is_pole accepts, to 1e-3 * max(r, 1): a
     doubling search from r_max * 1e-4 for a radius it rejects, then a
     bisection on its answer, taking the accepted radii to form one ball.
 
@@ -202,7 +202,7 @@ def pole_ball_radius(profile, tol=1e-8, rel_tol=1e-3):
             return math.inf
         lo, hi = hi, min(hi * 2.0, cap)
     [(lo, _)] = gd.search_closed(
-        [(lo, hi, rel_tol * max(lo, 1.0), math.nan, math.nan)],
+        [(lo, hi, 1e-3 * max(lo, 1.0), math.nan, math.nan)],
         lambda _, xs: [(is_pole(profile, x, tol=tol), math.nan) for x in xs])
     return float(lo)
 
@@ -287,7 +287,7 @@ def _intervals_from_flags(r, flags):
     return out
 
 
-def scan_sets(profile, n=256, tol=1e-8, refine=True):
+def scan_sets(profile, n=256, tol=1e-8):
     """Classify the critical/away structure on a log-spaced radius grid.
 
     Each grid point gets the tangential turn angle and its side of pi:
@@ -328,29 +328,28 @@ def scan_sets(profile, n=256, tol=1e-8, refine=True):
     crit_ints = _intervals_from_flags(r_grid, critical)
     away_ints = _intervals_from_flags(r_grid, away)
 
-    if refine:
-        # every interval end and its outside neighbour on the grid is one
-        # bracket (critical means side <= 0, away side < 0); the grid's own
-        # results start the interpolation
-        idx = {float(r): i for i, r in enumerate(r_grid)}
-        ends, brackets = [], []
-        for ints, strict in ((crit_ints, False), (away_ints, True)):
-            for pair in ints:
-                for end, step in ((0, -1), (1, 1)):
-                    i = idx[pair[end]]
-                    if 0 <= i + step < n:
-                        ends.append((pair, end, strict))
-                        brackets.append((r_grid[i], r_grid[i + step],
-                                         1e-10 * max(1.0, r_grid[i]),
-                                         gd.closed_side(*decided[i], strict)[1],
-                                         gd.closed_side(*decided[i + step], strict)[1]))
+    # every interval end and its outside neighbour on the grid is one
+    # bracket (critical means side <= 0, away side < 0); the grid's own
+    # results start the interpolation
+    idx = {float(r): i for i, r in enumerate(r_grid)}
+    ends, brackets = [], []
+    for ints, strict in ((crit_ints, False), (away_ints, True)):
+        for pair in ints:
+            for end, step in ((0, -1), (1, 1)):
+                i = idx[pair[end]]
+                if 0 <= i + step < n:
+                    ends.append((pair, end, strict))
+                    brackets.append((r_grid[i], r_grid[i + step],
+                                     1e-10 * max(1.0, r_grid[i]),
+                                     gd.closed_side(*decided[i], strict)[1],
+                                     gd.closed_side(*decided[i + step], strict)[1]))
 
-        def probe(ks, xs):
-            return [gd.closed_side(res, tol, ends[k][2])
-                    for k, res in zip(ks, gd.turn_angles(profile, xs, math.pi / 2, tol=tol))]
+    def probe(ks, xs):
+        return [gd.closed_side(res, tol, ends[k][2])
+                for k, res in zip(ks, gd.turn_angles(profile, xs, math.pi / 2, tol=tol))]
 
-        for (pair, end, _), (a, b) in zip(ends, gd.search_closed(brackets, probe)):
-            pair[end] = 0.5 * (a + b)
+    for (pair, end, _), (a, b) in zip(ends, gd.search_closed(brackets, probe)):
+        pair[end] = 0.5 * (a + b)
 
     return AnalysisReport(
         r=[float(x) for x in r_grid],

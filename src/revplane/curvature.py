@@ -14,6 +14,13 @@ function.  Builtin kinds:
               width w starting at r0
   table       sampled (r, K) pairs, monotone cubic (PCHIP) interpolation
 
+Each spec turns its parameters into one description of K,
+
+    K(r) = P(r) + [r < isq_end] / (4(r+1)^2),
+
+P one piecewise polynomial whose last piece runs to infinity (see
+CurvatureSpec), and every query -- evaluate, taylor, joins, constant_on,
+constant_beyond, tail_certificate, domain_hi -- reads that description.
 Specs serialize to/from JSON as {"kind": ..., "params": {...}} and
 round-trip bit-exactly.  Every kind is decided von Mangoldt (K
 non-increasing) or not exactly, by check_von_mangoldt.
@@ -69,11 +76,6 @@ class DropParams:
             raise ValueError(f"drop width w must be finite and > 0, got {self.w}")
 
 
-def _isq_value(r, u):
-    r = np.asarray(r, dtype=float)
-    return 0.25 / (r + 1.0) ** 2 - u
-
-
 def _shift(coefs, d):
     """p(d + t) in powers of t for p(s) = sum_n coefs[n] s^n, both lowest
     first: Horner's scheme, q <- q (d + t) + coefs[n] from the top down."""
@@ -83,16 +85,37 @@ def _shift(coefs, d):
     return q
 
 
-def _isq_taylor(r, u, n):
-    """The first n Taylor coefficients at r of 1/(4(r+1)^2) - u."""
+def _isq_taylor(r, n):
+    """The first n Taylor coefficients at r of 1/(4(r+1)^2)."""
     x = r + 1.0
-    out = [0.25 * (j + 1) * (-1.0 / x) ** j / (x * x) for j in range(n)]
-    out[0] -= u
-    return out
+    return [0.25 * (j + 1) * (-1.0 / x) ** j / (x * x) for j in range(n)]
 
 
 class CurvatureSpec:
-    """Immutable curvature function K(r); evaluation is pure and vectorized."""
+    """Immutable curvature function K(r); evaluation is pure and vectorized.
+
+    __init__ turns the parameters into one description of K on its
+    domain [lo, hi]:
+
+        K(r) = P(r) + [r < isq_end] / (4(r+1)^2),
+
+    P a scipy PPoly whose pieces are polynomials in r - start, the last
+    one running to infinity, with u folded into P.  The pieces:
+
+      constant    [k]
+      isq         [-u], and isq_end = inf
+      isq_capped  [-u], the blend's quintic from z-eps, [0] from z+eps,
+                  and isq_end = z-eps
+      table       the PCHIP cubics up to the knot where the values turn
+                  constant, then [K[-1]]; [K[0]] on [0, r_0) when it
+                  extrapolates from r_0 > 0; the domain is [r_0, r_end]
+                  when it does not extrapolate
+      spliced     the base's pieces, cut at r0 and r0+w, less the drop's
+                  smoothstep on [r0, r0+w) and mu beyond; the base's
+                  isq_end and domain
+
+    No query reads the kind: each reads the pieces.
+    """
 
     def __init__(self, kind, params):
         if kind not in _BUILTIN_KINDS:
@@ -100,17 +123,16 @@ class CurvatureSpec:
         self.kind = kind
         self.params = dict(params)
         self._validate()
-        self._blend = None
-        if kind == "isq_capped":
-            self._blend = self._make_blend()
-            # the blend in powers of r - (z - eps), lowest first
-            self._blend_coefs = PPoly.from_bernstein_basis(self._blend).c[::-1, 0].tolist()
+        self._blend = self._make_blend() if kind == "isq_capped" else None
         if kind == "table":
-            r = np.asarray(self.params["r"], dtype=float)
-            K = np.asarray(self.params["K"], dtype=float)
-            self._interp = PchipInterpolator(r, K, extrapolate=False)
-            self._table_r = r
-            self._table_K = K
+            self._table_r, self._table_K = (np.asarray(self.params[k], dtype=float) for k in "rK")
+            self._interp = PchipInterpolator(self._table_r, self._table_K, extrapolate=False)
+        starts, self._coefs, self._isq_end, self._domain = self._pieces()
+        # the pieces' breakpoints, the last one's end at infinity
+        self._x = starts + [math.inf]
+        deg = max(map(len, self._coefs))
+        self._P = PPoly(np.array([[0.0] * (deg - len(c)) + c[::-1] for c in self._coefs]).T,
+                        self._x)
 
     def _validate(self):
         p = self.params
@@ -173,192 +195,146 @@ class CurvatureSpec:
         a, b, jet = self._blend_start()
         return BPoly.from_derivatives([a, b], [list(jet), [0.0, 0.0, 0.0]])
 
+    def _pieces(self):
+        """K's description from the parameters: the pieces' starts, their
+        coefficients in powers of r - start (lowest first), where the isq
+        term ends, and the domain."""
+        p = self.params
+        whole = (0.0, math.inf)
+        if self.kind == "constant":
+            return [0.0], [[p["k"]]], 0.0, whole
+        if self.kind == "isq":
+            return [0.0], [[-p["u"]]], math.inf, whole
+        if self.kind == "isq_capped":
+            a, b, _ = self._blend_start()
+            blend = PPoly.from_bernstein_basis(self._blend).c[::-1, 0].tolist()
+            return [0.0, a, b], [[-p["u"]], blend, [0.0]], a, whole
+        if self.kind == "table":
+            r, K = p["r"], p["K"]
+            # PCHIP is exactly K[-1] from the first knot where every value
+            # equals the last
+            f = len(K) - 1
+            while f > 0 and K[f - 1] == K[-1]:
+                f -= 1
+            starts = r[:f + 1]
+            coefs = [self._interp.c[::-1, i].tolist() for i in range(f)] + [[K[-1]]]
+            if p["extrapolate"] == "none":
+                return starts, coefs, 0.0, (r[0], r[-1])
+            if r[0] > 0.0:
+                starts, coefs = [0.0, *starts], [[K[0]], *coefs]
+            return starts, coefs, 0.0, whole
+        # spliced: the base's pieces, cut at the drop's ends, less the drop
+        base, r0, drop = p["base"], p["r0"], p["drop"]
+        starts = sorted({*base._x[:-1], *(e for e in (r0, r0 + drop.w) if e > base._x[0])})
+        coefs = []
+        for s in starts:
+            i = bisect.bisect_right(base._x, s) - 1
+            c = _shift(base._coefs[i], s - base._x[i])
+            if s >= r0:
+                # S((s - r0 + t) / w), and 1 beyond the drop
+                step = (_shift(_SMOOTHSTEP.coef.tolist(), (s - r0) / drop.w)
+                        if s < r0 + drop.w else [1.0])
+                c += [0.0] * (len(step) - len(c))
+                for j, sj in enumerate(step):
+                    c[j] -= drop.mu * sj / drop.w**j
+            coefs.append(c)
+        return starts, coefs, base._isq_end, base._domain
+
     # ------------------------------------------------------------------
 
     @property
     def domain_hi(self):
         """Upper end of the declared domain: a table's last radius unless
-        it extrapolates, a splice's base's end, inf for closed-form kinds."""
-        if self.kind == "spliced":
-            return self.params["base"].domain_hi
-        if self.kind == "table" and self.params["extrapolate"] == "none":
-            return self.params["r"][-1]
-        return math.inf
+        it extrapolates (a splice's base's), inf otherwise."""
+        return self._domain[1]
 
     def joins(self):
-        """Sorted radii where K is not analytic: z-eps and z+eps for
-        isq_capped, where the C^2 blend meets the isq part and zero; a
-        table's knots up to where its values turn constant (its PCHIP
-        cubics meet there, and past its last knot the constant
-        extrapolation); for spliced, the base's joins plus r0 and r0+w,
-        the ends of the C^2 drop; none for constant and isq.
+        """Sorted radii where K is not analytic, the pieces' starts past 0:
+        z-eps and z+eps for isq_capped, where the C^2 blend meets the isq
+        part and zero; a table's knots up to where its values turn
+        constant (its PCHIP cubics meet there, and past its last knot the
+        constant extrapolation); for spliced, the base's joins plus r0 and
+        r0+w, the ends of the C^2 drop; none for constant and isq.
 
         The Jacobi solve restarts its series at each join: K's Taylor
         series there (taylor) is that of the piece starting at it.
         """
-        p = self.params
-        if self.kind == "isq_capped":
-            z = isq_zero(p["u"])
-            return (z - p["eps"], z + p["eps"])
-        if self.kind == "spliced":
-            r0, w = p["r0"], p["drop"].w
-            return tuple(sorted({*p["base"].joins(), r0, r0 + w}))
-        if self.kind == "table":
-            return tuple(r for r in p["r"][:self._flat_from() + 1] if r > 0.0)
-        return ()
+        return tuple(s for s in self._x[:-1] if s > 0.0)
 
-    def _flat_from(self):
-        """A table's first knot index from which every value equals the
-        last: PCHIP is exactly that constant from there on."""
-        K = self.params["K"]
-        i = len(K) - 1
-        while i > 0 and K[i - 1] == K[-1]:
-            i -= 1
-        return i
+    def _piece(self, r):
+        """The index of the piece holding r; OutOfWindow outside the domain."""
+        lo, hi = self._domain
+        if not lo <= r <= hi:
+            raise OutOfWindow(f"r = {r:.6g} outside the domain [{lo:.6g}, {hi:.6g}]")
+        return bisect.bisect_right(self._x, r) - 1
 
     def taylor(self, r, n):
         """K's first n Taylor coefficients at r, lowest power first, for
         the analytic piece of K that starts at r (the one on [r, next
-        join)): k for constant; the isq term; for isq_capped the isq term
-        below z-eps, the blend's quintic on the cap and 0 beyond; a
-        table's PCHIP cubic of the cell, or its end value where it
-        extrapolates as a constant; for spliced the base's plus the
-        drop's smoothstep polynomial."""
-        p = self.params
-        if self.kind == "constant":
-            coefs = [p["k"]]
-        elif self.kind == "isq" or (self.kind == "isq_capped" and r < self._blend.x[0]):
-            coefs = _isq_taylor(r, p["u"], n)
-        elif self.kind == "isq_capped":
-            a, b = self._blend.x
-            coefs = _shift(self._blend_coefs, r - a) if r < b else []
-        elif self.kind == "spliced":
-            coefs = p["base"].taylor(r, n)
-            r0, drop = p["r0"], p["drop"]
-            if r >= r0:
-                # S((r - r0 + t) / w), and 1 beyond the drop
-                step = _shift(_SMOOTHSTEP.coef, (r - r0) / drop.w) if r < r0 + drop.w else [1.0]
-                for j, c in enumerate(step[:n]):
-                    coefs[j] -= drop.mu * c / drop.w**j
-        else:
-            knots = p["r"]
-            i = bisect.bisect_right(knots, r) - 1
-            if 0 <= i < len(knots) - 1 or (r == knots[-1] and p["extrapolate"] == "none"):
-                i = min(i, len(knots) - 2)
-                coefs = _shift(self._interp.c[::-1, i].tolist(), r - knots[i])
-            elif p["extrapolate"] == "constant":
-                coefs = [p["K"][0] if i < 0 else p["K"][-1]]
-            else:
-                raise OutOfWindow(f"r = {r:.6g} outside table range "
-                                  f"[{knots[0]:.6g}, {knots[-1]:.6g}]")
-        return (coefs + [0.0] * n)[:n]
+        join)): that piece's polynomial moved to r, plus the isq term's
+        series below isq_end."""
+        i = self._piece(r)
+        coefs = (_shift(self._coefs[i], r - self._x[i]) + [0.0] * n)[:n]
+        if r < self._isq_end:
+            return [a + b for a, b in zip(coefs, _isq_taylor(r, n))]
+        return coefs
 
     def evaluate(self, r):
-        """K(r); accepts scalars or arrays, r >= 0 required."""
+        """K(r); accepts scalars or arrays, r >= 0 required, and raises
+        OutOfWindow outside the domain."""
         scalar = np.isscalar(r)
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < 0):
             raise ValueError("curvature is defined for r >= 0 only")
-        out = self._eval(r)
+        lo, hi = self._domain
+        outside = r[~((r >= lo) & (r <= hi))]
+        if outside.size:
+            self._piece(outside[0])  # raises OutOfWindow
+        out = self._P(r) + np.where(r < self._isq_end, 0.25 / (r + 1.0) ** 2, 0.0)
         return float(out[0]) if scalar else out
-
-    def _eval(self, r):
-        p = self.params
-        if self.kind == "constant":
-            return np.full_like(r, p["k"])
-        if self.kind == "isq":
-            return _isq_value(r, p["u"])
-        if self.kind == "isq_capped":
-            u, eps = p["u"], p["eps"]
-            z = isq_zero(u)
-            out = np.zeros_like(r)
-            lo = r <= z - eps
-            mid = (r > z - eps) & (r < z + eps)
-            out[lo] = _isq_value(r[lo], u)
-            if np.any(mid):
-                out[mid] = self._blend(r[mid])
-            return out
-        if self.kind == "spliced":
-            base = p["base"]._eval(r)
-            drop = p["drop"]
-            t = (r - p["r0"]) / drop.w
-            return base - drop.mu * smoothstep(t)
-        if self.kind == "table":
-            if p["extrapolate"] == "constant":
-                rc = np.clip(r, self._table_r[0], self._table_r[-1])
-                return self._interp(rc)
-            out = self._interp(r)
-            if np.any(np.isnan(out)):
-                bad = r[np.isnan(out)][0]
-                raise OutOfWindow(
-                    f"r = {bad:.6g} outside table range "
-                    f"[{self._table_r[0]:.6g}, {self._table_r[-1]:.6g}]"
-                )
-            return out
 
     __call__ = evaluate
 
     # ------------------------------------------------------------------
 
+    def _constant(self, i):
+        """k if piece i is the constant k, clear of the isq term, else None."""
+        c = self._coefs[i]
+        return c[0] if self._x[i] >= self._isq_end and not any(c[1:]) else None
+
     def constant_beyond(self):
-        """(r_c, value) if K is exactly constant on [r_c, oo), else None."""
-        p = self.params
-        if self.kind == "constant":
-            return 0.0, p["k"]
-        if self.kind == "isq_capped":
-            return isq_zero(p["u"]) + p["eps"], 0.0
-        if self.kind == "spliced":
-            base_cb = p["base"].constant_beyond()
-            if base_cb is None:
-                return None
-            r_c, v = base_cb
-            return max(r_c, p["r0"] + p["drop"].w), v - p["drop"].mu
-        if self.kind == "table" and p["extrapolate"] == "constant":
-            return p["r"][self._flat_from()], p["K"][-1]
-        return None
+        """(r_c, value) if K is exactly constant on [r_c, oo), else None:
+        the last piece, when it is constant and the domain unbounded."""
+        i = len(self._coefs) - 1
+        k = self._constant(i)
+        return None if k is None or self._domain[1] < math.inf else (self._x[i], k)
 
     def constant_on(self, lo, hi):
-        """k if K is exactly the constant k on [lo, hi], else None: on the
-        constant_beyond() tail, or below a splice's drop where its base
-        is constant.  Exact in floats: it is the value evaluate returns."""
-        cb = self.constant_beyond()
-        if cb is not None and lo >= cb[0]:
-            return cb[1]
-        if self.kind == "spliced" and hi <= self.params["r0"]:
-            return self.params["base"].constant_on(lo, hi)
+        """k if K is exactly the constant k on [lo, hi], else None: when one
+        constant piece holds [lo, hi] inside the domain.  Exact in floats:
+        it is the value evaluate returns."""
+        i = bisect.bisect_right(self._x, lo) - 1
+        if self._domain[0] <= lo and hi <= min(self._x[i + 1], self._domain[1]):
+            return self._constant(i)
         return None
 
     def tail_certificate(self):
         """What is certifiably known about K on a tail [r0, oo).
 
-        Returns ("zero", r0), ("nonpositive", r0), ("positive_decreasing", 0.0)
-        or None.  Used by the quadrature module to pick a tail strategy for
-        improper integrals; None means only window-based estimates apply.
+        Returns ("zero", r0), ("nonpositive", r0) or None, from the last
+        piece when it is a constant v <= 0 on an unbounded domain: K = v
+        from its start on, or, while the isq term runs, K = v +
+        1/(4(r+1)^2), which is <= 0 from 1/(2 sqrt(-v)) - 1 on when v < 0.
+        Used by the quadrature module to pick a tail strategy for improper
+        integrals; None means only window-based estimates apply.
         """
-        p = self.params
-        cb = self.constant_beyond()
-        if cb is not None:
-            r_c, v = cb
-            if v == 0.0:
-                return ("zero", r_c)
-            if v < 0.0:
-                return ("nonpositive", r_c)
+        s, c = self._x[-2], self._coefs[-1]
+        if self._domain[1] < math.inf or any(c[1:]) or c[0] > 0.0:
             return None
-        if self.kind == "isq":
-            u = p["u"]
-            if u == 0.0:
-                return ("positive_decreasing", 0.0)
-            return ("nonpositive", isq_zero(u))
-        if self.kind == "spliced":
-            base_cert = p["base"].tail_certificate()
-            r_full = p["r0"] + p["drop"].w
-            if base_cert is not None and base_cert[0] in ("zero", "nonpositive"):
-                return ("nonpositive", max(base_cert[1], r_full))
-            # decreasing base: beyond the drop, K = base - mu <= base(r_full) - mu
-            if base_cert is not None and base_cert[0] == "positive_decreasing":
-                if p["base"].evaluate(r_full) <= p["drop"].mu:
-                    return ("nonpositive", r_full)
-            return None
+        if s >= self._isq_end:
+            return ("zero" if c[0] == 0.0 else "nonpositive", s)
+        if c[0] < 0.0:
+            return ("nonpositive", max(s, 1.0 / (2.0 * math.sqrt(-c[0])) - 1.0))
         return None
 
     def blend_is_monotone(self):

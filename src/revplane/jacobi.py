@@ -259,7 +259,7 @@ def solve_jacobi(spec, r_max=200.0):
         if k is None:
             x, left, right, y = series_stretch(spec, a, b, y)
         else:
-            if k <= 0.0 and a >= cb[0]:
+            if k <= 0.0 and cb is not None and a >= cb[0]:
                 tail = _rising_tail(k, a, b, y)
             x, left, right, y = _constant_stretch(k, a, b, y)
         xs.append(x[1:])

@@ -254,7 +254,7 @@ def test_one_closed_side_reader():
 
 
 def test_scan_flat_stub_single_interval():
-    rep = an.scan_sets(flat_stub(), n=48, refine=False)
+    rep = an.scan_sets(flat_stub(), n=48)
     assert rep.critical_intervals == [[rep.r[0], rep.r[-1]]]
     assert rep.away_intervals == [[rep.r[0], rep.r[-1]]]
     assert rep.undetermined == []
@@ -265,7 +265,7 @@ def test_scan_flags_match_point_predicates():
     # side's boundary: the grid flags come from the same comparison as
     # is_critical and in_away_set
     p = cone_stub(0.5)
-    rep = an.scan_sets(p, n=12, refine=False)
+    rep = an.scan_sets(p, n=12)
     assert rep.undetermined == []
     assert rep.critical == [an.is_critical(p, r) for r in rep.r]
     assert rep.away == [an.in_away_set(p, r) for r in rep.r]

@@ -1,6 +1,10 @@
+import ast
 import json
 import math
+import random
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +12,8 @@ from hypothesis import given, strategies as st
 from revplane import curvature as cv
 from revplane import jacobi
 from revplane.errors import OutOfWindow
+
+import referee
 
 
 def test_constant_eval():
@@ -163,6 +169,18 @@ def test_table_interpolates_and_bounds():
     assert clamped.evaluate(5.0) == -1.0
 
 
+def test_evaluate_rejects_radii_outside_the_domain():
+    # the domain check reads the description, for every kind; a NaN
+    # radius lies in no domain
+    tab = cv.table([0.5, 1.0, 2.0], [1.0, 0.0, -1.0])
+    for r in (0.25, 2.5, math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(OutOfWindow):
+            tab.evaluate(r)
+    with pytest.raises(OutOfWindow):
+        cv.constant(1.0).evaluate(math.nan)
+    assert tab.evaluate(0.5) == 1.0 and tab.evaluate(2.0) == -1.0
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         cv.table([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
@@ -190,7 +208,7 @@ def test_tail_certificates():
     assert cv.constant(0.0).tail_certificate() == ("zero", 0.0)
     assert cv.constant(-1.0).tail_certificate() == ("nonpositive", 0.0)
     assert cv.constant(1.0).tail_certificate() is None
-    assert cv.isq(0.0).tail_certificate() == ("positive_decreasing", 0.0)
+    assert cv.isq(0.0).tail_certificate() is None
     kind, r0 = cv.isq(0.01).tail_certificate()
     assert kind == "nonpositive" and r0 == pytest.approx(cv.isq_zero(0.01))
     kind, r0 = cv.isq_capped(0.01, 0.3).tail_certificate()
@@ -244,3 +262,64 @@ def test_non_finite_parameters_rejected():
             cv.DropParams(bad, 1.0)
         with pytest.raises(ValueError):
             cv.DropParams(1.0, bad)
+
+
+# a table from r_0 = 0.3 > 0 whose values turn constant at 2
+TABLE_R = [0.3, 0.5, 1.0, 2.0, 3.5, 6.0]
+TABLE_K = [0.2, 0.1, -0.05, -0.3, -0.3, -0.3]
+CAP = cv.isq_capped(0.01, 0.3)
+PIECE_SPECS = {
+    "constant": cv.constant(-1.3),
+    "isq0": cv.isq(0.0),
+    "isq": cv.isq(0.01),
+    "cap": CAP,
+    "table": cv.table(TABLE_R, TABLE_K),
+    "table_extrapolated": cv.table(TABLE_R, TABLE_K, "constant"),
+    "table_flat_cell": cv.table([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.5, 0.0, 0.0], "constant"),
+    "splice_isq0": cv.spliced(cv.isq(0.0), 1.0, cv.DropParams(0.01, 1.0)),
+    "splice_isq": cv.spliced(cv.isq(0.01), 2.0, cv.DropParams(0.3, 0.7)),
+    "splice_cap": cv.spliced(CAP, 3.0, cv.DropParams(2.0, 0.6)),
+    "splice_table": cv.spliced(cv.table(TABLE_R, TABLE_K), 0.2, cv.DropParams(1.5, 0.45)),
+    "splice_table_extrapolated": cv.spliced(cv.table(TABLE_R, TABLE_K, "constant"), 0.8,
+                                            cv.DropParams(1.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", PIECE_SPECS)
+def test_pieces_match_the_referee(name):
+    # evaluate and taylor against the referee's own pieces (tests/referee.py),
+    # built in mpmath from each kind's definition, at seeded radii and at
+    # every join; the j-th Taylor coefficient is weighed by L^j, L the
+    # referee piece's width up to 1, so a narrow drop's steep high
+    # coefficients count as they act on their piece
+    spec = PIECE_SPECS[name]
+    lo, hi = (TABLE_R[0] if spec.domain_hi < math.inf else 0.0), min(spec.domain_hi, 12.0)
+    rng = random.Random(1)
+    radii = [rng.uniform(lo, hi) for _ in range(100)] + [r for r in spec.joins() if r <= hi]
+    with mpmath.workdps(referee.DPS):
+        pieces = referee._pieces(spec)
+        starts = [s for s, _ in pieces] + [math.inf]
+        for r in radii:
+            i = max(i for i, s in enumerate(starts) if s <= r)
+            width = min(1.0, starts[i + 1] - starts[i])
+            want = [float(c) * width**j for j, c in
+                    enumerate((pieces[i][1](mpmath.mpf(r), 6) + [0] * 6)[:6])]
+            got = [c * width**j for j, c in enumerate(spec.taylor(r, 6))]
+            scale = 1e-14 * max(1.0, *map(abs, want))
+            assert abs(spec.evaluate(r) - want[0]) <= 1e-14 * max(1.0, abs(want[0])), r
+            assert max(abs(a - b) for a, b in zip(got, want)) <= scale, r
+
+
+def test_queries_read_the_pieces_not_the_kind():
+    # every query reads the one description __init__ builds; only the
+    # builder, the validation, serialization and the von Mangoldt rules
+    # tell the kinds apart
+    tree = ast.parse(Path(cv.__file__).read_text())
+    spec = next(d for d in tree.body if isinstance(d, ast.ClassDef) and d.name == "CurvatureSpec")
+    defs = {d.name: d for d in spec.body if isinstance(d, ast.FunctionDef)}
+    for name in ("evaluate", "taylor", "joins", "constant_on", "constant_beyond",
+                 "tail_certificate", "domain_hi", "_piece", "_constant"):
+        assert "kind" not in ast.unparse(defs[name]), name
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) or n.name
+             for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute, ast.FunctionDef))}
+    assert names.isdisjoint({"_eval", "_isq_value", "_flat_from", "_blend_coefs"})

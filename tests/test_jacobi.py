@@ -59,16 +59,18 @@ def test_sphere_zero_in_a_constant_tail():
 
 
 def test_overflow_raises():
-    # in a constant stretch, and in a series one (the table is not
-    # extrapolated, so K = -1e6 has no closed-form tail)
+    # in a constant stretch (a table's equal values are one constant
+    # piece too), and in a series one (a table whose values differ)
     with pytest.raises(OverflowError):
         jacobi.solve_jacobi(cv.constant(-100.0), r_max=200.0)
     with pytest.raises(OverflowError):
         jacobi.solve_jacobi(cv.table([0.0, 1.0], [-1e6, -1e6]), r_max=1.0)
+    with pytest.raises(OverflowError, match="near r"):
+        jacobi.solve_jacobi(cv.table([0.0, 1.0], [-1e6, -1.1e6]), r_max=1.0)
 
 
 def test_zero_in_a_series_stretch_is_its_piece_root():
-    # K = 1 from a table (no closed form) vanishes at pi; a drop from
+    # K = 1 from a table (one constant piece) vanishes at pi; a drop from
     # K = 1 that starts at r = 2, where m already falls, does not stop the
     # dive, and m vanishes inside the drop: the referee's m is 0 there
     with pytest.raises(StarViolation) as exc:
@@ -494,6 +496,24 @@ def test_dop853_runs_only_where_curvature_varies(plane, passes, request, monkeyp
     jacobi.solve_jacobi(base.spec, base.r_max)
     assert len(calls) == passes
     assert calls == _numerical_stretches(base.spec, base.r_max)
+
+
+def test_table_constant_cells_are_closed_form(monkeypatch):
+    # a table's interior cell between equal values is one constant piece:
+    # the series runs only on the two varying cells, and the profile
+    # stays within the cell rule of the referee
+    spec = cv.table([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.5, 0.0, 0.0], "constant")
+    assert spec.constant_on(1.0, 2.0) == 0.5
+    calls = []
+    series_stretch = jacobi.series_stretch
+    monkeypatch.setattr(jacobi, "series_stretch",
+                        lambda *a: calls.append(a[1:3]) or series_stretch(*a))
+    p = jacobi.solve_jacobi(spec, r_max=4.0)
+    assert calls == [(0.0, 1.0), (2.0, 3.0)]
+    r = np.unique(np.concatenate([p._m_pp.x, np.linspace(0.0, 4.0, 101)]))
+    m, mp = (np.array(v) for v in referee.profile(spec, r.tolist()))
+    assert np.all(np.abs(p.m(r) - m) <= REFEREE_TOL * np.maximum(1.0, np.abs(m)))
+    assert np.all(np.abs(p.mp(r) - mp) <= REFEREE_TOL * np.maximum(1.0, np.abs(mp)))
 
 
 @pytest.mark.parametrize("name", ["bounded_table", "isq0", "cone03", "cone09", "flare"])

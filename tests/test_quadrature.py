@@ -189,6 +189,19 @@ def test_window_limited_without_certificate():
     assert 0.0 < res.value < math.inf
 
 
+def test_drop_over_isq0_certifies_its_tail():
+    # K = 1/(4(r+1)^2) - 0.01 beyond the drop is <= 0 from r = 4 on, so
+    # the tail past r_max 50 is bracketed, and the band holds the turn
+    # the r_max 400 window gives
+    spec = cv.spliced(cv.isq(0.0), 1.0, cv.DropParams(0.01, 1.0))
+    assert spec.tail_certificate() == ("nonpositive", 4.0)
+    assert spec.evaluate(3.99) > 0.0 and spec.evaluate(4.0) == 0.0 > spec.evaluate(4.01)
+    t50, t400 = (gd.turn_angle(jacobi.solve_jacobi(spec, r_max=r_max), 2.0, math.pi / 2)
+                 for r_max in (50.0, 400.0))
+    assert t50.status == t400.status == "converged"
+    assert abs(t50.value - t400.value) <= t50.abs_error
+
+
 def test_zero_c_is_zero():
     p = jacobi.solve_jacobi(cv.constant(0.0), r_max=10.0)
     res = qd.integrate_turn_rate(p, c=0.0, r_lo=1.0)
