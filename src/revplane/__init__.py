@@ -16,7 +16,7 @@ from .constructions import (BulgeBuild, ConeBuild, FlareBuild, TableBuild,
                             build_flared_cone, build_smoothed_cone)
 from .curvature import (CurvatureSpec, DropParams, VMReport,
                         check_von_mangoldt, constant, isq, isq_capped,
-                        isq_zero, smoothstep, spliced, table)
+                        isq_zero, spliced, table)
 from .errors import (BuildError, OutOfWindow, ShootFailure, StarViolation,
                      Undetermined)
 from .geodesics import (GeodesicTrace, is_ray, max_ray_angle, side_of_pi,
@@ -40,8 +40,7 @@ __all__ = [
     "build_bounded_table_plane", "build_bulge_plane", "build_flared_cone",
     "build_smoothed_cone",
     "CurvatureSpec", "DropParams", "VMReport", "check_von_mangoldt",
-    "constant", "isq", "isq_capped", "isq_zero", "smoothstep",
-    "spliced", "table",
+    "constant", "isq", "isq_capped", "isq_zero", "spliced", "table",
     "BuildError", "OutOfWindow", "ShootFailure",
     "StarViolation", "Undetermined",
     "GeodesicTrace", "is_ray", "max_ray_angle",

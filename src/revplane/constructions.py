@@ -35,6 +35,10 @@ from .errors import BuildError, StarViolation
 
 # how far the tuned m'(rho) of a smoothed cone may miss its slope s
 SLOPE_TOL = 1e-9
+# how far a flared cone's turn from r_q by R passes pi, and its window past R
+FLARE_MARGIN, FLARE_TAIL = 0.01, 40.0
+# the bounded table plane's window and its number of samples
+TABLE_R_MAX, TABLE_SAMPLES = 60.0, 1201
 
 
 @dataclass
@@ -145,10 +149,10 @@ def build_smoothed_cone(s, tail=60.0):
     z_star = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=100)
 
     spec = capped(z_star)
-    if not spec.blend_is_monotone():
+    rho = spec.joins()[1]
+    if not cv.check_von_mangoldt(spec, rho).is_vm:
         raise BuildError("curvature cap lost monotonicity")
     u, eps = spec.params["u"], spec.params["eps"]
-    rho = spec.joins()[1]
     prof = jacobi.solve_jacobi(spec, r_max=rho + tail)
     achieved = prof.mp(rho)
     if abs(achieved - s) > SLOPE_TOL:
@@ -183,8 +187,7 @@ def build_bulge_plane(a=3 * math.pi / 4, mu=8.0, w=0.25, r_max=50.0):
     return BulgeBuild(prof, spec, a=a, mu=mu, w=w)
 
 
-def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
-                      tail=40.0):
+def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5):
     """Positive-slope plane whose critical set is disconnected.
 
     Starts from a smoothed cone (slope s_base, finite critical ball),
@@ -198,8 +201,9 @@ def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
     R needs no second solve of the base: its curvature vanishes beyond
     rho, so m is linear there and the turn left beyond R is
     arcsin(c / m(R)) / slope in closed form.  R is placed so that this
-    is the turn above pi + margin, which puts exactly pi + margin on
-    [r_q, R]; only the spliced plane is solved.
+    is the turn above pi + FLARE_MARGIN, which puts exactly pi +
+    FLARE_MARGIN on [r_q, R]; only the spliced plane is solved, to
+    R + FLARE_TAIL.
     """
     from .analysis import critical_ball_radius
 
@@ -214,11 +218,11 @@ def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
     r_q = rq_factor * r_crit
     c = base.profile.m(r_q)
     total = gd.turn_angle(base.profile, r_q, math.pi / 2, tol=1e-10)
-    excess = total.value - math.pi - margin
+    excess = total.value - math.pi - FLARE_MARGIN
     if total.status != "converged" or excess <= 0.0:
         raise BuildError(
             f"tangential turn angle {total.value:.6g} leaves no room above "
-            f"pi + {margin}; increase rq_factor"
+            f"pi + {FLARE_MARGIN}; increase rq_factor"
         )
     # the turn past R on the exact linear tail is arcsin(c / m(R)) / sigma
     sigma = base.slope
@@ -229,7 +233,7 @@ def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
     R = max(R, r_q + 1.0, base.rho + 1.0)
 
     spec = cv.spliced(base.spec, R, cv.DropParams(mu, w))
-    prof = jacobi.solve_jacobi(spec, r_max=R + tail)
+    prof = jacobi.solve_jacobi(spec, r_max=R + FLARE_TAIL)
     # the smallest slope sits at an end or where m'' = 0
     min_slope = float(np.min(prof.mp(np.r_[0.0, prof.r_max,
                                            prof.roots(2, 0.0, 0.0, prof.r_max)])))
@@ -239,11 +243,12 @@ def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5, margin=0.01,
                       base_critical_radius=float(r_crit), base=base)
 
 
-def build_bounded_table_plane(r_max=60.0, n=1201):
-    """Table-sampled curvature 3/(1+r^2)^2: its profile is r/sqrt(1+r^2),
-    which stays below 1, so the inverse-square radial integral diverges."""
-    r = np.linspace(0.0, r_max, n)
+def build_bounded_table_plane():
+    """Table-sampled curvature 3/(1+r^2)^2 on TABLE_SAMPLES radii to
+    TABLE_R_MAX: its profile is r/sqrt(1+r^2), which stays below 1, so
+    the inverse-square radial integral diverges."""
+    r = np.linspace(0.0, TABLE_R_MAX, TABLE_SAMPLES)
     K = 3.0 / (1.0 + r * r) ** 2
     spec = cv.table(r, K, extrapolate="constant")
-    prof = jacobi.solve_jacobi(spec, r_max=r_max)
+    prof = jacobi.solve_jacobi(spec, r_max=TABLE_R_MAX)
     return TableBuild(prof, spec)

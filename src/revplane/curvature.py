@@ -7,14 +7,15 @@ function.  Builtin kinds:
   isq         K(r) = 1/(4(r+1)^2) - u          ("inverse-square shift",
               u in [0, 1/4]; u > 0 crosses zero at z = 1/(2 sqrt u) - 1)
   isq_capped  max(isq_u, 0) with the corner at z smoothed over [z-eps, z+eps]
-              by the quintic Hermite blend (C^2, non-increasing, identically
+              by the quintic Hermite blend (1-t)^3 Q(t) (C^2, identically
               zero beyond z+eps) -- the curvature of an asymptotically
               conical plane
   spliced     base curvature with a smooth monotone drop of depth mu and
               width w starting at r0
   table       sampled (r, K) pairs, monotone cubic (PCHIP) interpolation
 
-Each spec turns its parameters into one description of K,
+One builder per kind checks a spec's parameters and turns them into one
+description of K,
 
     K(r) = P(r) + [r < isq_end] / (4(r+1)^2),
 
@@ -23,7 +24,8 @@ CurvatureSpec), and every query -- evaluate, taylor, joins, constant_on,
 constant_beyond, tail_certificate, domain_hi -- reads that description.
 Specs serialize to/from JSON as {"kind": ..., "params": {...}} and
 round-trip bit-exactly.  Every kind is decided von Mangoldt (K
-non-increasing) or not exactly, by check_von_mangoldt.
+non-increasing) or not exactly, by check_von_mangoldt, from the same
+blend and cubics the builder writes.
 """
 
 import bisect
@@ -32,11 +34,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BPoly, PchipInterpolator, PPoly
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from .errors import OutOfWindow
-
-_BUILTIN_KINDS = ("constant", "isq", "isq_capped", "spliced", "table")
 
 _Poly = np.polynomial.Polynomial
 # the smoothstep 10 t^3 - 15 t^4 + 6 t^5 and its slope 30 t^2 (1 - t)^2
@@ -51,15 +51,18 @@ def isq_zero(u):
     return 1.0 / (2.0 * math.sqrt(u)) - 1.0
 
 
-def smoothstep(t):
-    """Quintic smoothstep 6t^5 - 15t^4 + 10t^3, clamped to [0, 1].
-
-    Odd-symmetric about the midpoint (S(1-t) = 1 - S(t)) and flat to
-    second order at both ends, so a drop shaped by it is C^2 wherever
-    it is spliced on.
-    """
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+def _cap_blend(u, eps):
+    """The cap's blend cell [a, b] = [z-eps, z+eps] and the quadratic Q,
+    lowest coefficient first, of its quintic (1-t)^3 Q(t) in t = (r-a)/h,
+    h = b - a: Q makes K, K' and K'' agree with K_u's at a, and (1-t)^3
+    makes them vanish at b."""
+    z = isq_zero(u)
+    a, b = z - eps, z + eps
+    h, s = b - a, a + 1.0
+    q0 = 0.25 / s**2 - u
+    q1 = -0.5 / s**3 * h + 3.0 * q0
+    q2 = 0.5 * (1.5 / s**4) * h**2 + 3.0 * (q1 - q0)
+    return a, b, (q0, q1, q2)
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,9 @@ def _isq_taylor(r, n):
 class CurvatureSpec:
     """Immutable curvature function K(r); evaluation is pure and vectorized.
 
-    __init__ turns the parameters into one description of K on its
-    domain [lo, hi]:
+    __init__ keeps the kind, the normalized params and what _build, the
+    one switch on the kind, makes of them: one description of K on its
+    domain [lo, hi],
 
         K(r) = P(r) + [r < isq_end] / (4(r+1)^2),
 
@@ -104,8 +108,8 @@ class CurvatureSpec:
 
       constant    [k]
       isq         [-u], and isq_end = inf
-      isq_capped  [-u], the blend's quintic from z-eps, [0] from z+eps,
-                  and isq_end = z-eps
+      isq_capped  [-u], the blend (1-t)^3 Q(t) of _cap_blend from z-eps,
+                  [0] from z+eps, and isq_end = z-eps
       table       the PCHIP cubics up to the knot where the values turn
                   constant, then [K[-1]]; [K[0]] on [0, r_0) when it
                   extrapolates from r_0 > 0; the domain is [r_0, r_end]
@@ -114,102 +118,60 @@ class CurvatureSpec:
                   smoothstep on [r0, r0+w) and mu beyond; the base's
                   isq_end and domain
 
-    No query reads the kind: each reads the pieces.
+    No query reads the kind: each reads the pieces.  A spliced spec's
+    base and drop may be given as dicts; _build turns them into objects.
     """
 
     def __init__(self, kind, params):
-        if kind not in _BUILTIN_KINDS:
-            raise ValueError(f"unknown curvature kind {kind!r}")
         self.kind = kind
         self.params = dict(params)
-        self._validate()
-        self._blend = self._make_blend() if kind == "isq_capped" else None
-        if kind == "table":
-            self._table_r, self._table_K = (np.asarray(self.params[k], dtype=float) for k in "rK")
-            self._interp = PchipInterpolator(self._table_r, self._table_K, extrapolate=False)
-        starts, self._coefs, self._isq_end, self._domain = self._pieces()
+        starts, self._coefs, self._isq_end, self._domain = self._build()
         # the pieces' breakpoints, the last one's end at infinity
         self._x = starts + [math.inf]
         deg = max(map(len, self._coefs))
         self._P = PPoly(np.array([[0.0] * (deg - len(c)) + c[::-1] for c in self._coefs]).T,
                         self._x)
 
-    def _validate(self):
-        p = self.params
-        if self.kind == "constant":
+    def _build(self):
+        """Check and normalize the parameters, in place, and return K's
+        description: the pieces' starts, their coefficients in powers of
+        r - start (lowest first), where the isq term ends, and the domain."""
+        p, kind = self.params, self.kind
+        whole = (0.0, math.inf)
+        if kind == "constant":
             p["k"] = float(p["k"])
             if not math.isfinite(p["k"]):
                 raise ValueError(f"constant curvature k must be finite, got {p['k']}")
-        elif self.kind == "isq":
-            u = float(p["u"])
-            if not 0.0 <= u <= 0.25:
-                raise ValueError(f"isq parameter u must be in [0, 1/4], got {u}")
-            p["u"] = u
-        elif self.kind == "isq_capped":
-            u = float(p["u"])
-            if not 0.0 < u <= 0.25:
-                raise ValueError(f"isq_capped requires u in (0, 1/4], got {u}")
-            eps = float(p["eps"])
-            z = isq_zero(u)
-            if not 0.0 < eps < z:
-                raise ValueError(f"eps must be in (0, z) with z = {z:.6g}, got {eps}")
-            p["u"], p["eps"] = u, eps
-        elif self.kind == "spliced":
-            base = p["base"]
-            if not isinstance(base, CurvatureSpec):
-                base = CurvatureSpec(base["kind"], base["params"])
-            p["base"] = base
-            p["r0"] = float(p["r0"])
-            if not 0 <= p["r0"] < math.inf:
-                raise ValueError(f"splice radius r0 must be finite and >= 0, got {p['r0']}")
-            drop = p["drop"]
-            if not isinstance(drop, DropParams):
-                drop = DropParams(float(drop["mu"]), float(drop["w"]))
-            p["drop"] = drop
-        elif self.kind == "table":
-            r = np.asarray(p["r"], dtype=float)
-            K = np.asarray(p["K"], dtype=float)
+            return [0.0], [[p["k"]]], 0.0, whole
+        if kind == "isq":
+            p["u"] = float(p["u"])
+            if not 0.0 <= p["u"] <= 0.25:
+                raise ValueError(f"isq parameter u must be in [0, 1/4], got {p['u']}")
+            return [0.0], [[-p["u"]]], math.inf, whole
+        if kind == "isq_capped":
+            p["u"], p["eps"] = float(p["u"]), float(p["eps"])
+            if not 0.0 < p["u"] <= 0.25:
+                raise ValueError(f"isq_capped requires u in (0, 1/4], got {p['u']}")
+            z = isq_zero(p["u"])
+            if not 0.0 < p["eps"] < z:
+                raise ValueError(f"eps must be in (0, z) with z = {z:.6g}, got {p['eps']}")
+            a, b, Q = _cap_blend(p["u"], p["eps"])
+            # the blend (1-t)^3 Q(t), t = (r - a) / (b - a), in powers of r - a
+            blend = (np.convolve([1.0, -3.0, 3.0, -1.0], Q) / (b - a) ** np.arange(6)).tolist()
+            return [0.0, a, b], [[-p["u"]], blend, [0.0]], a, whole
+        if kind == "table":
+            r, K = (np.asarray(p[k], dtype=float) for k in "rK")
             if r.ndim != 1 or r.shape != K.shape or len(r) < 2:
                 raise ValueError("table needs matching 1-d r and K arrays, length >= 2")
             if not np.all(np.diff(r) > 0):
                 raise ValueError("table radii must be strictly increasing")
             if not (np.all(np.isfinite(r)) and np.all(np.isfinite(K))):
                 raise ValueError("table entries must be finite")
-            p["r"] = [float(x) for x in r]
-            p["K"] = [float(x) for x in K]
+            p["r"], p["K"] = r.tolist(), K.tolist()
             p.setdefault("extrapolate", "none")
             if p["extrapolate"] not in ("none", "constant"):
                 raise ValueError("table extrapolate must be 'none' or 'constant'")
-
-    def _blend_start(self):
-        """The blend's cell [z-eps, z+eps] and K_u's value and first two
-        derivatives at z-eps, which it takes on there."""
-        u, eps = self.params["u"], self.params["eps"]
-        z = isq_zero(u)
-        s = z - eps + 1.0
-        return z - eps, z + eps, (0.25 / s**2 - u, -0.5 / s**3, 1.5 / s**4)
-
-    def _make_blend(self):
-        # quintic Hermite joining K_u (value + two derivatives) at z-eps
-        # to the flat zero function at z+eps
-        a, b, jet = self._blend_start()
-        return BPoly.from_derivatives([a, b], [list(jet), [0.0, 0.0, 0.0]])
-
-    def _pieces(self):
-        """K's description from the parameters: the pieces' starts, their
-        coefficients in powers of r - start (lowest first), where the isq
-        term ends, and the domain."""
-        p = self.params
-        whole = (0.0, math.inf)
-        if self.kind == "constant":
-            return [0.0], [[p["k"]]], 0.0, whole
-        if self.kind == "isq":
-            return [0.0], [[-p["u"]]], math.inf, whole
-        if self.kind == "isq_capped":
-            a, b, _ = self._blend_start()
-            blend = PPoly.from_bernstein_basis(self._blend).c[::-1, 0].tolist()
-            return [0.0, a, b], [[-p["u"]], blend, [0.0]], a, whole
-        if self.kind == "table":
+            cubics = PchipInterpolator(r, K).c
             r, K = p["r"], p["K"]
             # PCHIP is exactly K[-1] from the first knot where every value
             # equals the last
@@ -217,28 +179,37 @@ class CurvatureSpec:
             while f > 0 and K[f - 1] == K[-1]:
                 f -= 1
             starts = r[:f + 1]
-            coefs = [self._interp.c[::-1, i].tolist() for i in range(f)] + [[K[-1]]]
+            coefs = [cubics[::-1, i].tolist() for i in range(f)] + [[K[-1]]]
             if p["extrapolate"] == "none":
                 return starts, coefs, 0.0, (r[0], r[-1])
             if r[0] > 0.0:
                 starts, coefs = [0.0, *starts], [[K[0]], *coefs]
             return starts, coefs, 0.0, whole
-        # spliced: the base's pieces, cut at the drop's ends, less the drop
-        base, r0, drop = p["base"], p["r0"], p["drop"]
-        starts = sorted({*base._x[:-1], *(e for e in (r0, r0 + drop.w) if e > base._x[0])})
-        coefs = []
-        for s in starts:
-            i = bisect.bisect_right(base._x, s) - 1
-            c = _shift(base._coefs[i], s - base._x[i])
-            if s >= r0:
-                # S((s - r0 + t) / w), and 1 beyond the drop
-                step = (_shift(_SMOOTHSTEP.coef.tolist(), (s - r0) / drop.w)
-                        if s < r0 + drop.w else [1.0])
-                c += [0.0] * (len(step) - len(c))
-                for j, sj in enumerate(step):
-                    c[j] -= drop.mu * sj / drop.w**j
-            coefs.append(c)
-        return starts, coefs, base._isq_end, base._domain
+        if kind == "spliced":
+            if not isinstance(p["base"], CurvatureSpec):
+                p["base"] = CurvatureSpec(p["base"]["kind"], p["base"]["params"])
+            p["r0"] = float(p["r0"])
+            if not 0 <= p["r0"] < math.inf:
+                raise ValueError(f"splice radius r0 must be finite and >= 0, got {p['r0']}")
+            if not isinstance(p["drop"], DropParams):
+                p["drop"] = DropParams(float(p["drop"]["mu"]), float(p["drop"]["w"]))
+            # the base's pieces, cut at the drop's ends, less the drop
+            base, r0, drop = p["base"], p["r0"], p["drop"]
+            starts = sorted({*base._x[:-1], *(e for e in (r0, r0 + drop.w) if e > base._x[0])})
+            coefs = []
+            for s in starts:
+                i = bisect.bisect_right(base._x, s) - 1
+                c = _shift(base._coefs[i], s - base._x[i])
+                if s >= r0:
+                    # S((s - r0 + t) / w), and 1 beyond the drop
+                    step = (_shift(_SMOOTHSTEP.coef.tolist(), (s - r0) / drop.w)
+                            if s < r0 + drop.w else [1.0])
+                    c += [0.0] * (len(step) - len(c))
+                    for j, sj in enumerate(step):
+                        c[j] -= drop.mu * sj / drop.w**j
+                coefs.append(c)
+            return starts, coefs, base._isq_end, base._domain
+        raise ValueError(f"unknown curvature kind {kind!r}")
 
     # ------------------------------------------------------------------
 
@@ -337,11 +308,6 @@ class CurvatureSpec:
             return ("nonpositive", max(s, 1.0 / (2.0 * math.sqrt(-c[0])) - 1.0))
         return None
 
-    def blend_is_monotone(self):
-        """For isq_capped: whether the smoothing blend is non-increasing
-        (and so >= 0, as it ends at 0), read as check_von_mangoldt reads it."""
-        return self.kind != "isq_capped" or not _rise_cells(self)
-
     # ------------------------------------------------------------------
 
     def to_dict(self):
@@ -360,11 +326,7 @@ class CurvatureSpec:
 
     @classmethod
     def from_dict(cls, d):
-        kind = d["kind"]
-        params = dict(d["params"])
-        if kind == "spliced":
-            params["base"] = cls.from_dict(params["base"])
-        return cls(kind, params)
+        return cls(d["kind"], d["params"])
 
     def to_json(self, **kw):
         return json.dumps(self.to_dict(), **kw)
@@ -453,15 +415,18 @@ def _rise_cells(spec):
     the cell, so p alone has K's sign.  K' <= 0 off the cells."""
     p = spec.params
     if spec.kind == "isq_capped":
-        a, b, (va, da, dda) = spec._blend_start()
-        q1 = da * (b - a) + 3.0 * va
-        q2 = 0.5 * dda * (b - a) ** 2 + 3.0 * (q1 - va)
-        L = _Poly([q1 - 3.0 * va, 2.0 * q2 - 4.0 * q1, -5.0 * q2]) / (b - a)
+        a, b, (q0, q1, q2) = _cap_blend(p["u"], p["eps"])
+        # L = (1-t) Q' - 3 Q
+        L = _Poly([q1 - 3.0 * q0, 2.0 * q2 - 4.0 * q1, -5.0 * q2]) / (b - a)
         return [(a, b, L, _Poly([1.0, -1.0]) ** 2)] if _first_rise(L, 1.0) is not None else []
     if spec.kind == "table":
-        r, slope = spec._table_r, spec._interp.derivative().c
-        return [(r[i], r[i + 1], _Poly(slope[::-1, i] * (r[i + 1] - r[i]) ** np.arange(3)),
-                 _Poly([1.0])) for i in np.flatnonzero(np.diff(spec._table_K) > 0.0)]
+        # a rising cell's cubic, from its piece: K' in t
+        r, cells = p["r"], []
+        for i in np.flatnonzero(np.diff(p["K"]) > 0.0):
+            c = spec._coefs[spec._piece(r[i])]
+            slope = np.array([c[1], 2 * c[2], 3 * c[3]]) * (r[i + 1] - r[i]) ** np.arange(3)
+            cells.append((r[i], r[i + 1], _Poly(slope), _Poly([1.0])))
+        return cells
     if spec.kind != "spliced":
         return []
     r0, mu, w = p["r0"], p["drop"].mu, p["drop"].w

@@ -1,10 +1,12 @@
 """An independent referee for the warping function: m and m' at 30 digits.
 
 m'' = -K m is solved by its power series, cell by cell, in mpmath.  K's
-pieces are rebuilt here from each spec's definition -- the isq term,
-the cap's Bernstein blend, a table's PCHIP cubics, the drop's
-smoothstep -- without CurvatureSpec.taylor, so the library's expansion
-is checked, not reused.  On a cell starting at x, with K = sum k_j t^j,
+pieces are rebuilt here from each spec's definition and its params
+alone -- the isq term, the cap's quintic solved from its end conditions,
+a table's PCHIP cubics from scipy, the drop's smoothstep -- without
+CurvatureSpec.taylor or any private attribute, so the library's
+description is checked, not reused.  On a cell starting at x, with
+K = sum k_j t^j,
 
     a_(n+2) = -sum_(j <= n) k_j a_(n-j) / ((n + 2)(n + 1)),
 
@@ -18,6 +20,7 @@ import bisect
 import math
 
 import mpmath
+from scipy.interpolate import PchipInterpolator
 
 DPS = 40
 # terms of the isq term's series computed per cell; the series of m
@@ -51,18 +54,19 @@ def _isq_piece(u):
     return series
 
 
-def _blend_piece(spec):
-    """The cap's quintic from its Bernstein coefficients, exactly."""
-    b = spec._blend
-    a, w = mpmath.mpf(float(b.x[0])), mpmath.mpf(float(b.x[1])) - mpmath.mpf(float(b.x[0]))
-    beta = [mpmath.mpf(float(c)) for c in b.c[:, 0]]
-    deg = len(beta) - 1
-    # sum beta_k C(deg, k) t^k (1 - t)^(deg - k), t = (r - a) / w
-    power = [mpmath.mpf(0)] * (deg + 1)
-    for k, bk in enumerate(beta):
-        for i in range(deg - k + 1):
-            power[k + i] += bk * math.comb(deg, k) * math.comb(deg - k, i) * (-1) ** i
-    return _poly_piece([c / w**j for j, c in enumerate(power)], a)
+def _blend_piece(u, eps):
+    """The cap's quintic from its definition, in s = r - a on [a, b] =
+    [z-eps, z+eps]: c0, c1, c2 are K_u's value, slope and half second
+    derivative at a; c3, c4, c5 make K, K' and K'' vanish at s = b - a."""
+    z = 1 / (2 * math.sqrt(u)) - 1
+    a, b = mpmath.mpf(z - eps), mpmath.mpf(z + eps)
+    y, h = a + 1, b - a
+    c = [1 / (4 * y**2) - mpmath.mpf(u), -1 / (2 * y**3), 3 / (4 * y**4)]
+    # K^(d)(h) / d! = sum_j C(j, d) c_j h^(j-d) = 0 for d = 0, 1, 2
+    A = mpmath.matrix([[math.comb(j, d) * h ** (j - d) for j in (3, 4, 5)] for d in range(3)])
+    rhs = mpmath.matrix([-sum(math.comb(j, d) * c[j] * h ** (j - d) for j in range(d, 3))
+                         for d in range(3)])
+    return _poly_piece(c + list(mpmath.lu_solve(A, rhs)), a)
 
 
 def _pieces(spec):
@@ -75,10 +79,10 @@ def _pieces(spec):
         return [(0.0, _isq_piece(p["u"]))]
     if spec.kind == "isq_capped":
         z = 1 / (2 * math.sqrt(p["u"])) - 1
-        return [(0.0, _isq_piece(p["u"])), (z - p["eps"], _blend_piece(spec)),
+        return [(0.0, _isq_piece(p["u"])), (z - p["eps"], _blend_piece(p["u"], p["eps"])),
                 (z + p["eps"], _poly_piece([0], 0))]
     if spec.kind == "table":
-        r, c = p["r"], spec._interp.c
+        r, c = p["r"], PchipInterpolator(p["r"], p["K"]).c
         out = [(r[i], _poly_piece(c[::-1, i].tolist(), r[i])) for i in range(len(r) - 1)]
         if r[0] > 0:
             out.insert(0, (0.0, _poly_piece([p["K"][0]], 0)))

@@ -253,6 +253,17 @@ def test_one_closed_side_reader():
     assert "search_closed" in ast.unparse(defs["analysis"]["critical_ball_radius"])
 
 
+def test_scan_reports_window_limited_points_as_gaps(cone03):
+    # on a window of 40 every tangential turn angle of the s = 0.3 cone
+    # is window limited: no retry can settle it, so each point is a gap,
+    # neither critical nor away
+    rep = an.scan_sets(jacobi.solve_jacobi(cone03.spec, r_max=40.0), n=32)
+    assert set(rep.status) == {"window_limited"}
+    assert rep.undetermined == rep.r
+    assert not any(rep.critical) and not any(rep.away)
+    assert rep.critical_intervals == rep.away_intervals == []
+
+
 def test_scan_flat_stub_single_interval():
     rep = an.scan_sets(flat_stub(), n=48)
     assert rep.critical_intervals == [[rep.r[0], rep.r[-1]]]

@@ -38,6 +38,19 @@ def test_plane_build_with_drop(tmp_path, capsys):
     assert code == 0 and out["kind"] == "spliced"
 
 
+@pytest.mark.parametrize("argv, spec", [
+    (("--kind", "isq", "--u", "0.01"), cv.isq(0.01)),
+    (("--kind", "isq-capped", "--u", "4e-4", "--eps", "0.5"), cv.isq_capped(4e-4, 0.5)),
+])
+def test_plane_build_isq_kinds(tmp_path, capsys, argv, spec):
+    spec_path = tmp_path / "spec.json"
+    code, out, _ = run(capsys, "plane", "build", *argv, "-o", str(spec_path))
+    assert code == 0 and out["kind"] == spec.kind
+    assert json.loads(spec_path.read_text()) == spec.to_dict()
+    code, out, _ = run(capsys, "plane", "check", "--spec", str(spec_path))
+    assert code == 0 and out == {"is_vm": True, "first_violation": None}
+
+
 def test_plane_check_flags_increasing_table(tmp_path, capsys):
     spec_path = tmp_path / "bad.json"
     spec_path.write_text(cv.table([0.0, 1.0, 2.0], [0.0, 0.5, 1.0]).to_json())

@@ -54,7 +54,7 @@ def test_isq_capped_regions():
     r = np.linspace(z + eps, z + 100, 200)
     assert np.all(spec.evaluate(r) == 0.0)
     # inside: nonnegative and monotone
-    assert spec.blend_is_monotone()
+    assert cv.check_von_mangoldt(spec, r_max=z + eps).is_vm
 
 
 def test_isq_capped_is_c2_at_joins():
@@ -148,11 +148,11 @@ def test_vm_check_wide_blend_rises_at_its_root():
     u = 1e-6
     z = cv.isq_zero(u)
     spec = cv.isq_capped(u, 0.9 * z)
-    assert not spec.blend_is_monotone()
     rep = cv.check_von_mangoldt(spec, r_max=z + 1.0)
     assert not rep.is_vm and z - 0.9 * z < rep.first_violation < z + 0.9 * z
     # the blend's slope crosses zero upward there
-    slope = spec._blend.derivative()
+    def slope(r):
+        return spec.taylor(r, 2)[1]
     assert abs(slope(rep.first_violation)) < 1e-15
     assert slope(rep.first_violation - 1e-3) < 0.0 < slope(rep.first_violation + 1e-3)
     # and nothing rises before it
@@ -195,6 +195,9 @@ def test_json_round_trip_bit_exact():
         cv.isq_capped(3.3e-4, 0.0625),
         cv.spliced(cv.isq(0.0), 4.5, cv.DropParams(8.0, 0.25)),
         cv.table([0.0, 0.1, 2.7], [0.3, 0.1, -0.9]),
+        cv.spliced(cv.spliced(cv.isq_capped(0.01, 0.3), 1.5, cv.DropParams(0.5, 0.5)),
+                   2.25, cv.DropParams(1.0, 0.125)),
+        cv.table([0.3, 1.0, 2.0], [0.5, -0.25, -1.0], "constant"),
     ]
     for spec in specs:
         j = spec.to_json()
@@ -312,8 +315,7 @@ def test_pieces_match_the_referee(name):
 
 def test_queries_read_the_pieces_not_the_kind():
     # every query reads the one description __init__ builds; only the
-    # builder, the validation, serialization and the von Mangoldt rules
-    # tell the kinds apart
+    # builder, serialization and the von Mangoldt rules tell the kinds apart
     tree = ast.parse(Path(cv.__file__).read_text())
     spec = next(d for d in tree.body if isinstance(d, ast.ClassDef) and d.name == "CurvatureSpec")
     defs = {d.name: d for d in spec.body if isinstance(d, ast.FunctionDef)}
@@ -323,3 +325,31 @@ def test_queries_read_the_pieces_not_the_kind():
     names = {getattr(n, "id", None) or getattr(n, "attr", None) or n.name
              for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute, ast.FunctionDef))}
     assert names.isdisjoint({"_eval", "_isq_value", "_flat_from", "_blend_coefs"})
+
+
+def test_kind_is_compared_in_three_places():
+    # _build checks and writes each kind, to_dict nests a splice's base
+    # and drop, and _rise_cells keeps the exact von Mangoldt rules
+    tree = ast.parse(Path(cv.__file__).read_text())
+    where = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare) and any(
+                        getattr(n, "id", None) == "kind" or getattr(n, "attr", None) == "kind"
+                        for n in ast.walk(node)):
+                    where.add(fn.name)
+    assert where == {"_build", "to_dict", "_rise_cells"}
+    # one copy of the cap's blend and of a table's cubics, and no dead helper
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+             for n in ast.walk(tree)}
+    assert names.isdisjoint({"BPoly", "_validate", "_pieces", "_make_blend", "_blend_start",
+                             "blend_is_monotone", "smoothstep"})
+
+
+def test_referee_reads_no_private_attribute():
+    # the referee rebuilds K from a spec's kind and params alone
+    tree = ast.parse((Path(__file__).parent / "referee.py").read_text())
+    private = {n.attr for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and n.attr.startswith("_")}
+    assert not private, private

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from revplane import analysis as an
 from revplane import curvature as cv
 from revplane import geodesics as gd
 from revplane import jacobi
@@ -158,6 +159,24 @@ def test_is_ray_boundary_counts_as_ray():
     # turn angle at kappa = pi/2 is exactly pi: the closed side wins
     assert gd.is_ray(cone, 5.0, math.pi / 2)
     assert not gd.is_ray(cone, 5.0, math.pi / 2 + 1e-5)
+
+
+def test_is_ray_inward_radial_is_the_pole_test(flat, cone09):
+    # kappa = pi is answered by is_pole, not by a turn integral
+    assert gd.is_ray(flat, 1.0, math.pi) and an.is_pole(flat, 1.0)
+    assert not gd.is_ray(cone09.profile, 4.0, math.pi)
+    assert not an.is_pole(cone09.profile, 4.0)
+
+
+@pytest.mark.parametrize("r", [5.0, 20.0])
+def test_max_ray_angle_window_limited_is_a_lower_bound(cone03, r):
+    # on a window of 40 the probes whose geodesics leave the window come
+    # back window limited, and the search reads those as rays: the angle
+    # is at least the full cone's (2.6255 vs 2.1010 at r = 5, 2.2447 vs
+    # 1.3215 at r = 20)
+    short = jacobi.solve_jacobi(cone03.spec, r_max=40.0)
+    full = gd.max_ray_angle(cone03.profile, r, kappa_tol=1e-6)
+    assert gd.max_ray_angle(short, r, kappa_tol=1e-6) >= full - 1e-6
 
 
 def test_is_ray_window_limited_raises():
