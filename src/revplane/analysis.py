@@ -21,7 +21,9 @@ a closed ball -- which is what makes the radii below well-defined:
 Boundary comparisons against pi follow the closed-side protocol from the
 geodesics module; scan_sets applies it on a log-spaced grid.  The scan
 grid and the pole test's kappa grid are independent turn angles, so each
-goes to geodesics.turn_angles as one batch.  Every search for the place
+goes to geodesics.turn_angles as one batch, as do the widest ray angle's
+midpoints towards pi, which are known in advance until a probe fails.
+Every search for the place
 where a closed-side answer flips -- the set boundaries of a scan, the
 critical-ball and pole-ball radii, and in geodesics the widest ray
 angle -- runs on one bracket search, geodesics.search_closed: a scan's

@@ -302,23 +302,44 @@ def max_ray_angle(profile, r_q, tol=1e-8, kappa_tol=1e-8):
     Monotone in kappa (rays above rays are rays), so a bracket search on
     [0, pi] applies, with the outward radial kappa = 0 a ray (its turn
     angle is 0 exactly) and the inward radial kappa = pi taken as the
-    failing end.  Each probe reads is_ray's turn angle by closed_side, so
+    failing end.  Each probe reads its turn angle by closed_side, so
     Undetermined comparisons resolve to the ray side, consistent with
     the angle being attained, and from the first failing probe on the
     search interpolates on T - pi.  If no probe fails, the pole test
     decides between pi (every geodesic from here is a ray) and the last
     ray angle.
+
+    The first probe, kappa = pi/2, is is_ray's criticality test.  Until
+    a probe fails, the outside end pi has no T - pi to interpolate on,
+    so each probe is the midpoint towards pi of the one before: if
+    pi/2 is a ray, that whole ladder of midpoints, down to the bracket
+    width, is known and goes to turn_angles as one batch, whose results
+    are the ones turn_angle gives.  The probes after the first failure
+    are scalar is_ray calls.
     """
+    ladder = {}
+
     def probe(_, kappas):
-        out = []
-        for kappa in kappas:
-            seen = []
-            try:
-                is_ray(profile, r_q, kappa, tol=tol, seen=seen)
-            except Undetermined:
-                pass  # closed_side reads the turn angle is_ray saw
-            out.append(closed_side(seen[0], tol))
-        return out
+        [kappa] = kappas
+        if kappa in ladder:
+            return [ladder[kappa]]
+        seen = []
+        try:
+            is_ray(profile, r_q, kappa, tol=tol, seen=seen)
+        except Undetermined:
+            pass  # closed_side reads the turn angle is_ray saw
+        read = closed_side(seen[0], tol)
+        if kappa == math.pi / 2 and read[0]:
+            # search_closed's midpoints while [x, pi] stays open, with
+            # _itp_point's and _open's own float operations
+            ks, x = [], kappa
+            while abs(math.pi - x) > kappa_tol and math.nextafter(x, math.pi) != math.pi:
+                x = 0.5 * (x + math.pi)
+                ks.append(x)
+            if ks:
+                ladder.update(zip(ks, (closed_side(res, tol)
+                                       for res in turn_angles(profile, r_q, ks, tol=tol))))
+        return [read]
 
     [(lo, hi)] = search_closed([(0.0, math.pi, kappa_tol, -math.pi - tol, math.nan)], probe)
     if hi == math.pi:

@@ -12,6 +12,7 @@ from revplane import analysis as an
 from revplane import curvature as cv
 from revplane import geodesics as gd
 from revplane import jacobi
+from revplane import quadrature as qd
 from revplane.errors import Undetermined
 
 from closedforms import bump_profile
@@ -147,3 +148,115 @@ def test_scan_ends_probe_in_lockstep(cone03, monkeypatch):
     assert len(rep.critical_intervals) == len(rep.away_intervals) == 1
     assert sizes[0] == 256
     assert len(sizes[1:]) <= 12 and sum(sizes[1:]) <= 24
+
+
+def _scalar_max_ray_angle(profile, r_q, tol=1e-8, kappa_tol=1e-8):
+    """max_ray_angle with every probe a scalar is_ray call, read by
+    closed_side: the search before the midpoints towards pi were
+    batched."""
+    def probe(_, kappas):
+        out = []
+        for kappa in kappas:
+            seen = []
+            try:
+                gd.is_ray(profile, r_q, kappa, tol=tol, seen=seen)
+            except Undetermined:
+                pass
+            out.append(gd.closed_side(seen[0], tol))
+        return out
+
+    [(lo, hi)] = gd.search_closed([(0.0, math.pi, kappa_tol, -math.pi - tol, math.nan)], probe)
+    if hi == math.pi and an.is_pole(profile, r_q, tol=tol):
+        return math.pi
+    return lo
+
+
+# poles; critical points that are not poles (at r = 6.44 on the bulge the
+# ladder of midpoints runs 14 deep before one fails); a point that is not
+# critical
+@pytest.mark.parametrize("plane, r", [
+    ("flat60", 1.0), ("hyp30", 1.0), ("cone03", 0.5), ("cone09", 0.1), ("bulge", 0.05),
+    ("cone03", 5.19), ("bulge", 0.349), ("bulge", 6.44),
+    ("cone03", 36.0),
+])
+@pytest.mark.parametrize("kappa_tol", [1e-6, 1e-2, 1e-17])
+def test_max_ray_angle_batch_is_the_scalar_search(plane, r, kappa_tol, request):
+    # the ladder's launches go to turn_angles as one batch, whose results
+    # are turn_angle's: the answer is the scalar search's, bit for bit
+    p = request.getfixturevalue(plane)
+    p = getattr(p, "profile", p)
+    assert gd.max_ray_angle(p, r, kappa_tol=kappa_tol) == _scalar_max_ray_angle(
+        p, r, kappa_tol=kappa_tol)
+
+
+def test_max_ray_angle_probes_the_ladder_in_one_batch(flat60, cone03, monkeypatch):
+    # the criticality test pi/2 is one scalar probe; if it reads a ray, the
+    # midpoints towards pi down to kappa_tol are one batch, and the pole
+    # test follows
+    calls = []
+    turn_angles, turn_angle, is_pole = gd.turn_angles, gd.turn_angle, an.is_pole
+
+    def batch(profile, r_q, kappa, tol=1e-8):
+        calls.append(("batch", len(kappa)))
+        return turn_angles(profile, r_q, kappa, tol=tol)
+
+    def one(profile, r_q, kappa, tol=1e-8):
+        calls.append(("one", kappa))
+        return turn_angle(profile, r_q, kappa, tol=tol)
+
+    def pole(profile, r_q, tol=1e-8):
+        calls.append("is_pole")
+        return is_pole(profile, r_q, tol=tol)
+
+    def before_pole(profile, r, kappa_tol):
+        calls.clear()
+        gd.max_ray_angle(profile, r, kappa_tol=kappa_tol)
+        return calls[:calls.index("is_pole")] if "is_pole" in calls else calls
+
+    monkeypatch.setattr(gd, "turn_angles", batch)
+    monkeypatch.setattr(gd, "turn_angle", one)
+    monkeypatch.setattr(an, "is_pole", pole)
+    # pi/2 halves to within 1e-6 of pi in 21 steps
+    assert before_pole(flat60, 1.0, 1e-6) == [("one", HALF_PI), ("batch", 21)]
+    # not critical: pi/2 fails, and every probe below it is scalar
+    probes = before_pole(cone03.profile, 36.0, 1e-6)
+    assert probes[0] == ("one", HALF_PI)
+    assert all(name == "one" for name, _ in probes)
+    # a width of pi/2 or more leaves no midpoint above pi/2 to probe
+    for kappa_tol in (HALF_PI, 3.0):
+        assert before_pole(flat60, 1.0, kappa_tol) == [("one", HALF_PI)]
+
+
+def test_scan_retries_a_point_in_band_at_a_hundredth_of_tol(cone03, monkeypatch):
+    # a grid point whose turn angle lands in the band with an error a
+    # tighter tolerance could shrink is retried, alone, in one batch at
+    # tol / 100; its side and the gap its interval end's bracket starts
+    # from are the retry's
+    p, tol = cone03.profile, 1e-8
+    ref = an.scan_sets(p, n=64)
+    i = ref.critical.index(False) - 1  # the critical ball's last grid point
+    calls, retried, seeded = [], [], []
+    turn_angles, search_closed = gd.turn_angles, gd.search_closed
+
+    def batch(profile, r_q, kappa, tol=1e-8):
+        out = turn_angles(profile, r_q, kappa, tol=tol)
+        calls.append((np.atleast_1d(r_q).tolist(), tol))
+        if len(calls) == 1:
+            out[i] = qd.IntegralResult(math.pi, 1e-6, qd.STATUS_CONVERGED)
+        elif tol != 1e-8:
+            retried.extend(out)
+        return out
+
+    def search(brackets, probe):
+        seeded.extend(brackets)
+        return search_closed(brackets, probe)
+
+    monkeypatch.setattr(gd, "turn_angles", batch)
+    monkeypatch.setattr(gd, "search_closed", search)
+    rep = an.scan_sets(p, n=64, tol=tol)
+    assert [c for c in calls if c[1] != tol] == [([ref.r[i]], tol / 100)]
+    assert rep.undetermined == []
+    assert (rep.critical, rep.away) == (ref.critical, ref.away)
+    # the critical end, then the away end, at the same grid point
+    gaps = [b[3] for b in seeded if b[0] == ref.r[i]]
+    assert gaps == [gd.closed_side(retried[0], tol / 100, strict)[1] for strict in (False, True)]
