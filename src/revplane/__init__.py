@@ -17,14 +17,10 @@ from .constructions import (BulgeBuild, ConeBuild, FlareBuild, TableBuild,
 from .curvature import (CurvatureSpec, DropParams, VMReport,
                         check_von_mangoldt, constant, isq, isq_capped,
                         isq_zero, spliced, table)
-from .errors import (BuildError, OutOfWindow, ShootFailure, StarViolation,
-                     Undetermined)
+from .errors import BuildError, OutOfWindow, StarViolation, Undetermined
 from .geodesics import (GeodesicTrace, is_ray, max_ray_angle, side_of_pi,
                         trace, turn_angle, turn_angles, turning_radius)
-from .jacobi import (Profile, SlopeReport, SturmReport, embed_profile,
-                     export_profile_csv, slope_at_infinity, solve_jacobi,
-                     sturm_compare)
-from .oracle import ShootResult, distance_shoot, turn_angle_by_trace
+from .jacobi import Profile, embed_profile, export_profile_csv, solve_jacobi
 from .quadrature import (IntegralResult, STATUS_CONVERGED,
                          STATUS_DIVERGENT_TAIL, STATUS_DIVERGENT_TANGENCY,
                          STATUS_WINDOW_LIMITED, integrate_turn_rate)
@@ -41,14 +37,10 @@ __all__ = [
     "build_smoothed_cone",
     "CurvatureSpec", "DropParams", "VMReport", "check_von_mangoldt",
     "constant", "isq", "isq_capped", "isq_zero", "spliced", "table",
-    "BuildError", "OutOfWindow", "ShootFailure",
-    "StarViolation", "Undetermined",
+    "BuildError", "OutOfWindow", "StarViolation", "Undetermined",
     "GeodesicTrace", "is_ray", "max_ray_angle",
     "side_of_pi", "trace", "turn_angle", "turn_angles", "turning_radius",
-    "Profile", "SlopeReport", "SturmReport", "embed_profile",
-    "export_profile_csv", "slope_at_infinity", "solve_jacobi",
-    "sturm_compare",
-    "ShootResult", "distance_shoot", "turn_angle_by_trace",
+    "Profile", "embed_profile", "export_profile_csv", "solve_jacobi",
     "IntegralResult", "STATUS_CONVERGED", "STATUS_DIVERGENT_TAIL",
     "STATUS_DIVERGENT_TANGENCY", "STATUS_WINDOW_LIMITED",
     "integrate_turn_rate",

@@ -10,9 +10,10 @@ nonnegatively curved plane is a closed ball, and the poles always form
 a closed ball -- which is what makes the radii below well-defined:
 
   critical_ball_radius   radius of the critical ball (0 when the radial
-                         inverse-square integral diverges, inf when the
-                         slope at infinity is >= 1/2, else the last
-                         radius closed_side reads as critical)
+                         inverse-square integral diverges, else the last
+                         radius closed_side reads as critical, inf when
+                         m' stays above 1/2 or the far end of its
+                         bracket reads inside)
   half_slope_radius      where m' first drops to 1/2 (the critical ball,
                          when finite, always ends before it)
   pole_ball_radius       largest radius all of whose points is_pole
@@ -42,7 +43,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import geodesics as gd
-from . import jacobi
 from . import quadrature as qd
 from .errors import Undetermined
 from .svgplot import SvgCanvas
@@ -152,24 +152,26 @@ def critical_ball_radius(profile, tol=1e-8):
     """Radius of the critical ball.
 
     0 when the radial inverse-square integral diverges (only the origin
-    is critical), inf when the slope at infinity stays >= 1/2 (every
-    point is critical), otherwise the last radius closed_side reads as
+    is critical), otherwise the last radius closed_side reads as
     critical: one search_closed bracket from r_max * 1e-4 to the
-    half-slope radius, before which the theory puts the edge.  A bracket
-    end on the wrong side of the edge gives 0 (below) or inf (above).
+    half-slope radius (clamped to [r_max * 1e-4, 0.9 r_max]), before
+    which the theory puts the edge.  The bracket's ends decide the
+    rest: 0 when its near end reads outside, inf when m' never drops to
+    1/2 in the window or its far end reads inside.  A plane with K >= 0
+    and lim m' >= 1/2 (the paper's infinite critical ball) takes one of
+    these two exits.
     """
     if radial_inverse_square_diverges(profile):
         return 0.0
-    slope = jacobi.slope_at_infinity(profile)
-    if slope.value >= 0.5 - 1e-9 and not slope.window_limited:
-        return math.inf
 
     def sides(xs):
         return [gd.closed_side(res, tol)
                 for res in gd.turn_angles(profile, xs, math.pi / 2, tol=tol)]
 
     r_half = half_slope_radius(profile)
-    lo, hi = profile.r_max * 1e-4, min(r_half, 0.9 * profile.r_max)
+    lo = profile.r_max * 1e-4
+    # m' = 1/2 at r = 0 (a hand-built profile) would probe the origin
+    hi = min(max(r_half, lo), 0.9 * profile.r_max)
     (lo_in, g_lo), (hi_in, g_hi) = sides([lo, hi])
     if not lo_in:
         # critical ball smaller than the probe: treat its radius as 0

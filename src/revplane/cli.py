@@ -25,8 +25,7 @@ from . import constructions as cx
 from . import curvature as cv
 from . import geodesics as gd
 from . import jacobi
-from .errors import (BuildError, OutOfWindow, ShootFailure, StarViolation,
-                     Undetermined)
+from .errors import BuildError, OutOfWindow, StarViolation, Undetermined
 
 
 def _emit(obj):
@@ -343,7 +342,7 @@ def main(argv=None):
                      abs_error=exc.abs_error, message=str(exc))
     except OutOfWindow as exc:
         return _fail(2, "out_of_window", message=str(exc))
-    except (BuildError, ShootFailure) as exc:
+    except BuildError as exc:
         return _fail(2, "invalid_input", message=str(exc))
     except (ValueError, OverflowError, OSError, json.JSONDecodeError, KeyError) as exc:
         return _fail(2, "invalid_input", message=str(exc))

@@ -36,7 +36,3 @@ class Undetermined(Exception):
 
 class BuildError(Exception):
     """A plane construction failed validation (bad parameters, no bracket...)."""
-
-
-class ShootFailure(Exception):
-    """distance shooting found no connecting geodesic within the angle budget."""

@@ -13,24 +13,19 @@ constant stretch, the root of its piece in a series one), and provides
 the profile queries everything else is built on: pointwise m and m' from
 two piecewise polynomials, their exact roots (the landmarks), the
 extrema of m and the first or last radius where m reaches a level,
-comparison of two profiles (Sturm), the embedding profile in Euclidean
-3-space, and the slope at infinity.
+and the embedding profile in Euclidean 3-space.
 """
 
 import bisect
 import csv
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import PPoly
 
 from .errors import OutOfWindow, StarViolation
-
-# slopes at r_max and r_max/2 further apart than this: the limit is not reached
-SLOPE_SPREAD_TOL = 1e-6
 
 
 class Profile:
@@ -451,61 +446,6 @@ def _jets(taylor):
     return np.stack([t[:, :4], t[:, 1:] * [1.0, 2.0, 3.0, 4.0]], axis=-1).transpose(1, 0, 2)
 
 
-# --- Sturm comparison ----------------------------------------------------
-
-
-@dataclass
-class SturmReport:
-    """Grid check that lower curvature gives the larger profile.
-
-    With K_hi(r) >= K_lo(r) everywhere (and K_lo non-increasing), the
-    profile under K_lo dominates: m_lo >= m_hi; if additionally
-    m_hi' >= 0 on the window then m_lo' >= m_hi' as well.
-    """
-
-    curvature_ordered: bool
-    m_ordered: bool
-    mp_ordered: bool
-    max_m_violation: float
-    max_mp_violation: float
-
-
-def sturm_compare(profile_hi_k, profile_lo_k, n=512, tol=1e-7):
-    """Compare two profiles whose curvatures are pointwise ordered.
-
-    profile_hi_k is the one with larger curvature.  Checks on a shared
-    grid that the curvature ordering actually holds and that the
-    comparison inequalities m_lo >= m_hi and (when m_hi' >= 0)
-    m_lo' >= m_hi' come out, up to tol.
-    """
-    hi = min(profile_hi_k.r_max, profile_lo_k.r_max)
-    r = np.linspace(0.0, hi, n)
-    k_hi = profile_hi_k.K(r)
-    k_lo = profile_lo_k.K(r)
-    curvature_ordered = bool(np.all(k_hi >= k_lo - 1e-12))
-    m_hi = profile_hi_k.m(r)
-    m_lo = profile_lo_k.m(r)
-    # violations measured relative to scale of m
-    scale = np.maximum(np.abs(m_hi), 1.0)
-    m_gap = (m_hi - m_lo) / scale
-    max_m_violation = float(np.max(m_gap))
-    mp_hi = profile_hi_k.mp(r)
-    mp_lo = profile_lo_k.mp(r)
-    if np.all(mp_hi >= -tol):
-        pscale = np.maximum(np.abs(mp_hi), 1.0)
-        mp_gap = (mp_hi - mp_lo) / pscale
-        max_mp_violation = float(np.max(mp_gap))
-    else:
-        max_mp_violation = math.nan  # comparison of slopes needs m_hi' >= 0
-    return SturmReport(
-        curvature_ordered=curvature_ordered,
-        m_ordered=max_m_violation <= tol,
-        mp_ordered=(not math.isnan(max_mp_violation)) and max_mp_violation <= tol,
-        max_m_violation=max_m_violation,
-        max_mp_violation=max_mp_violation,
-    )
-
-
 # --- embedding in 3-space ------------------------------------------------
 
 
@@ -514,44 +454,22 @@ def embed_profile(profile, n=1024):
 
     Returns (r, radius, height): at arclength r from the apex the surface
     sits at distance radius = m(r) from the axis and height
-    z(r) = integral of sqrt(1 - m'^2).  Requires |m'| <= 1 on the window;
-    raises ValueError otherwise (the plane spreads too fast to embed).
+    z(r) = integral of sqrt(1 - m'^2), sampled at n radii.  Requires
+    |m'| <= 1 on the window, decided from m' at its ends and where
+    m'' = 0, which hold its extremes; raises ValueError otherwise (the
+    plane spreads too fast to embed).
     """
-    r = np.linspace(0.0, profile.r_max, n)
-    mp = profile.mp(r)
-    overshoot = np.max(np.abs(mp)) - 1.0
+    r_ext = np.r_[0.0, profile.r_max, profile.roots(2, 0.0, 0.0, profile.r_max)]
+    overshoot = np.max(np.abs(profile.mp(r_ext))) - 1.0
     if overshoot > 1e-9:
         raise ValueError(
             f"|m'| reaches {1.0 + overshoot:.6g} > 1; "
             "no rotationally symmetric embedding in Euclidean 3-space"
         )
-    dz = np.sqrt(np.clip(1.0 - mp**2, 0.0, None))
+    r = np.linspace(0.0, profile.r_max, n)
+    dz = np.sqrt(np.clip(1.0 - profile.mp(r)**2, 0.0, None))
     z = cumulative_trapezoid(dz, r, initial=0.0)
     return r, profile.m(r), z
-
-
-# --- asymptotics ---------------------------------------------------------
-
-
-@dataclass
-class SlopeReport:
-    value: float
-    spread: float
-    window_limited: bool
-
-
-def slope_at_infinity(profile):
-    """Two-window estimate of lim m'(r).
-
-    Compares m' at r_max and r_max/2; if they differ by more than
-    SLOPE_SPREAD_TOL the window has not captured the limit and the report
-    is flagged window_limited.
-    """
-    v1 = profile.mp(profile.r_max)
-    v0 = profile.mp(profile.r_max / 2.0)
-    spread = abs(v1 - v0)
-    return SlopeReport(value=float(v1), spread=float(spread),
-                       window_limited=spread > SLOPE_SPREAD_TOL)
 
 
 # --- CSV export ----------------------------------------------------------

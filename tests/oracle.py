@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesics as gd
-from . import quadrature as qd
-from .errors import ShootFailure
+from revplane import geodesics as gd
+from revplane import quadrature as qd
+
+
+class ShootFailure(Exception):
+    """distance shooting found no connecting geodesic within the angle budget."""
 
 
 def turn_angle_by_trace(profile, r_q, kappa, rtol=1e-11, tol=1e-8):

@@ -1,8 +1,8 @@
 """End-to-end acceptance sweep: one numbered test per advertised property.
 
 Run with -v to get one pass/fail line per property.  Everything here goes
-through the public API only; numeric targets are closed forms or
-independently certified values.
+through the public API and the tests' own referees (oracle, sturm) only;
+numeric targets are closed forms or independently certified values.
 """
 
 import math
@@ -15,9 +15,11 @@ from revplane import analysis as an
 from revplane import curvature as cv
 from revplane import geodesics as gd
 from revplane import jacobi as jb
-from revplane import oracle as orc
 from revplane import quadrature as qd
 from revplane.errors import StarViolation
+
+import oracle as orc
+from sturm import sturm_compare
 
 SEED = 20260822
 
@@ -132,14 +134,14 @@ def test_08_curvature_comparison_ordering():
         k_lo = k_hi - float(rng.uniform(0.05, 1.0))
         hi = jb.solve_jacobi(cv.constant(k_hi), r_max=10.0)
         lo = jb.solve_jacobi(cv.constant(k_lo), r_max=10.0)
-        rep = jb.sturm_compare(hi, lo)
+        rep = sturm_compare(hi, lo)
         assert rep.curvature_ordered and rep.m_ordered and rep.mp_ordered
     for _ in range(10):
         u1 = float(rng.uniform(0.0, 0.1))
         u2 = u1 + float(rng.uniform(0.01, 0.1))
         hi = jb.solve_jacobi(cv.isq(u1), r_max=10.0)
         lo = jb.solve_jacobi(cv.isq(u2), r_max=10.0)
-        rep = jb.sturm_compare(hi, lo)
+        rep = sturm_compare(hi, lo)
         assert rep.curvature_ordered and rep.m_ordered and rep.mp_ordered
 
 

@@ -148,6 +148,14 @@ def test_half_slope_radius_cone(cone03):
 def test_critical_ball_radius_edge_cases(bounded_table):
     assert an.critical_ball_radius(flat_stub()) == math.inf
     assert an.critical_ball_radius(bounded_table.profile) == 0.0
+    # m' is 1/2 from r = 0 on: the bracket closes on its near end, inside
+    assert an.critical_ball_radius(cone_stub(0.5)) == math.inf
+    # m' dips to 0.05 at r = 3 and ends at 0.55 >= 1/2, yet the tangential
+    # turn angle crosses pi: the ball ends there, not at infinity
+    dip = bump_profile(0.55, -0.5, 3.0, 1.0)
+    rm = an.critical_ball_radius(dip)
+    assert rm == pytest.approx(0.9436323, abs=1e-6)
+    assert abs(gd.turn_angle(dip, rm, math.pi / 2).value - math.pi) < 1e-7
 
 
 def test_critical_ball_radius_cone(cone03):

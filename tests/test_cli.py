@@ -187,6 +187,17 @@ def test_embed_writes_csv(tmp_path, capsys):
     assert out_path.read_text().splitlines()[0] == "r,radius,height"
 
 
+def test_embed_rejects_hyperbolic(tmp_path, capsys):
+    spec_path = tmp_path / "hyp.json"
+    spec_path.write_text(cv.constant(-1.0).to_json())
+    out_path = tmp_path / "embed.csv"
+    code, out, err = run(capsys, "embed", "--spec", str(spec_path),
+                         "--r-max", "5", "-o", str(out_path))
+    assert code == 2 and out is None
+    assert err["error"] == "invalid_input"
+    assert not out_path.exists()
+
+
 def test_example_bulge_and_rejection(tmp_path, capsys):
     spec_path = tmp_path / "bulge.json"
     code, out, _ = run(capsys, "example", "m-prime-zero", "-o", str(spec_path))

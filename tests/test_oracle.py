@@ -5,10 +5,10 @@ import pytest
 from revplane import curvature as cv
 from revplane import geodesics as gd
 from revplane import jacobi
-from revplane import oracle
-from revplane.errors import ShootFailure
 
+import oracle
 from closedforms import linear_profile
+from oracle import ShootFailure
 
 
 @pytest.fixture(scope="module")
