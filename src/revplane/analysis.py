@@ -11,13 +11,14 @@ a closed ball -- which is what makes the radii below well-defined:
 
   critical_ball_radius   radius of the critical ball (0 when the radial
                          inverse-square integral diverges, else the last
-                         radius closed_side reads as critical, inf when
-                         m' stays above 1/2 or the far end of its
-                         bracket reads inside)
+                         radius closed_side reads as critical, searched
+                         from the origin, where T(r, pi/2) -> pi/2; inf
+                         when the far end of its bracket reads inside)
   half_slope_radius      where m' first drops to 1/2 (the critical ball,
                          when finite, always ends before it)
   pole_ball_radius       largest radius all of whose points is_pole
-                         accepts as poles (a sampled test)
+                         accepts as poles (a sampled test), searched
+                         from the origin, which is a pole
 
 Boundary comparisons against pi follow the closed-side protocol from the
 geodesics module; scan_sets applies it on a log-spaced grid.  The scan
@@ -129,13 +130,16 @@ def is_pole(profile, r_q, tol=1e-8):
 
 
 def radial_inverse_square_diverges(profile):
-    """Window-based divergence call on the integral of 1/m^2.
+    """Whether the integral of 1/m^2 to infinity diverges.
 
-    Uses the growth exponent p = r m'/m sampled near the window edge:
-    the integral converges iff m outgrows sqrt(r), i.e. p > 1/2 with
-    margin.  Planes hugging the exponent 1/2 within the window are
-    reported divergent (the honest reading of what the window shows).
+    Exact on a profile with a tail (Profile.tail): K is a constant k <= 0
+    there and m rises, so m grows at least linearly and it converges.
+    Sampled otherwise: the growth exponent p = r m'/m near the window
+    edge must pass 1/2 with margin (m outgrowing sqrt(r)), and planes
+    hugging 1/2 within the window are reported divergent.
     """
+    if profile.tail is not None:
+        return False
     R = profile.r_max
     probes = [0.7 * R, 0.85 * R, R]
     p_hat = sorted(r * profile.mp(r) / profile.m(r) for r in probes)
@@ -153,13 +157,13 @@ def critical_ball_radius(profile, tol=1e-8):
 
     0 when the radial inverse-square integral diverges (only the origin
     is critical), otherwise the last radius closed_side reads as
-    critical: one search_closed bracket from r_max * 1e-4 to the
-    half-slope radius (clamped to [r_max * 1e-4, 0.9 r_max]), before
-    which the theory puts the edge.  The bracket's ends decide the
-    rest: 0 when its near end reads outside, inf when m' never drops to
-    1/2 in the window or its far end reads inside.  A plane with K >= 0
-    and lim m' >= 1/2 (the paper's infinite critical ball) takes one of
-    these two exits.
+    critical, to 1e-10: one search_closed bracket from the origin to the
+    half-slope radius (at most 0.9 r_max), before which the theory puts
+    the edge.  The origin is inside without a launch: on a smooth plane
+    the tangential turn angle T(r, pi/2) tends to pi/2 as r -> 0, which
+    is its gap -pi/2 - tol.  inf when the far end reads inside, as it
+    does on a plane with K >= 0 and lim m' >= 1/2 (the paper's infinite
+    critical ball).
     """
     if radial_inverse_square_diverges(profile):
         return 0.0
@@ -168,25 +172,22 @@ def critical_ball_radius(profile, tol=1e-8):
         return [gd.closed_side(res, tol)
                 for res in gd.turn_angles(profile, xs, math.pi / 2, tol=tol)]
 
-    r_half = half_slope_radius(profile)
-    lo = profile.r_max * 1e-4
-    # m' = 1/2 at r = 0 (a hand-built profile) would probe the origin
-    hi = min(max(r_half, lo), 0.9 * profile.r_max)
-    (lo_in, g_lo), (hi_in, g_hi) = sides([lo, hi])
-    if not lo_in:
-        # critical ball smaller than the probe: treat its radius as 0
-        return 0.0
-    if math.isinf(r_half) or hi_in:
+    # a hand-built profile with m' = 1/2 from the origin on has half-slope
+    # radius 0: its far end is the clamp
+    hi = min(half_slope_radius(profile) or math.inf, 0.9 * profile.r_max)
+    [(hi_in, g_hi)] = sides([hi])
+    if hi_in:
         return math.inf
-    [(r, _)] = gd.search_closed([(lo, hi, 1e-10 * max(1.0, lo), g_lo, g_hi)],
+    [(r, _)] = gd.search_closed([(0.0, hi, 1e-10, -math.pi / 2 - tol, g_hi)],
                                 lambda _, xs: sides(xs))
     return float(r)
 
 
 def pole_ball_radius(profile, tol=1e-8):
     """Largest radius that is_pole accepts, to 1e-3 * max(r, 1): a
-    doubling search from r_max * 1e-4 for a radius it rejects, then a
-    bisection on its answer, taking the accepted radii to form one ball.
+    doubling search for a radius it rejects, from the origin, a pole
+    (every geodesic from it is a meridian), first probing r_max * 1e-4,
+    then a bisection on its answer; the accepted radii form one ball.
 
     is_pole samples the turn angle on its kappa grid and approach probes
     and does not bound it between them, so this is not certified: the
@@ -194,13 +195,8 @@ def pole_ball_radius(profile, tol=1e-8):
     radial, and the radius found can lie outside the true pole ball (on
     the s = 0.3 cone it is 2.2367, yet at r = 2.234 the launch at kappa
     = pi - 1e-3 turns 4.2e-7 past pi with abs_error 2.5e-13, and is_pole
-    accepts it).  Returns 0.0 when even r_max * 1e-4 is rejected, and
-    inf when every radius up to 0.6 r_max is accepted."""
-    lo = profile.r_max * 1e-4
-    if not is_pole(profile, lo, tol=tol):
-        return 0.0
-    cap = 0.6 * profile.r_max
-    hi = min(lo * 2.0, cap)
+    accepts it).  inf when every radius up to 0.6 r_max is accepted."""
+    lo, hi, cap = 0.0, profile.r_max * 1e-4, 0.6 * profile.r_max
     while is_pole(profile, hi, tol=tol):
         if hi >= cap:
             return math.inf
@@ -295,7 +291,10 @@ def scan_sets(profile, n=256, tol=1e-8):
     """Classify the critical/away structure on a log-spaced radius grid.
 
     Each grid point gets the tangential turn angle and its side of pi:
-    critical below or at pi, away strictly below.  Undetermined
+    critical below or at pi, away strictly below.  The grid starts at
+    r_max * 1e-4 and misses a ball that ends before it: on the s = 0.02
+    cone (window 201,147) it shows no critical interval, while
+    critical_ball_radius gives 6.46.  Undetermined
     comparisons are retried once at tol/100 and recorded as gaps if they
     persist.  Interval endpoints are then sharpened to 1e-10 (relative,
     or absolute below 1) by one geodesics.search_closed over all of them

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from revplane import analysis as an
+from revplane import constructions as cx
 from revplane import curvature as cv
 from revplane import geodesics as gd
 from revplane import jacobi
@@ -125,6 +126,11 @@ def test_pole_test_reads_its_batch_before_polishing(plane, r_q, pole, most, requ
 def test_pole_ball_flat_and_cone():
     assert an.pole_ball_radius(flat_stub()) == math.inf
     assert an.pole_ball_radius(cone_stub(0.4)) == 0.0
+    # the doubling starts from the origin, a pole: on the s = 0.02 cone
+    # (window 201,147) its first probe r_max * 1e-4 = 20.1 is rejected,
+    # yet the pole ball is not empty, and lies in the critical ball
+    p = cx.build_smoothed_cone(0.02).profile
+    assert 0.0 < an.pole_ball_radius(p) < an.critical_ball_radius(p)
 
 
 # --- radii ----------------------------------------------------------------
@@ -156,18 +162,39 @@ def test_critical_ball_radius_edge_cases(bounded_table):
     rm = an.critical_ball_radius(dip)
     assert rm == pytest.approx(0.9436323, abs=1e-6)
     assert abs(gd.turn_angle(dip, rm, math.pi / 2).value - math.pi) < 1e-7
+    # K = 1 out to 1.52, then a drop to K = 0: m' ends at 0.026 > 0 on
+    # the zero tail, so the integral of 1/m^2 converges however slowly m
+    # grows (no sample near r_max 50 shows it), and the ball ends at
+    # 0.04, before r_max * 1e-4 = 0.2 on the window 2000
+    spec = cv.spliced(cv.constant(1.0), 1.52, cv.DropParams(1.0, 0.05))
+    for r_max in (50.0, 2000.0):
+        sp = jacobi.solve_jacobi(spec, r_max=r_max)
+        assert sp.tail is not None
+        assert not an.radial_inverse_square_diverges(sp)
+        rm = an.critical_ball_radius(sp)
+        assert rm == pytest.approx(0.0405292974763557, abs=1e-9)
+        assert an.is_critical(sp, 0.999 * rm) and not an.is_critical(sp, 1.001 * rm)
 
 
 def test_critical_ball_radius_cone(cone03):
-    p = cone03.profile
-    rm = an.critical_ball_radius(p)
-    assert 0.0 < rm < math.inf
-    res = gd.turn_angle(p, rm, math.pi / 2)
-    assert abs(res.value - math.pi) < 1e-7
-    assert an.is_critical(p, 0.9 * rm)
-    assert not an.is_critical(p, 1.1 * rm)
-    # the ball ends before the slope reaches 1/2
-    assert rm < an.half_slope_radius(p)
+    # the s = 0.02 and 0.03 balls end at 6.46 and 6.66, before the first
+    # point r_max * 1e-4 of their windows (20.1 and 7.7): the search
+    # starts at the origin, not at a point sized by the window
+    for cone in (cone03, *map(cx.build_smoothed_cone, (0.02, 0.03, 0.05, 0.45))):
+        p = cone.profile
+        rm = an.critical_ball_radius(p)
+        assert 0.0 < rm < math.inf
+        res = gd.turn_angle(p, rm, math.pi / 2)
+        assert abs(res.value - math.pi) < 1e-7
+        assert an.is_critical(p, 0.9 * rm)
+        assert not an.is_critical(p, 1.1 * rm)
+        # the ball ends before the slope reaches 1/2
+        assert rm < an.half_slope_radius(p)
+        # from r_max = rho + 1 on, the window changes neither the profile
+        # below the zero tail at rho nor the bracket (0, half-slope
+        # radius), and the turn beyond rho is closed-form: one float
+        for r_max in (cone.rho + 1.0, 2.0 * cone.rho + 100.0, 10.0 * cone.rho):
+            assert an.critical_ball_radius(jacobi.solve_jacobi(cone.spec, r_max=r_max)) == rm
 
 
 # --- scans ----------------------------------------------------------------

@@ -136,6 +136,11 @@ def test_radii_hyperbolic(tmp_path, capsys):
     assert out["critical_ball_radius"] == math.inf
     assert out["half_slope_radius"] == math.inf
     assert "pole_ball_radius" not in out
+    # with the pole ball: every point of the hyperbolic plane is a pole
+    code, out, _ = run(capsys, "radii", "--spec", str(spec_path), "--r-max", "10")
+    assert code == 0
+    assert out == {"critical_ball_radius": math.inf, "half_slope_radius": math.inf,
+                   "pole_ball_radius": math.inf}
 
 
 def test_scan_writes_reports(tmp_path, capsys):
@@ -154,6 +159,11 @@ def test_scan_writes_reports(tmp_path, capsys):
     assert blob["radii"]["critical_ball_radius"] == math.inf
     assert csv_path.read_text().startswith("r,turn,abs_error")
     assert svg_path.read_text().startswith("<svg")
+    # without --json the whole report goes to stdout
+    code, out, _ = run(capsys, "scan", "--spec", str(spec_path),
+                       "--r-max", "50", "--n", "32")
+    assert code == 0
+    assert out == blob
 
 
 def test_neck_inapplicable_on_flat(tmp_path, capsys):
@@ -168,13 +178,15 @@ def test_trace_straight_line(tmp_path, capsys):
     spec_path = tmp_path / "flat.json"
     spec_path.write_text(cv.constant(0.0).to_json())
     csv_path = tmp_path / "line.csv"
+    svg_path = tmp_path / "line.svg"
     code, out, _ = run(capsys, "trace", "--spec", str(spec_path),
                        "--r-max", "50", "--r", "1.0",
                        "--kappa", str(math.pi / 2), "--s-max", "10",
-                       "--csv", str(csv_path))
+                       "--csv", str(csv_path), "--svg", str(svg_path))
     assert code == 0 and out["status"] == "completed"
     assert abs(out["r_end"] - math.sqrt(101.0)) < 1e-6
     assert csv_path.read_text().splitlines()[0] == "s,r,theta,r_dot"
+    assert svg_path.read_text().startswith("<svg")
 
 
 def test_embed_writes_csv(tmp_path, capsys):
@@ -240,6 +252,10 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "turn-angle", "--spec", spec, "--r-max", "inf",
                        "--r", "1", "--kappa", "1")
     assert code == 2 and err["error"] == "invalid_input"
+    # a launch past the solved window is out of it
+    code, out, err = run(capsys, "turn-angle", "--spec", spec, "--r-max", "30",
+                         "--r", "40", "--kappa", "1")
+    assert code == 2 and out is None and err["error"] == "out_of_window"
     for tail in ("inf", "nan", "-5", "0"):
         code, _, err = run(capsys, "cone", "--slope", "0.3", "--tail", tail,
                            "-o", str(tmp_path / "c.json"))

@@ -338,6 +338,25 @@ def test_tail_matches_two_term_reference(plane, request):
             assert abs(res.value - _two_term_turn(p, c, r_lo, r_hi)) <= res.abs_error
 
 
+def test_closed_turn_zero_energy_and_at_a_tangency():
+    # E = 0 on a k = -1 tail: m = m(r) e^t, m' = m, and the turn from r
+    # on is (1 - sin w) / c, against a 30-digit quadrature over t
+    for c, m in ((0.3, 1.0), (2.0, 2.5), (1.0, 50.0)):
+        sw, cw = qd._sin_cos(c, m)
+        value, err = qd._closed_turn(-1.0, 0.0, c, m, m, sw, cw)
+        assert abs(value - (1.0 - sw) / c) <= err
+        with mpmath.workdps(30):
+            ref = mpmath.quad(lambda t: c / (m * mpmath.exp(t) * mpmath.sqrt(
+                (m * mpmath.exp(t)) ** 2 - c ** 2)), [0, 1, mpmath.inf])
+        assert abs(value - float(ref)) <= err
+    # E < 0 at the tail's minimum (m = m0 cosh t, E = -m0^2), launched
+    # along its turning circle: m' = 0 and w = 0 leave no gap, and the
+    # integral diverges
+    m0 = 1.7
+    assert qd._closed_turn(-1.0, -m0 * m0, m0, m0, 0.0, *qd._sin_cos(m0, m0, 0.0)) \
+        == (math.inf, 0.0)
+
+
 @pytest.mark.parametrize("r_lo", [27.0, 29.9])
 def test_hyperbolic_far_field_matches_mpmath(hyp30, r_lo):
     # the leg the oracle adds to its trace: the value is ~1e-24, and
