@@ -133,8 +133,11 @@ def _cmd_turn_angle(args):
 
 def _cmd_classify(args):
     prof = _solve(args)
-    critical = an.is_critical(prof, args.r, tol=args.query_tol)
-    away = an.in_away_set(prof, args.r, tol=args.query_tol)
+    # one tangential turn angle decides both: critical is its closed
+    # side of pi, away its strict side
+    side = gd.side_of_pi(gd.turn_angle(prof, args.r, math.pi / 2, tol=args.query_tol),
+                         args.query_tol)
+    critical, away = side <= 0, side < 0
     # max_ray_angle is pi exactly when its own pole test passes
     angle = gd.max_ray_angle(prof, args.r, tol=args.query_tol)
     _emit({"r": args.r, "critical": critical, "away": away, "pole": angle == math.pi,

@@ -23,7 +23,7 @@ import operator
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PPoly
+from scipy.interpolate import PPoly, _ppoly
 
 from .errors import OutOfWindow, StarViolation
 
@@ -51,34 +51,48 @@ class Profile:
         self._m_pp = m
         self._mp_pp = mp
         self.r_max = float(r_max)
+        # the largest radius the window check admits
+        self._top = self.r_max * (1 + 1e-12)
+        # m and m' as scipy's compiled kernel takes them (PPoly.__call__
+        # ends in the same call): C-contiguous coefficients (k, n, 1)
+        # and their breakpoints
+        self._m_kernel, self._mp_kernel = (
+            (np.ascontiguousarray(pp.c, dtype=float).reshape(*pp.c.shape[:2], 1),
+             np.ascontiguousarray(pp.x, dtype=float)) for pp in (m, mp))
         # the breakpoints as a list: bisection on it costs what a scalar does
         self._breaks = m.x.tolist()
-        # each piece's value at its left end, and (filled as the level
-        # search reaches them) its coefficients, lowest power first
+        # each piece's value at its left end, and the _terms of each
+        # piece the level search has reached
         self._values = m.c[-1].tolist()
-        self._coefs = {}
+        self._piece_terms = {}
         self._extrema = None
         self._stretch_ends = None
 
     def _eval(self, pp, r):
+        """The pieces pp, a (coefficients, breakpoints) pair from
+        __init__, at r inside the window: PPoly.__call__'s kernel call
+        without its wrapping, so the values are PPoly's bit for bit."""
         r = np.asarray(r, dtype=float)
-        hi = self.r_max * (1 + 1e-12)
-        # two reductions first: the masks are built only for the message
-        if r.size and (r.min() < 0 or r.max() > hi):
-            bad = (r < 0) | (r > hi)
+        flat = r.ravel()
+        # two reductions first, which skip nan (it passes through as nan)
+        # so that it cannot hide a radius outside; the masks are built
+        # only for the message
+        if flat.size and (np.fmin.reduce(flat) < 0 or np.fmax.reduce(flat) > self._top):
+            bad = (r < 0) | (r > self._top)
             raise OutOfWindow(
                 f"r = {r[bad].flat[0]:.6g} outside solved window [0, {self.r_max:.6g}]"
             )
-        out = pp(r)
-        return float(out) if out.ndim == 0 else out
+        out = np.empty((flat.size, 1))
+        _ppoly.evaluate(*pp, flat, 0, True, out)
+        return float(out[0, 0]) if r.ndim == 0 else out.reshape(r.shape)
 
     def m(self, r):
         """Warping function m(r); scalar or array, r in [0, r_max]."""
-        return self._eval(self._m_pp, r)
+        return self._eval(self._m_kernel, r)
 
     def mp(self, r):
         """Radial derivative m'(r)."""
-        return self._eval(self._mp_pp, r)
+        return self._eval(self._mp_kernel, r)
 
     def K(self, r):
         return self.spec.evaluate(r)
@@ -133,7 +147,7 @@ class Profile:
         PPoly sums them, so an end returned as the answer has m(r) ==
         level exactly.
         """
-        top = self.r_max * (1 + 1e-12)
+        top = self._top
         if not (0.0 <= lo <= top and 0.0 <= hi <= top):
             raise OutOfWindow(f"[{lo:.6g}, {hi:.6g}] outside solved window "
                               f"[0, {self.r_max:.6g}]")
@@ -142,7 +156,7 @@ class Profile:
         ext, m_ext = self._stretch_ends
         a, b = bisect.bisect_right(ext, lo), bisect.bisect_left(ext, hi)
         ends = [lo, *ext[a:b], hi]
-        vals = [self._piece_at(lo)[0], *m_ext[a:b], self._piece_at(hi)[0]]
+        vals = [self._value_at(lo), *m_ext[a:b], self._value_at(hi)]
         for k in range(len(ends) - 2, -1, -1) if last else range(len(ends) - 1):
             d0, d1 = vals[k] - level, vals[k + 1] - level
             if d0 == 0.0 or d1 == 0.0 or (d0 < 0.0) != (d1 < 0.0):
@@ -164,23 +178,40 @@ class Profile:
                 return r
         return self._solve_piece(min(j, len(v)) - 1, level, left, right, dl, dr)
 
-    def _piece_at(self, r, piece=None):
-        """m and m' of the piece covering r (or of the given piece), in
-        Python floats; m is summed in ascending powers of r - x_i, as
-        PPoly sums it, so it equals Profile.m bit for bit."""
+    def _value_at(self, r, piece=None):
+        """m of the piece covering r (or of the given piece), a Python
+        float summed in ascending powers of r - x_i, as PPoly sums it, so
+        it equals Profile.m bit for bit."""
         if piece is None:
             piece = min(max(bisect.bisect_right(self._breaks, r) - 1, 0), len(self._values) - 1)
-        coefs = self._coefs.get(piece)
-        if coefs is None:
-            coefs = self._coefs[piece] = self._m_pp.c[::-1, piece].tolist()
+        s = r - self._breaks[piece]
+        val, z = 0.0, 1.0
+        for coef in self._terms(piece)[0]:
+            val += coef * z
+            z *= s
+        return val
+
+    def _jet_at(self, r, piece):
+        """m and m' of the given piece at r: m summed as _value_at sums
+        it, m' term by term from the cached k a_k."""
+        coefs, slopes = self._terms(piece)
         s = r - self._breaks[piece]
         val = slope = s_prev = 0.0
         z = 1.0
-        for k, coef in enumerate(coefs):
+        for coef, d in zip(coefs, slopes):
             val += coef * z
-            slope += k * coef * s_prev
+            slope += d * s_prev
             s_prev, z = z, z * s
         return val, slope
+
+    def _terms(self, piece):
+        """The piece's coefficients a_k of m, lowest power first, and
+        k a_k: cached as the level search reaches the piece."""
+        terms = self._piece_terms.get(piece)
+        if terms is None:
+            coefs = self._m_pp.c[::-1, piece].tolist()
+            terms = self._piece_terms[piece] = (coefs, [k * a for k, a in enumerate(coefs)])
+        return terms
 
     def _solve_piece(self, piece, level, left, right, dl, dr):
         """The root of the piece's m - level in the cell [left, right],
@@ -191,7 +222,7 @@ class Profile:
         out of the cell and the nearer end is the answer.  right is
         judged by dr, as Profile.m reads it: at a breakpoint that is the
         next piece's value, which the piece's own can miss by rounding."""
-        fr = self._piece_at(right, piece)[0] - level
+        fr = self._value_at(right, piece) - level
         if fr != 0.0 and (dl < 0.0) == (fr < 0.0):
             return left if abs(dl) <= abs(dr) else right
         ends = ((left, dl), (right, dr))
@@ -202,7 +233,7 @@ class Profile:
                 r = 0.5 * (neg + pos)
                 if r == neg or r == pos:  # the bracket is two neighbouring floats
                     return neg if -f_neg <= f_pos else pos
-            f, fp = self._piece_at(r, piece)
+            f, fp = self._jet_at(r, piece)
             f -= level
             if f == 0.0:
                 return r

@@ -66,8 +66,10 @@ TANGENT_SLOPE = 1e-11
 TRAP_REL = 1e-9
 # panel budget of one adaptive GK15 integral
 MAX_PANELS = 4096
-# integrals per batch: bounds the working set of the panel arrays
-CHUNK = 16
+# integrals per batch: bounds the working set of the panel arrays, and
+# holds a pole test's batch (55 integrals on the s = 0.3 cone) and a
+# max_ray_angle ladder (56 at kappa_tol 1e-8) in one pass each
+CHUNK = 64
 
 # 15-point Kronrod nodes on [-1, 1] with the embedded 7-point Gauss rule
 _XGK = np.array([

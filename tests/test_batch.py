@@ -79,13 +79,57 @@ def test_turn_angles_match_launches_alone(planes, data):
     name = data.draw(st.sampled_from(sorted(planes)))
     profile, special = planes[name]
     # up to 40 launches: inward ones take two integrals each, so a batch
-    # may span more than one chunk of integrals
+    # spans more than one chunk of integrals only when more than
+    # qd.CHUNK - 40 of them are inward (test_turn_angles_across_chunks_*
+    # crosses chunks on every plane)
     launches = data.draw(st.lists(_launches(profile, special), min_size=1, max_size=40))
     r_q, kappa = (np.array(v) for v in zip(*launches))
     batch = gd.turn_angles(profile, r_q, kappa)
     assert len(batch) == len(launches)
     for r, k, got in zip(r_q, kappa, batch):
         _same(got, gd.turn_angle(profile, float(r), float(k)))
+
+
+def _passes(monkeypatch):
+    """The number of integrals in each quadrature pass from here on."""
+    sizes, integrate = [], qd._integrate
+    monkeypatch.setattr(qd, "_integrate",
+                        lambda p, rows: sizes.append(len(rows)) or integrate(p, rows))
+    return sizes
+
+
+def test_turn_angles_across_chunks_match_launches_alone(planes, monkeypatch):
+    # on each plane its special launches among enough inward ones (two
+    # integrals each) that the batch runs in three or more chunks: every
+    # result is its launch's alone
+    n = qd.CHUNK + 8
+    inward = list(zip(np.geomspace(1e-3, 0.9, n).tolist(), np.linspace(0.05, 1.5, n).tolist()))
+    sizes = _passes(monkeypatch)
+    for name, (profile, special) in planes.items():
+        launches = []
+        for i, (u, dk) in enumerate(inward):
+            launches.append((u * profile.r_max, HALF_PI + dk))
+            if i % 8 == 3:
+                launches.append(special[i // 8 % len(special)])
+        r_q, kappa = (np.array(v) for v in zip(*launches))
+        sizes.clear()
+        batch = gd.turn_angles(profile, r_q, kappa)
+        assert sum(sizes) > 2 * qd.CHUNK and len(sizes) >= 3, name
+        for r, k, got in zip(r_q, kappa, batch):
+            _same(got, gd.turn_angle(profile, float(r), float(k)))
+
+
+def test_a_decision_batch_is_one_quadrature_pass(cone03, monkeypatch):
+    # qd.CHUNK holds a decision's batch whole: on the s = 0.3 cone the pole
+    # test's 28 launches are 55 integrals, and max_ray_angle's ladder of
+    # midpoints towards pi at kappa_tol 1e-8 is 56
+    sizes = _passes(monkeypatch)
+    an.is_pole(cone03.profile, 2.0)
+    assert sizes[0] == 55
+    sizes.clear()
+    gd.max_ray_angle(cone03.profile, 0.5, kappa_tol=1e-8)
+    # the criticality probe at pi/2, the ladder, then the pole test's batch
+    assert sizes[:3] == [1, 56, 55]
 
 
 def test_turn_angles_broadcast_and_special_statuses(flat60, bulge):

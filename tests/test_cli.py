@@ -7,6 +7,8 @@ import pytest
 from revplane import analysis as an
 from revplane import cli
 from revplane import curvature as cv
+from revplane import geodesics as gd
+from revplane import jacobi
 
 
 def run(capsys, *argv):
@@ -125,6 +127,37 @@ def test_classify_flat_and_undetermined(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "classify", "--spec", str(isq),
                        "--r-max", "50", "--r", "5.0")
     assert code == 5 and err["error"] == "undetermined"
+
+
+@pytest.mark.parametrize("plane, r", [("hyperbolic", 2.0), ("cone", 5.19), ("cone", 36.0)])
+def test_classify_reads_the_tangential_turn_angle_once(tmp_path, capsys, monkeypatch, cone03,
+                                                       plane, r):
+    # critical and away are the closed and the strict side of pi of one
+    # tangential turn angle: the JSON is what is_critical, in_away_set and
+    # max_ray_angle answer, for one tangential turn angle fewer
+    spec, r_max = ((cv.constant(-1.0), 20.0) if plane == "hyperbolic"
+                   else (cone03.profile.spec, cone03.profile.r_max))
+    path = tmp_path / "spec.json"
+    path.write_text(spec.to_json())
+    tangential = []
+    turn_angle = gd.turn_angle
+
+    def spy(profile, r_q, kappa, tol=1e-8):
+        if kappa == math.pi / 2:
+            tangential.append(r_q)
+        return turn_angle(profile, r_q, kappa, tol=tol)
+
+    monkeypatch.setattr(gd, "turn_angle", spy)
+    prof = jacobi.solve_jacobi(spec, r_max=r_max)
+    angle = gd.max_ray_angle(prof, r)
+    want = {"r": r, "critical": an.is_critical(prof, r), "away": an.in_away_set(prof, r),
+            "pole": angle == math.pi, "max_ray_angle": angle}
+    separately = len(tangential)
+    tangential.clear()
+    code, out, _ = run(capsys, "classify", "--spec", str(path), "--r-max", repr(r_max),
+                       "--r", repr(r))
+    assert code == 0 and out == want
+    assert len(tangential) == separately - 1
 
 
 def test_radii_hyperbolic(tmp_path, capsys):

@@ -168,6 +168,46 @@ def test_window_enforced():
         p.mp(-0.2)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_profile_reads_are_ppoly_bit_for_bit(flat60, hyp30, cone03, cone09, bulge, flare,
+                                             bounded_table):
+    # m and m' go straight to scipy's compiled kernel, which PPoly.__call__
+    # ends in: every value is PPoly's bit for bit, a scalar comes back a
+    # float and an array in its own shape; this also guards the private
+    # kernel call against a scipy upgrade.  The hand-built profiles' m and
+    # m' pieces differ in degree (bump's m is its m' integrated)
+    planes = {"flat": flat60, "hyperbolic": hyp30, "cone 0.3": cone03.profile,
+              "cone 0.9": cone09.profile, "bulge": bulge.profile, "flare": flare.profile,
+              "bounded table": bounded_table.profile, "linear": cf.linear_profile(0.5, 1.0),
+              "bump": cf.bump_profile(1.0, -1.5, 20.0, 1e-3), "sine": cf.sine_profile()}
+    rng = np.random.default_rng(11)
+    for name, p in planes.items():
+        top = p.r_max * (1 + 1e-12)
+        r = np.r_[rng.uniform(0.0, p.r_max, 40), p.knots(0.0, p.r_max)[0][:40], 0.0, p.r_max, top]
+        for read, pp in ((p.m, p._m_pp), (p.mp, p._mp_pp)):
+            for x in (float(r[3]), np.float64(r[4]), np.array(r[5]), top):
+                got = read(x)
+                assert type(got) is float and _bits(got) == _bits(pp(x)), (name, x)
+            for x in (r[:7].tolist(), r, r[:24].reshape(4, 6), r[:24].reshape(4, 6).T,
+                      np.empty(0), np.empty((2, 0))):
+                got = read(x)
+                assert type(got) is np.ndarray and got.shape == np.shape(x), (name, x)
+                assert _bits(got) == _bits(pp(x)), name
+            # the window check and its message, which a nan beside the
+            # radius outside does not hide; nan passes through
+            for bad in (-1e-300, p.r_max * (1 + 1e-11)):
+                message = f"r = {bad:.6g} outside solved window [0, {p.r_max:.6g}]"
+                for x in (bad, [1.0, bad], [math.nan, bad]):
+                    with pytest.raises(OutOfWindow, match=re.escape(message)):
+                        read(x)
+            assert math.isnan(read(math.nan))
+            got = read([math.nan, 1.0])
+            assert math.isnan(got[0]) and got[1] == read(1.0)
+
+
 def test_table_domain_clips_window():
     tab = cv.table([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])
     p = jacobi.solve_jacobi(tab, r_max=50.0)
