@@ -18,6 +18,10 @@ both ends:
     independent sqrt-factorization route and the disagreement feeds the
     error estimate;
   * the smooth body uses adaptive Gauss-Kronrod 15 panels, vectorized;
+  * each pass starts from a few panels per integral (HEAD_PANELS for the
+    w-form head, CROSS_PANELS for its cross-check, BODY_PANELS for the
+    body: 4, 6 and 16) and refines where its error estimate asks for
+    it, so an ordinary launch may refine, most do not;
   * on a solved profile's constant-curvature tail (Profile.tail: K = k
     <= 0 and m rising from r_a on) the turn integral is closed-form, so
     a leg is split at r_a: the part beyond it, to infinity for an
@@ -66,6 +70,12 @@ TANGENT_SLOPE = 1e-11
 TRAP_REL = 1e-9
 # panel budget of one adaptive GK15 integral
 MAX_PANELS = 4096
+# starting panels of each pass, per integral: the w-form head, its
+# xi-form cross-check and the body; the adaptive loop refines the few
+# integrals that need more, so more up front mostly buys nothing
+HEAD_PANELS = 4
+CROSS_PANELS = 6
+BODY_PANELS = 16
 # integrals per batch: bounds the working set of the panel arrays, and
 # holds a pole test's batch (55 integrals on the s = 0.3 cone) and a
 # max_ray_angle ladder (56 at kappa_tol 1e-8) in one pass each
@@ -131,18 +141,24 @@ def _adaptive_gk(f, a, b, tol, initial, log_spaced=False, cuts=()):
 
     f(x, k) evaluates integrand k_j at row j of x, the nodes of one
     panel.  Integral i starts from `initial` equal panels (geometric ones
-    when log_spaced and b_i / a_i > 10).  Each of cuts[i], fewer than
-    `initial` sorted radii inside (a_i, b_i) where the integrand is only
-    finitely smooth, takes the place of its own inner edge: the nearest,
-    or the next one up where an earlier cut took that (down from the
-    last edge where none is left above), so no panel straddles one and
-    the panel count stays.  It splits every panel whose error estimate
-    exceeds tol_i over twice its panel count, until its summed estimate
-    drops below tol_i or it holds MAX_PANELS panels, for at most 48
-    rounds; each round calls f once, on the new panels of all integrals
-    still refining.  Sums run over each integral's panels in order, so
-    its panels and sums do not depend on the others.  Returns
-    per-integral (values, error estimates).
+    when log_spaced and b_i / a_i > 10); the passes start from
+    HEAD_PANELS, CROSS_PANELS and BODY_PANELS (4, 6, 16), few enough that
+    the rounds below do the work where an integral needs it, and an
+    ordinary launch may take some.  Each of cuts[i], fewer than
+    `initial` sorted points inside (a_i, b_i) where the integrand is
+    only finitely smooth (K's joins, or their angles in a head), takes
+    the place of its own inner edge: the nearest, or the next one up
+    where an earlier cut took that (down from the last edge where none
+    is left above), so no panel straddles one and the panel count
+    stays; a head or body holding HEAD_PANELS or BODY_PANELS or more
+    joins (a fine table's knots) passes none and keeps its spacing.  It
+    splits every panel whose error estimate exceeds tol_i over twice its
+    panel count, until its summed estimate drops below tol_i or it holds
+    MAX_PANELS panels, for at most 48 rounds; each round calls f once,
+    on the new panels of all integrals still refining.  Sums run over
+    each integral's panels in order, so its panels and sums do not
+    depend on the others.  Returns per-integral (values, error
+    estimates).
     """
     n = len(a)
     t = np.arange(initial + 1) / initial
@@ -395,7 +411,8 @@ def _integrate(profile, rows):
     heads = [h + (mp,) for h, mp in zip(heads, mp_at[2 * n + len(at_a):]) if out[h[0]] is None]
     bodies = [b for b in bodies if out[b[0]] is None]
 
-    head, head_err, cross_err = _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n)
+    head, head_err, cross_err = _heads(profile, heads, joins, c, r_lo, m_lo, mp_lo, singular,
+                                       tol, n)
     body, body_err = np.zeros(n), np.zeros(n)
     if bodies:
         at, start, end = np.array(bodies).T
@@ -407,13 +424,8 @@ def _integrate(profile, rows):
             ck = bc[k][:, None]
             return ck / (m * np.sqrt(np.maximum((m - ck) * (m + ck), 1e-300)))
 
-        # K's joins inside a body, where m is only finitely smooth, are
-        # panel edges, unless a fine table puts more there than it has
-        cuts = []
-        for _, s, e in bodies:
-            j0, j1 = bisect.bisect_right(joins, s), bisect.bisect_left(joins, e)
-            cuts.append(joins[j0:j1] if j1 - j0 < 32 else ())
-        body[at], body_err[at] = _adaptive_gk(f_r, start, end, tol[at] / 2.0, 32,
+        cuts = [_cuts(joins, s, e, BODY_PANELS) for _, s, e in bodies]
+        body[at], body_err[at] = _adaptive_gk(f_r, start, end, tol[at] / 2.0, BODY_PANELS,
                                               log_spaced=True, cuts=cuts)
 
     cert = profile.spec.tail_certificate() if improper.any() else None
@@ -443,7 +455,15 @@ def _integrate(profile, rows):
     return out
 
 
-def _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n):
+def _cuts(joins, lo, hi, panels):
+    """K's joins inside (lo, hi), where m is only finitely smooth: the
+    cuts of a pass starting from `panels` panels, or none when a fine
+    table puts that many or more there."""
+    j0, j1 = bisect.bisect_right(joins, lo), bisect.bisect_left(joins, hi)
+    return joins[j0:j1] if j1 - j0 < panels else ()
+
+
+def _heads(profile, heads, joins, c, r_lo, m_lo, mp_lo, singular, tol, n):
     """The head passes: per integral (head, head error, cross-check
     disagreement), zero where the integral has no head."""
     head, head_err, cross_err = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -451,13 +471,18 @@ def _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n):
         return head, head_err, cross_err
     # the knots of r(m): the start (where m may sit a rounding below c),
     # the profile's breakpoints, and the cut, with slopes 1 / m'
-    m, r, mp, k = [], [], [], []
-    for j, (i, _, _, r_cut, m_cut, mp_cut) in enumerate(heads):
+    m, r, mp, k, cuts = [], [], [], [], []
+    for j, (i, w_lo, w_hi, r_cut, m_cut, mp_cut) in enumerate(heads):
         kr, km, kmp = profile.knots(r_lo[i], r_cut)
         m += [min(m_lo[i], c[i]), *km.tolist(), m_cut]
         r += [r_lo[i], *kr.tolist(), r_cut]
         mp += [mp_lo[i], *kmp.tolist(), mp_cut]
         k += [j] * (kr.size + 2)
+        inside = _cuts(joins, r_lo[i], r_cut, HEAD_PANELS)
+        if inside:  # the w-form's cuts are the joins' angles
+            w = np.arccos(np.minimum(c[i] / profile.m(inside), 1.0))
+            inside = w[(w_lo < w) & (w < w_hi)].tolist()
+        cuts.append(inside)
     seed = _inverse_seed(np.array(m), np.array(r), 1.0 / np.maximum(mp, 1e-300), np.array(k))
     at, w_lo, w_hi, r_cut = np.array([h[:4] for h in heads]).T
     at = at.astype(int)
@@ -468,7 +493,8 @@ def _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n):
         t = hc[k] / np.cos(w.ravel())
         return 1.0 / _invert_m(profile, t, hlo[k], r_cut[k], seed(t, k))[1].reshape(w.shape)
 
-    head[at], head_err[at] = _adaptive_gk(f_w, w_lo, w_hi, tol[at] / 4.0, 8)
+    head[at], head_err[at] = _adaptive_gk(f_w, w_lo, w_hi, tol[at] / 4.0, HEAD_PANELS,
+                                          cuts=cuts)
 
     sing = np.array([singular[i] for i in at.tolist()])
     if sing.any():
@@ -484,7 +510,7 @@ def _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n):
             return 2.0 * ck / (m * np.sqrt((m + ck) * h))
 
         head2, _ = _adaptive_gk(f_xi, np.zeros(at.size), np.sqrt(r_cut[sing] - xlo),
-                                tol[at] / 4.0, 12)
+                                tol[at] / 4.0, CROSS_PANELS)
         cross_err[at] = np.abs(head[at] - head2)
     return head, head_err, cross_err
 

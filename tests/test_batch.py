@@ -119,6 +119,48 @@ def test_turn_angles_across_chunks_match_launches_alone(planes, monkeypatch):
             _same(got, gd.turn_angle(profile, float(r), float(k)))
 
 
+def _rounds(monkeypatch):
+    """The integrand of each GK15 round from here on: a pass whose
+    integrand appears more than once refined past its first round."""
+    fs, gk15 = [], qd._gk15
+    monkeypatch.setattr(qd, "_gk15", lambda f, lo, hi, k: fs.append(f) or gk15(f, lo, hi, k))
+    return fs
+
+
+def _refined(fs):
+    """The names of the passes among fs that refined."""
+    return {f.__name__ for f in fs if sum(g is f for g in fs) > 1}
+
+
+def test_refining_launches_match_launches_alone(planes, monkeypatch):
+    # launches whose integrals refine past the first GK15 round when taken
+    # alone, heads and bodies both, batched with each plane's special
+    # launches: the rounds a batch runs for them give each its own answer
+    fs = _rounds(monkeypatch)
+    rng = np.random.default_rng(3)
+    refined = set()
+    for name, (profile, special) in planes.items():
+        r_q = profile.r_max * 10.0 ** rng.uniform(-4, math.log10(0.95), 400)
+        kappa = np.where(rng.random(400) < 0.5, HALF_PI, rng.uniform(0.0, math.pi, 400))
+        launches = []
+        for r, k in zip(r_q.tolist(), kappa.tolist()):
+            fs.clear()
+            gd.turn_angle(profile, r, k)
+            if _refined(fs):
+                refined |= _refined(fs)
+                launches.append((r, k))
+        if not launches:
+            continue
+        launches = launches[:8] + special
+        r_q, kappa = (np.array(v) for v in zip(*launches))
+        fs.clear()
+        batch = gd.turn_angles(profile, r_q, kappa)
+        assert _refined(fs), name
+        for r, k, got in zip(r_q, kappa, batch):
+            _same(got, gd.turn_angle(profile, float(r), float(k)))
+    assert {"f_w", "f_r"} <= refined
+
+
 def test_a_decision_batch_is_one_quadrature_pass(cone03, monkeypatch):
     # qd.CHUNK holds a decision's batch whole: on the s = 0.3 cone the pole
     # test's 28 launches are 55 integrals, and max_ray_angle's ladder of

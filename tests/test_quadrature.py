@@ -7,6 +7,7 @@ import numpy as np
 import numpy.polynomial as P
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PPoly
 
 from revplane import curvature as cv
 from revplane import geodesics as gd
@@ -223,6 +224,24 @@ def test_error_estimate_honest():
     assert abs(res.value - truth) <= max(res.abs_error, 1e-9)
 
 
+def test_band_covers_the_quadrature_error(flat60, hyp30, cone03, cone09, bulge, flare):
+    # 600 seeded launches over six planes, each turn angle taken at tol
+    # 1e-8 and at 1e-12 on the same profile: the two differ by no more
+    # than their bands together, so neither band is smaller than its error
+    rng = random.Random(7)
+    for built in (flat60, hyp30, cone03, cone09, bulge, flare):
+        p = getattr(built, "profile", built)
+        r_q = [1e-3 * 900.0 ** rng.random() * p.r_max for _ in range(100)]
+        kappa = [rng.uniform(0.01, math.pi - 0.01) for _ in r_q]
+        coarse, fine = (gd.turn_angles(p, r_q, kappa, tol=tol) for tol in (1e-8, 1e-12))
+        for r, k, a, b in zip(r_q, kappa, coarse, fine):
+            assert a.status == b.status, (r, k)
+            if math.isfinite(b.value):
+                assert abs(a.value - b.value) <= a.abs_error + b.abs_error, (r, k, a, b)
+            else:
+                assert a.value == b.value, (r, k)
+
+
 # --- the closed-form tail ------------------------------------------------
 
 
@@ -391,6 +410,39 @@ def test_legs_across_tail_start_match_numeric_route(cone03, panels):
             assert abs(res.value - ref.value) <= band
 
 
+def test_heads_take_their_joins(cone03, monkeypatch):
+    # launches near tangential below the cap's joins z -+ eps: m stays
+    # under sqrt(2) c up to the tail start, so the w-form head runs across
+    # both joins, whose angles are edges of its first round's panels; the
+    # split legs agree with the unsplit numeric route within the bands
+    # (with no edge there 4 head panels missed them by up to 546 times)
+    p = cone03.profile
+    whole = copy.copy(p)
+    whole.tail = None
+    r_q = np.linspace(100.0, 220.0, 25)
+    for dk in (-0.1, -0.03, 0.03, 0.1):
+        kappa = np.full(r_q.size, math.pi / 2 + dk)
+        for res, ref in zip(gd.turn_angles(p, r_q, kappa, tol=1e-12),
+                            gd.turn_angles(whole, r_q, kappa, tol=1e-12)):
+            assert abs(res.value - ref.value) <= res.abs_error + ref.abs_error
+
+    first, gk15 = [], qd._gk15
+
+    def spy(f, lo, hi, k):
+        if f.__name__ == "f_w" and not first:
+            first.append(hi)
+        return gk15(f, lo, hi, k)
+
+    monkeypatch.setattr(qd, "_gk15", spy)
+    r, kappa = 150.0, math.pi / 2 - 0.03
+    c = float(p.m(r)) * math.sin(kappa)
+    qd.integrate_turn_rate(p, c, r, w_start=math.pi / 2 - kappa, tol=1e-12)
+    edges = set(first[0].tolist())
+    assert first[0].size == qd.HEAD_PANELS
+    for join in p.spec.joins():
+        assert math.acos(c / float(p.m(join))) in edges
+
+
 def test_no_body_panel_straddles_a_join(cone03, monkeypatch):
     # with no tail the cone's legs from inside the cap integrate through
     # its joins z -+ eps, 0.2 apart, to r_max: both are edges of the
@@ -439,6 +491,36 @@ def test_cuts_take_their_own_initial_edges(monkeypatch):
     assert lo.size == 16 and np.all(lo < hi)
     for i, row in enumerate(cuts):
         assert set(row) <= set(hi[8 * i:8 * i + 7].tolist())
+
+
+@pytest.mark.parametrize("n_joins", [qd.BODY_PANELS - 1, qd.BODY_PANELS])
+def test_body_takes_its_joins_while_they_fit(n_joins, monkeypatch):
+    # m = 1 + r under a table whose knots are n_joins joins inside the
+    # body [1, 10] (no head: m(1) > sqrt(2) c): fewer joins than the
+    # body's starting panels are each an edge of its first round, as many
+    # leave the panels equally spaced
+    first, gk15 = [], qd._gk15
+
+    def spy(f, lo, hi, k):
+        if not first:
+            first.append((lo, hi))
+        return gk15(f, lo, hi, k)
+
+    monkeypatch.setattr(qd, "_gk15", spy)
+    knots = np.linspace(1.2, 9.7, n_joins).tolist()
+    spec = cv.table([0.0, *knots, 20.0], [0.01 * (-1) ** i for i in range(n_joins + 2)])
+    x = [0.0, 20.0]
+    p = jacobi.Profile(spec, PPoly(np.array([[1.0], [1.0]]), x), PPoly(np.array([[1.0]]), x), 20.0)
+    assert [j for j in spec.joins() if 1.0 < j < 10.0] == knots
+    res = qd.integrate_turn_rate(p, c=0.5, r_lo=1.0, r_hi=10.0)
+    assert res.value == pytest.approx(math.asin(0.5 / 2.0) - math.asin(0.5 / 11.0), abs=1e-12)
+    lo, hi = first[0]
+    assert lo.size == qd.BODY_PANELS
+    if n_joins < qd.BODY_PANELS:
+        assert set(knots) <= set(hi[:-1].tolist())
+    else:
+        np.testing.assert_allclose(lo, 1.0 + 9.0 * np.arange(qd.BODY_PANELS) / qd.BODY_PANELS,
+                                   rtol=1e-15)
 
 
 @pytest.mark.parametrize("plane", ["flat60", "hyp30", "cone03", "cone09", "bulge", "flare"])
