@@ -35,7 +35,6 @@ which has no value to interpolate, bisects.  Every search and every pole
 decision reads its turn angles through one rule, geodesics.closed_side.
 """
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -46,7 +45,7 @@ from scipy.optimize import minimize_scalar
 from . import geodesics as gd
 from . import quadrature as qd
 from .errors import Undetermined
-from .svgplot import SvgCanvas
+from .svgplot import SvgCanvas, write_csv
 
 # kappa grid of the pole test's coarse scan over [pi/2, pi - 0.2]
 POLE_GRID = 25
@@ -231,22 +230,18 @@ class AnalysisReport:
     def to_dict(self):
         return asdict(self)
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
+    def to_json(self):
+        return json.dumps(self.to_dict())
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "turn", "abs_error", "status", "critical", "away"])
-            for row in zip(self.r, self.turn, self.abs_error, self.status,
-                           self.critical, self.away):
-                w.writerow([repr(row[0]), repr(row[1]), repr(row[2]),
-                            row[3], int(bool(row[4])), int(bool(row[5]))])
+        flags = [[int(bool(f)) for f in fs] for fs in (self.critical, self.away)]
+        write_csv(path, ["r", "turn", "abs_error", "status", "critical", "away"],
+                  zip(self.r, self.turn, self.abs_error, self.status, *flags))
 
-    def to_svg(self, path, width=800, height=220):
-        canvas = SvgCanvas(width, height)
+    def to_svg(self, path):
+        canvas = SvgCanvas(800, 220)
         margin = 60
-        span = width - 2 * margin
+        span = canvas.width - 2 * margin
         lo, hi = self.r[0], self.r_max
         log_lo, log_hi = math.log10(lo), math.log10(hi)
 
@@ -258,7 +253,7 @@ class AnalysisReport:
         for k, (label, intervals, color) in enumerate(rows):
             y = 60 + 60 * k
             canvas.text(8, y + 14, label, size=13)
-            canvas.line(margin, y + 10, width - margin, y + 10, stroke="#cccccc")
+            canvas.line(margin, y + 10, margin + span, y + 10, stroke="#cccccc")
             for a, b in intervals:
                 canvas.rect(px(a), y, max(px(min(b, hi)) - px(a), 1.5), 20, fill=color)
         decade = math.ceil(log_lo)

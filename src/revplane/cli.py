@@ -13,7 +13,6 @@ print a JSON object on stderr and exit with:
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -26,6 +25,7 @@ from . import curvature as cv
 from . import geodesics as gd
 from . import jacobi
 from .errors import BuildError, OutOfWindow, StarViolation, Undetermined
+from .svgplot import write_csv
 
 
 def _emit(obj):
@@ -65,6 +65,8 @@ def _cmd_plane_build(args):
     elif args.kind == "isq-capped":
         spec = cv.isq_capped(args.u, args.eps)
     elif args.kind == "table":
+        if args.table is None:
+            raise ValueError("--kind table needs --table, a CSV with r,K columns")
         rows = np.genfromtxt(args.table, delimiter=",", names=True)
         spec = cv.table(rows["r"], rows["K"], extrapolate=args.extrapolate)
     else:  # pragma: no cover - argparse restricts choices
@@ -204,11 +206,7 @@ def _cmd_trace(args):
 def _cmd_embed(args):
     prof = _solve(args)
     r, radius, height = jacobi.embed_profile(prof, n=args.n)
-    with open(args.output, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "radius", "height"])
-        for row in zip(r, radius, height):
-            w.writerow([repr(float(v)) for v in row])
+    write_csv(args.output, ["r", "radius", "height"], zip(r, radius, height))
     _emit({"csv": args.output, "rows": len(r)})
     return 0
 

@@ -328,8 +328,8 @@ class CurvatureSpec:
     def from_dict(cls, d):
         return cls(d["kind"], d["params"])
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
+    def to_json(self):
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, s):

@@ -19,7 +19,6 @@ the conservation drift monitored, giving an independent check on the
 quadrature route.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +27,7 @@ from scipy.integrate import solve_ivp
 
 from . import quadrature as qd
 from .errors import Undetermined
-from .svgplot import SvgCanvas, fit_transform
+from .svgplot import SvgCanvas, fit_transform, write_csv
 
 STATUS_RADIAL_INWARD = "radial_inward"
 
@@ -371,18 +370,15 @@ class GeodesicTrace:
     end_state: tuple = field(default=None)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["s", "r", "theta", "r_dot"])
-            for row in zip(self.s, self.r, self.theta, self.r_dot):
-                w.writerow([repr(float(x)) for x in row])
+        write_csv(path, ["s", "r", "theta", "r_dot"],
+                  zip(self.s, self.r, self.theta, self.r_dot))
 
-    def to_svg(self, path, size=640):
+    def to_svg(self, path):
         x = self.r * np.cos(self.theta)
         y = self.r * np.sin(self.theta)
-        canvas = SvgCanvas(size, size)
+        canvas = SvgCanvas(640, 640)
         tf = fit_transform(np.concatenate([x, [0.0]]), np.concatenate([y, [0.0]]),
-                           size, size)
+                           640, 640)
         ox, oy = tf(0.0, 0.0)
         for frac in (0.25, 0.5, 0.75, 1.0):
             rr = frac * float(np.max(self.r))
@@ -406,10 +402,15 @@ def trace(profile, r_q, kappa, s_max, n_points=1001, rtol=1e-11,
     edge, or stop_at_radius if given; status reports which.  The reported
     speed_drift is the worst deviation of r_dot^2 + c^2/m^2 from 1 -- the
     honest conservation check (the Clairaut constant is exact here by
-    construction).
+    construction).  The n_points >= 2 samples span [0, s_max] evenly, and
+    rtol lies in [100 eps, 1), the range the integrator honours.
     """
-    if not s_max > 0:
-        raise ValueError(f"s_max must be positive, got {s_max}")
+    if not 0 < s_max < math.inf:
+        raise ValueError(f"s_max must be positive and finite, got {s_max}")
+    if not n_points >= 2:
+        raise ValueError(f"a trace samples both its ends, so n_points >= 2, got {n_points}")
+    if not 100 * math.ulp(1.0) <= rtol < 1:
+        raise ValueError(f"rtol must lie in [100 eps, 1) with eps = {math.ulp(1.0)!r}, got {rtol}")
     _check_launch(r_q, kappa)
     c = float(profile.m(r_q) * math.sin(kappa))
 
@@ -447,7 +448,7 @@ def trace(profile, r_q, kappa, s_max, n_points=1001, rtol=1e-11,
 
     y0 = [r_q, math.cos(kappa), 0.0]
     sol = solve_ivp(rhs, (0.0, s_max), y0, method="DOP853", rtol=rtol,
-                    atol=rtol * 1e-2, dense_output=True, events=events,
+                    atol=rtol * 1e-2, events=events,
                     t_eval=np.linspace(0.0, s_max, n_points))
     if not sol.success:
         raise RuntimeError(f"geodesic integration failed: {sol.message}")
@@ -455,7 +456,7 @@ def trace(profile, r_q, kappa, s_max, n_points=1001, rtol=1e-11,
     names = ["hit_origin", "left_window", "reached_radius"]
     status = "completed"
     s_end = s_max
-    y_end = sol.y[:, -1] if sol.y.shape[1] else np.array(y0)
+    y_end = sol.y[:, -1]
     for name, s_ev, y_ev in zip(names, sol.t_events, sol.y_events):
         if len(s_ev):
             status = name
@@ -465,7 +466,7 @@ def trace(profile, r_q, kappa, s_max, n_points=1001, rtol=1e-11,
 
     s = sol.t
     r, p, th = sol.y
-    if status != "completed" and (len(s) == 0 or s[-1] < s_end):
+    if status != "completed" and s[-1] < s_end:
         # include the event point itself in the sampled arrays
         s = np.append(s, s_end)
         r = np.append(r, y_end[0])
@@ -477,6 +478,6 @@ def trace(profile, r_q, kappa, s_max, n_points=1001, rtol=1e-11,
     return GeodesicTrace(
         s=s, r=r, theta=th, r_dot=p, r_q=float(r_q), kappa=float(kappa), c=c,
         status=status,
-        speed_drift=float(np.max(drift)) if len(s) else 0.0,
+        speed_drift=float(np.max(drift)),
         end_state=(s_end, float(y_end[0]), float(y_end[2]), float(y_end[1])),
     )

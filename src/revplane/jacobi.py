@@ -17,7 +17,6 @@ and the embedding profile in Euclidean 3-space.
 """
 
 import bisect
-import csv
 import math
 import operator
 
@@ -26,6 +25,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import PPoly, _ppoly
 
 from .errors import OutOfWindow, StarViolation
+from .svgplot import write_csv
 
 
 class Profile:
@@ -509,12 +509,5 @@ def embed_profile(profile, n=1024):
 def export_profile_csv(profile, path, n=2001):
     """Write columns r,m,mp,K sampled on a uniform grid from r = 0."""
     r = np.linspace(0.0, profile.r_max, n)
-    m = profile.m(r)
-    mp = profile.mp(r)
-    K = profile.K(r)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "m", "mp", "K"])
-        for row in zip(r, m, mp, K):
-            w.writerow([repr(float(x)) for x in row])
-
+    write_csv(path, ["r", "m", "mp", "K"],
+              zip(r, profile.m(r), profile.mp(r), profile.K(r)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -274,12 +275,23 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     spec = str(tmp_path / "hyp.json")
     assert run(capsys, "plane", "build", "--kind", "constant", "--k", "-1",
                "-o", spec)[0] == 0
+    # and so are an endless trace, a trace without both its ends and a
+    # trace tolerance outside [100 eps, 1): rtol 0 did not finish, 1e-300
+    # failed in the solver
+    trace = ["trace", "--r", "1", "--kappa", "1", "--s-max", "5"]
     for argv in (["radii", "--query-tol", "2"],
                  ["scan", "--n", "0", "--svg", str(tmp_path / "x.svg")],
                  ["scan", "--n", "0"],
-                 ["trace", "--r", "1", "--kappa", "1", "--s-max", "-1"]):
+                 ["trace", "--r", "1", "--kappa", "1", "--s-max", "-1"],
+                 ["trace", "--r", "1", "--kappa", "1", "--s-max", "inf"],
+                 [*trace, "--n", "0"], [*trace, "--n", "1"],
+                 [*trace, "--rtol", "0"], [*trace, "--rtol", "1e-300"]):
         code, _, err = run(capsys, *argv, "--spec", spec, "--r-max", "10")
         assert code == 2 and err["error"] == "invalid_input", argv
+    # a table plane needs its table
+    code, _, err = run(capsys, "plane", "build", "--kind", "table",
+                       "-o", str(tmp_path / "t.json"))
+    assert code == 2 and err["error"] == "invalid_input" and "--table" in err["message"]
     # an unbounded window or cone tail is invalid input, not a crash in
     # the solve
     code, _, err = run(capsys, "turn-angle", "--spec", spec, "--r-max", "inf",
@@ -296,6 +308,46 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
         assert "tail" in err["message"], tail
     with pytest.raises(SystemExit):
         cli.main(["no-such-command"])
+
+
+# sha256 of each export on test_exports_keep_their_bytes' inputs: a changed
+# byte in any file format fails it
+EXPORTS = {
+    "flat.json": "ac725f0101cf9b75a78d6772a37b51f436e89e1c20151ee24415fdbe02eb6df1",
+    "spliced.json": "fd9beb2764160f447d508a20a7963e5a17b75ba88e4972eed5839e7e2c6f2c9a",
+    "profile.csv": "035561329a17f81ac852373b4c8d82a2cfc289fb283955470a643cba236e046f",
+    "trace.csv": "b09ac10a0b5935e32a57307020e7b0bbc7c042052a1027683e1ca6e0ae7a43ac",
+    "trace.svg": "c5fc1990c39bff5186a5352f79d1cca81f01fff28bcf9fc4bef3604a17e5a1a2",
+    "scan.csv": "3d66a29a5d17011c6a60f21cc9d15aa447768618404daecdae59b7c209911614",
+    "scan.svg": "12ffd6486b8dffd4eef5d26bae3dad0301024d6c80f10a4e2d5749581827fda8",
+    "scan.json": "2bf82462223092f34dc950f6c26d01c8ebe5367e86887b295aa8405f76632d8b",
+    "embed.csv": "aed54e2d1b332c75418674771d8993ca73abca5aff08df98b1ad9d61ae1f531f",
+}
+
+
+def test_exports_keep_their_bytes(tmp_path, capsys):
+    # the nine exports on the flat plane at r_max 10 (whose turn angles
+    # are exact, so the bytes do not move with the quadrature) and a
+    # spliced spec
+    def path(name):
+        return str(tmp_path / name)
+
+    flat = ("--spec", path("flat.json"), "--r-max", "10")
+    for argv in (("plane", "build", "--kind", "constant", "--k", "0", "-o", path("flat.json")),
+                 ("plane", "build", "--kind", "isq-capped", "--u", "4e-4", "--eps", "0.5",
+                  "--drop-at", "3", "--drop-mu", "0.5", "--drop-w", "2",
+                  "-o", path("spliced.json")),
+                 ("trace", *flat, "--r", "5", "--kappa", "2", "--s-max", "8", "--n", "9",
+                  "--csv", path("trace.csv"), "--svg", path("trace.svg")),
+                 ("scan", *flat, "--n", "5", "--csv", path("scan.csv"),
+                  "--svg", path("scan.svg"), "--json", path("scan.json")),
+                 ("embed", *flat, "--n", "7", "-o", path("embed.csv"))):
+        assert run(capsys, *argv)[0] == 0, argv
+    jacobi.export_profile_csv(jacobi.solve_jacobi(cv.constant(0.0), r_max=10.0),
+                              path("profile.csv"), n=7)
+    for name, digest in EXPORTS.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, (name, data.decode())
 
 
 def test_cone_near_flat_slope(tmp_path, capsys):

@@ -353,3 +353,12 @@ def test_referee_reads_no_private_attribute():
     private = {n.attr for n in ast.walk(tree)
                if isinstance(n, ast.Attribute) and n.attr.startswith("_")}
     assert not private, private
+
+
+def test_one_module_imports_csv():
+    # every table export goes through svgplot.write_csv
+    importers = {path.name for path in Path(cv.__file__).parent.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names))
+                 or (isinstance(node, ast.ImportFrom) and node.module == "csv")}
+    assert importers == {"svgplot.py"}

@@ -460,6 +460,18 @@ def test_trace_stop_at_radius(flat):
     assert th_end == pytest.approx(math.atan(math.sqrt(24.0)), abs=1e-8)
 
 
+def test_trace_rejects_bad_samples_and_tolerance(flat):
+    # one sample would leave the end state at s = 0 while reporting s_max;
+    # the integrator raises rtol below 100 eps to 100 eps, and with rtol 0
+    # its absolute tolerance is 0
+    for kw in ({"n_points": 0}, {"n_points": 1}, {"rtol": 0.0}, {"rtol": 1e-300},
+               {"rtol": math.nan}, {"rtol": 1.0}):
+        with pytest.raises(ValueError):
+            gd.trace(flat, 2.0, 1.2, s_max=10.0, **kw)
+    tr = gd.trace(flat, 2.0, 1.2, s_max=10.0, n_points=2, rtol=100 * math.ulp(1.0))
+    assert list(tr.s) == [0.0, 10.0] and tr.end_state[0] == 10.0
+
+
 def test_trace_exports(tmp_path, flat):
     tr = gd.trace(flat, 2.0, 1.2, s_max=10.0, n_points=101)
     csv_path = tmp_path / "trace.csv"
