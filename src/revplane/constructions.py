@@ -207,7 +207,7 @@ def build_flared_cone(s_base=0.3, mu=1.0, w=1.0, rq_factor=1.5):
     """
     from .analysis import critical_ball_radius
 
-    if rq_factor <= 1.0:
+    if not rq_factor > 1.0:
         raise BuildError("rq_factor must exceed 1 (the point must be non-critical)")
     base = build_smoothed_cone(s_base)
     r_crit = critical_ball_radius(base.profile)

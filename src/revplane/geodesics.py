@@ -402,8 +402,9 @@ def trace(profile, r_q, kappa, s_max, n_points=1001, rtol=1e-11,
     edge, or stop_at_radius if given; status reports which.  The reported
     speed_drift is the worst deviation of r_dot^2 + c^2/m^2 from 1 -- the
     honest conservation check (the Clairaut constant is exact here by
-    construction).  The n_points >= 2 samples span [0, s_max] evenly, and
-    rtol lies in [100 eps, 1), the range the integrator honours.
+    construction).  The n_points >= 2 samples span [0, s_max] evenly,
+    rtol lies in [100 eps, 1), the range the integrator honours, and
+    stop_at_radius, when given, inside the window (0, r_max).
     """
     if not 0 < s_max < math.inf:
         raise ValueError(f"s_max must be positive and finite, got {s_max}")
@@ -411,6 +412,9 @@ def trace(profile, r_q, kappa, s_max, n_points=1001, rtol=1e-11,
         raise ValueError(f"a trace samples both its ends, so n_points >= 2, got {n_points}")
     if not 100 * math.ulp(1.0) <= rtol < 1:
         raise ValueError(f"rtol must lie in [100 eps, 1) with eps = {math.ulp(1.0)!r}, got {rtol}")
+    if stop_at_radius is not None and not 0 < stop_at_radius < profile.r_max:
+        raise ValueError(f"stop_at_radius must lie inside the window (0, {profile.r_max:.6g}), "
+                         f"got {stop_at_radius}")
     _check_launch(r_q, kappa)
     c = float(profile.m(r_q) * math.sin(kappa))
 

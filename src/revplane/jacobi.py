@@ -11,9 +11,9 @@ form where K is constant, by the Taylor series of m where it varies --
 watches for a zero of m (raising StarViolation with the root: exact in a
 constant stretch, the root of its piece in a series one), and provides
 the profile queries everything else is built on: pointwise m and m' from
-two piecewise polynomials, their exact roots (the landmarks), the
-extrema of m and the first or last radius where m reaches a level,
-and the embedding profile in Euclidean 3-space.
+one store of their pieces, their exact roots, the landmarks taken at the
+build (m's extrema, K's joins, the tail), the first or last radius where
+m reaches a level, and the embedding profile in Euclidean 3-space.
 """
 
 import bisect
@@ -29,44 +29,54 @@ from .svgplot import write_csv
 
 
 class Profile:
-    """The warping function m of one curvature spec on [0, r_max].
+    """The warping function m of one curvature spec on [0, r_max]: built
+    once, then only read.
 
     m and mp are piecewise polynomials (scipy PPoly) of degree 7 for m
     and m' on the window: Hermite pieces through the jets of the exact
     solution where K is constant, and of m's Taylor series on each cell
     where it varies, within 1e-13 of m (and of m') on each cell
-    (solve_jacobi).  Landmarks and levels are their exact roots; no
-    profile query samples a grid.
+    (solve_jacobi), kept once, as the compiled kernel reads them.
+    Landmarks and levels are their exact roots; no query samples a grid.
 
     tail is (r_a, k, E) when K is the constant k <= 0 from r_a on and m
     rises there (m' > 0 beyond r_a), E = m'^2 + k m^2 being the
     stretch's conserved quantity, taken from its start state; the turn
     integral is closed-form on that tail.  None for a profile built by
     hand, or when no such tail starts in the window.
+
+    The build takes the landmarks every turn integral reads: extrema
+    (m' = 0), at_extrema and at_joins (m's extrema and K's joins in the
+    window, as (radii, m there)), tail_start ((m, m') at r_a) and
+    tail_certificate (the curvature's "zero" or "nonpositive", if it
+    starts in the window).
     """
 
     def __init__(self, spec, m, mp, r_max, tail=None):
         self.spec = spec
         self.tail = tail
-        self._m_pp = m
-        self._mp_pp = mp
         self.r_max = float(r_max)
         # the largest radius the window check admits
         self._top = self.r_max * (1 + 1e-12)
-        # m and m' as scipy's compiled kernel takes them (PPoly.__call__
-        # ends in the same call): C-contiguous coefficients (k, n, 1)
-        # and their breakpoints
+        # the one store of m and m', as scipy's compiled kernel takes them
+        # (PPoly.__call__ ends in the same call): C-contiguous coefficients
+        # (k, n, 1), highest power first, and their breakpoints
         self._m_kernel, self._mp_kernel = (
             (np.ascontiguousarray(pp.c, dtype=float).reshape(*pp.c.shape[:2], 1),
              np.ascontiguousarray(pp.x, dtype=float)) for pp in (m, mp))
         # the breakpoints as a list: bisection on it costs what a scalar does
-        self._breaks = m.x.tolist()
+        self._breaks = self._m_kernel[1].tolist()
         # each piece's value at its left end, and the _terms of each
         # piece the level search has reached
-        self._values = m.c[-1].tolist()
+        self._values = self._m_kernel[0][-1, :, 0].tolist()
         self._piece_terms = {}
-        self._extrema = None
-        self._stretch_ends = None
+        self.extrema = self.roots(1, 0.0, 0.0, self.r_max)
+        self.at_extrema = (self.extrema.tolist(), self.m(self.extrema).tolist())
+        joins = [r for r in spec.joins() if r <= self._top]
+        self.at_joins = (joins, self.m(joins))
+        self.tail_start = None if tail is None else (self.m(tail[0]), self.mp(tail[0]))
+        cert = spec.tail_certificate()
+        self.tail_certificate = cert[0] if cert is not None and cert[1] <= self.r_max else None
 
     def _eval(self, pp, r):
         """The pieces pp, a (coefficients, breakpoints) pair from
@@ -101,15 +111,14 @@ class Profile:
         """Sorted radii in [lo, hi] where m (order 0), m' (1) or m'' (2)
         equals level.
 
-        m'' is the derivative of the m' pieces.  A piece that equals the
-        level throughout contributes its left end.  Only pieces whose
-        left-end value lies within reach of the level (twice the sum of
-        their other terms' sizes over the piece) are solved.
+        m'' is the m' pieces differentiated (zero where a piece of m' is
+        constant).  A piece that equals the level throughout contributes
+        its left end.  Only pieces whose left-end value lies within reach
+        of the level (twice the sum of their other terms' sizes over the
+        piece) are solved.
         """
-        pp = self._m_pp if order == 0 else self._mp_pp
-        if order == 2:
-            pp = pp.derivative()
-        c, x = pp.c, pp.x
+        c, x = self._m_kernel if order == 0 else self._mp_kernel
+        c = c[..., 0] if order < 2 else PPoly.construct_fast(c[..., 0], x).derivative().c
         reach = np.abs(c[:-1]) * np.diff(x) ** np.arange(len(c) - 1, 0, -1)[:, None]
         near = (np.abs(c[-1] - level) <= 2.0 * reach.sum(axis=0)) & (x[1:] >= lo) & (x[:-1] <= hi)
         # each run of neighbouring candidates is solved as one PPoly
@@ -119,20 +128,13 @@ class Profile:
             for i, j in zip(runs[::2], runs[1::2])])
         return np.sort(r[(lo <= r) & (r <= hi)])
 
-    @property
-    def extrema(self):
-        """Sorted radii where m' = 0: m is monotone between consecutive
-        ones.  Cached after the first access."""
-        if self._extrema is None:
-            self._extrema = self.roots(1, 0.0, 0.0, self.r_max)
-        return self._extrema
-
     def knots(self, lo, hi):
         """The pieces' breakpoints strictly inside (lo, hi), and m and m'
         at them, read off the coefficients without evaluating the profile."""
         a = bisect.bisect_right(self._breaks, lo)
         b = bisect.bisect_left(self._breaks, hi)
-        return self._m_pp.x[a:b], self._m_pp.c[-1, a:b], self._mp_pp.c[-1, a:b]
+        (c, x), d = self._m_kernel, self._mp_kernel[0]
+        return x[a:b], c[-1, a:b, 0], d[-1, a:b, 0]
 
     def level_radius(self, level, lo, hi, last=False):
         """First (or, with last, the last) radius in [lo, hi] where m
@@ -151,9 +153,7 @@ class Profile:
         if not (0.0 <= lo <= top and 0.0 <= hi <= top):
             raise OutOfWindow(f"[{lo:.6g}, {hi:.6g}] outside solved window "
                               f"[0, {self.r_max:.6g}]")
-        if self._stretch_ends is None:
-            self._stretch_ends = (self.extrema.tolist(), self.m(self.extrema).tolist())
-        ext, m_ext = self._stretch_ends
+        ext, m_ext = self.at_extrema
         a, b = bisect.bisect_right(ext, lo), bisect.bisect_left(ext, hi)
         ends = [lo, *ext[a:b], hi]
         vals = [self._value_at(lo), *m_ext[a:b], self._value_at(hi)]
@@ -209,7 +209,7 @@ class Profile:
         k a_k: cached as the level search reaches the piece."""
         terms = self._piece_terms.get(piece)
         if terms is None:
-            coefs = self._m_pp.c[::-1, piece].tolist()
+            coefs = self._m_kernel[0][::-1, piece, 0].tolist()
             terms = self._piece_terms[piece] = (coefs, [k * a for k, a in enumerate(coefs)])
         return terms
 
@@ -488,8 +488,10 @@ def embed_profile(profile, n=1024):
     z(r) = integral of sqrt(1 - m'^2), sampled at n radii.  Requires
     |m'| <= 1 on the window, decided from m' at its ends and where
     m'' = 0, which hold its extremes; raises ValueError otherwise (the
-    plane spreads too fast to embed).
+    plane spreads too fast to embed), and when n < 2.
     """
+    if not n >= 2:
+        raise ValueError(f"an embedding samples both ends of the window, so n >= 2, got {n}")
     r_ext = np.r_[0.0, profile.r_max, profile.roots(2, 0.0, 0.0, profile.r_max)]
     overshoot = np.max(np.abs(profile.mp(r_ext))) - 1.0
     if overshoot > 1e-9:

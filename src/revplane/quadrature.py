@@ -27,12 +27,12 @@ both ends:
     a leg is split at r_a: the part beyond it, to infinity for an
     improper leg, is G(b) - G(a) with a rounding-only error, and only
     the part below it runs through the passes above;
-  * otherwise the infinite tail is resolved by a certificate read off
-    the curvature: an exactly-linear m gives the k = 0 case of that
-    closed form, asin(c / m) / m', an eventually nonpositive curvature
-    gives a two-sided bracket (m grows at least linearly, and m^2 - c^2
-    >= m^2/2 once m >= sqrt(2) c), and anything weaker leaves the
-    result flagged window_limited.
+  * otherwise the infinite tail is resolved by the tail certificate the
+    profile takes from the curvature: an exactly-linear m gives the k = 0
+    case of that closed form, asin(c / m) / m', an eventually nonpositive
+    curvature gives a two-sided bracket (m grows at least linearly, and
+    m^2 - c^2 >= m^2/2 once m >= sqrt(2) c), and anything weaker leaves
+    the result flagged window_limited.
 
 Divergent integrals report value = +inf, never a large finite number:
 status divergent_tangency when the geodesic cannot leave the turning
@@ -298,8 +298,8 @@ def integrate_turn_rates(profile, legs):
     rows = []
     for leg in legs:
         c, r_lo, r_hi, tol = leg["c"], leg["r_lo"], leg.get("r_hi"), leg.get("tol", 1e-8)
-        if c < 0:
-            raise ValueError("Clairaut constant c must be >= 0")
+        if not 0 <= c < math.inf:
+            raise ValueError(f"Clairaut constant c must be finite and >= 0, got {c}")
         if not 0 < tol < 1:
             raise ValueError("tol must be in (0, 1)")
         hi = profile.r_max if r_hi is None else float(r_hi)
@@ -307,9 +307,10 @@ def integrate_turn_rates(profile, legs):
             raise OutOfWindow(f"r_hi = {hi:.6g} beyond solved window {profile.r_max:.6g}")
         if not 0 <= r_lo < hi:
             raise ValueError(f"need 0 <= r_lo < r_hi, got [{r_lo}, {hi}]")
-        w_start, w_end = leg.get("w_start"), leg.get("w_end")
-        rows.append((c, r_lo, hi, r_hi is None, tol, math.nan if w_start is None else w_start,
-                     math.nan if w_end is None else w_end))
+        w = [math.nan if leg.get(key) is None else leg[key] for key in ("w_start", "w_end")]
+        if not all(math.isnan(x) or 0.0 <= x <= math.pi / 2 for x in w):
+            raise ValueError(f"the angles w = arccos(c / m) lie in [0, pi/2], got {w}")
+        rows.append((c, r_lo, hi, r_hi is None, tol, *w))
     out = []
     for s in range(0, len(rows), CHUNK):
         out += _integrate(profile, rows[s:s + CHUNK])
@@ -324,18 +325,16 @@ def _integrate(profile, rows):
     # the profile's closed-form tail from r_a on: a leg's part beyond r_a
     # is G(b) - G(a), and only the part below it is integrated
     tail = profile.tail
-    r_a, at_a = (tail[0], [tail[0]]) if tail is not None else (math.inf, [])
+    r_a = math.inf if tail is None else tail[0]
     # m is monotone between its extrema: m at those past r_lo and at the
     # window end decides the trap and where the head's monotone stretch ends
-    ext = profile.extrema
-    m_at = profile.m(np.concatenate((r_lo, ext, hi, at_a))).tolist()
-    m_lo, m_ext, m_hi = m_at[:n], m_at[n:n + ext.size], m_at[n + ext.size:]
-    ext = ext.tolist()
+    ext, m_ext = profile.at_extrema
+    m_at = profile.m(np.concatenate((r_lo, hi))).tolist()
+    m_lo, m_hi = m_at[:n], m_at[n:]
 
     heads, bodies = [], []  # (integral, w_lo, w_hi, r_cut, m_cut); (integral, from, to)
-    joins = profile.spec.joins()
-    # integral: the closed part's start and (unless at infinity) end, as
-    # (m, index of m' in mp_at, sin w, cos w)
+    # integral: its closed part, as (whether it starts at r_a rather than
+    # r_lo, (sin w, cos w) at its start, and at its end or None at infinity)
     closed = {}
     singular = [False] * n
     for i, (ci, lo, hi_i, m_i, w_s, w_e) in enumerate(zip(
@@ -368,14 +367,13 @@ def _integrate(profile, rows):
         m_end = m_hi[i]
         if hi_i > r_a:
             # m rises beyond r_a, so the trap test above covers the closed part
-            end = [] if improper[i] else [(m_end, n + i, *_sin_cos(ci, m_end, w_e))]
+            end = None if improper[i] else _sin_cos(ci, m_end, w_e)
             if lo >= r_a:
-                start = (0.0, 1.0) if w_lo == 0.0 else _sin_cos(ci, m_i, w_s)
-                closed[i] = [(m_i, i, *start), *end]
+                closed[i] = (False, (0.0, 1.0) if w_lo == 0.0 else _sin_cos(ci, m_i, w_s), end)
                 continue
-            # the rest is a finite leg up to r_a (m_hi[n] is m(r_a))
-            hi_i, m_end, w_e = r_a, m_hi[n], math.nan
-            closed[i] = [(m_end, 2 * n, *_sin_cos(ci, m_end)), *end]
+            # the rest is a finite leg up to r_a
+            hi_i, m_end, w_e = r_a, profile.tail_start[0], math.nan
+            closed[i] = (True, _sin_cos(ci, m_end), end)
 
         root2c = math.sqrt(2.0) * ci
         body_from = lo
@@ -401,18 +399,17 @@ def _integrate(profile, rows):
             bodies.append((i, body_from, hi_i))
 
     # m' at the starts (the tangency test, and the heads' first knots), at
-    # the window ends (the tail), at r_a and at the head cuts (their last knots)
-    mp_at = profile.mp(np.concatenate((r_lo, hi, at_a, [h[3] for h in heads]))).tolist()
+    # the window ends (the tail) and at the head cuts (their last knots)
+    mp_at = profile.mp(np.concatenate((r_lo, hi, [h[3] for h in heads]))).tolist()
     mp_lo, mp_hi = mp_at[:n], mp_at[n:2 * n]
     for i in range(n):
         if singular[i] and out[i] is None and mp_lo[i] <= TANGENT_SLOPE:
             # the geodesic is asymptotic to the parallel circle: log divergence
             out[i] = IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
-    heads = [h + (mp,) for h, mp in zip(heads, mp_at[2 * n + len(at_a):]) if out[h[0]] is None]
+    heads = [h + (mp,) for h, mp in zip(heads, mp_at[2 * n:]) if out[h[0]] is None]
     bodies = [b for b in bodies if out[b[0]] is None]
 
-    head, head_err, cross_err = _heads(profile, heads, joins, c, r_lo, m_lo, mp_lo, singular,
-                                       tol, n)
+    head, head_err, cross_err = _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n)
     body, body_err = np.zeros(n), np.zeros(n)
     if bodies:
         at, start, end = np.array(bodies).T
@@ -424,11 +421,10 @@ def _integrate(profile, rows):
             ck = bc[k][:, None]
             return ck / (m * np.sqrt(np.maximum((m - ck) * (m + ck), 1e-300)))
 
-        cuts = [_cuts(joins, s, e, BODY_PANELS) for _, s, e in bodies]
+        cuts = [_cuts(profile, s, e, BODY_PANELS)[0] for _, s, e in bodies]
         body[at], body_err[at] = _adaptive_gk(f_r, start, end, tol[at] / 2.0, BODY_PANELS,
                                               log_spaced=True, cuts=cuts)
 
-    cert = profile.spec.tail_certificate() if improper.any() else None
     for i, (h, h_err, x_err, b, b_err) in enumerate(zip(
             head.tolist(), head_err.tolist(), cross_err.tolist(), body.tolist(),
             body_err.tolist())):
@@ -440,30 +436,33 @@ def _integrate(profile, rows):
         if i in closed:
             # G(inf) - G(r) at the closed part's start, less that at its end;
             # m' = 0 at r_a when it is m's minimum, up to rounding
-            (g, g_err), *end = [_closed_turn(tail[1], tail[2], c_i, m, max(mp_at[j], 0.0), sw, cw)
-                                for m, j, sw, cw in closed[i]]
+            from_a, start, end = closed[i]
+            m0, mp0 = profile.tail_start if from_a else (m_lo[i], mp_lo[i])
+            g, g_err = _closed_turn(*tail[1:], c_i, m0, max(mp0, 0.0), *start)
             if end:
-                g, g_err = g - end[0][0], g_err + end[0][1]
+                g_end, end_err = _closed_turn(*tail[1:], c_i, m_hi[i], max(mp_hi[i], 0.0), *end)
+                g, g_err = g - g_end, g_err + end_err
             if not g < math.inf:
                 out[i] = IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
             else:
                 out[i] = IntegralResult(max(value + g, 0.0), err + g_err, STATUS_CONVERGED)
         elif improper[i]:
-            out[i] = _tail(cert, rows[i][2], m_hi[i], mp_hi[i], c_i, value, err)
+            out[i] = _tail(profile.tail_certificate, m_hi[i], mp_hi[i], c_i, value, err)
         else:
             out[i] = IntegralResult(max(value, 0.0), err, STATUS_CONVERGED)
     return out
 
 
-def _cuts(joins, lo, hi, panels):
-    """K's joins inside (lo, hi), where m is only finitely smooth: the
-    cuts of a pass starting from `panels` panels, or none when a fine
-    table puts that many or more there."""
+def _cuts(profile, lo, hi, panels):
+    """K's joins inside (lo, hi), where m is only finitely smooth, and m
+    there: the cuts of a pass starting from `panels` panels, or none when
+    a fine table puts that many or more there."""
+    joins, m_joins = profile.at_joins
     j0, j1 = bisect.bisect_right(joins, lo), bisect.bisect_left(joins, hi)
-    return joins[j0:j1] if j1 - j0 < panels else ()
+    return (joins[j0:j1], m_joins[j0:j1]) if j1 - j0 < panels else ((), ())
 
 
-def _heads(profile, heads, joins, c, r_lo, m_lo, mp_lo, singular, tol, n):
+def _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n):
     """The head passes: per integral (head, head error, cross-check
     disagreement), zero where the integral has no head."""
     head, head_err, cross_err = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -478,9 +477,9 @@ def _heads(profile, heads, joins, c, r_lo, m_lo, mp_lo, singular, tol, n):
         r += [r_lo[i], *kr.tolist(), r_cut]
         mp += [mp_lo[i], *kmp.tolist(), mp_cut]
         k += [j] * (kr.size + 2)
-        inside = _cuts(joins, r_lo[i], r_cut, HEAD_PANELS)
+        inside, m_inside = _cuts(profile, r_lo[i], r_cut, HEAD_PANELS)
         if inside:  # the w-form's cuts are the joins' angles
-            w = np.arccos(np.minimum(c[i] / profile.m(inside), 1.0))
+            w = np.arccos(np.minimum(c[i] / m_inside, 1.0))
             inside = w[(w_lo < w) & (w < w_hi)].tolist()
         cuts.append(inside)
     seed = _inverse_seed(np.array(m), np.array(r), 1.0 / np.maximum(mp, 1e-300), np.array(k))
@@ -559,28 +558,27 @@ def _closed_turn(k, E, c, m, mp, sw, cw):
     return value, 1e-14 * (1.0 + value) + 4.4e-16 * den / gap * x / (1.0 + x) / e
 
 
-def _tail(cert, hi, m_R, a_R, c, value, err):
+def _tail(cert, m_R, a_R, c, value, err):
     """Close an improper integral whose window part is value +- err: the
-    tail beyond the window end hi, from the curvature's certificate."""
-    if cert is not None and cert[0] in ("zero", "nonpositive") and cert[1] <= hi:
-        if a_R <= 1e-13:
-            if cert[0] == "zero":
-                # m frozen at m_R forever: the tail integrand never decays
-                return IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TAIL)
-            # slope may still recover (K <= 0), but nothing is certified
-            return IntegralResult(max(value, 0.0), err, STATUS_WINDOW_LIMITED)
-        # the tail if m stayed linear beyond the window: asin(c / m_R) / a_R
-        linear, linear_err = _closed_turn(0.0, a_R * a_R, c, m_R, a_R, *_sin_cos(c, m_R))
-        if cert[0] == "zero":
-            # m is exactly linear beyond the window: closed-form tail
-            value += linear
-            err += linear_err
-        else:
-            # m grows at least linearly (m'' = -K m >= 0): bracket the tail
-            bound = linear
-            if m_R >= math.sqrt(2.0) * c:
-                bound = min(bound, math.sqrt(2.0) * c / (a_R * m_R))
-            value += bound / 2.0
-            err += bound / 2.0
-        return IntegralResult(max(value, 0.0), err, STATUS_CONVERGED)
-    return IntegralResult(max(value, 0.0), err, STATUS_WINDOW_LIMITED)
+    tail beyond the window end, from the profile's tail certificate."""
+    if a_R <= 1e-13 and cert == "zero":
+        # m frozen at m_R forever: the tail integrand never decays
+        return IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TAIL)
+    if cert is None or a_R <= 1e-13:
+        # no certificate, or a slope that may still recover (K <= 0): nothing
+        # is certified beyond the window
+        return IntegralResult(max(value, 0.0), err, STATUS_WINDOW_LIMITED)
+    # the tail if m stayed linear beyond the window: asin(c / m_R) / a_R
+    linear, linear_err = _closed_turn(0.0, a_R * a_R, c, m_R, a_R, *_sin_cos(c, m_R))
+    if cert == "zero":
+        # m is exactly linear beyond the window: closed-form tail
+        value += linear
+        err += linear_err
+    else:
+        # m grows at least linearly (m'' = -K m >= 0): bracket the tail
+        bound = linear
+        if m_R >= math.sqrt(2.0) * c:
+            bound = min(bound, math.sqrt(2.0) * c / (a_R * m_R))
+        value += bound / 2.0
+        err += bound / 2.0
+    return IntegralResult(max(value, 0.0), err, STATUS_CONVERGED)

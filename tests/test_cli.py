@@ -275,9 +275,10 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     spec = str(tmp_path / "hyp.json")
     assert run(capsys, "plane", "build", "--kind", "constant", "--k", "-1",
                "-o", spec)[0] == 0
-    # and so are an endless trace, a trace without both its ends and a
-    # trace tolerance outside [100 eps, 1): rtol 0 did not finish, 1e-300
-    # failed in the solver
+    # and so are an endless trace, a trace without both its ends, a trace
+    # tolerance outside [100 eps, 1) (rtol 0 did not finish, 1e-300 failed
+    # in the solver), a stop radius outside the window and an embedding
+    # without both ends of the window
     trace = ["trace", "--r", "1", "--kappa", "1", "--s-max", "5"]
     for argv in (["radii", "--query-tol", "2"],
                  ["scan", "--n", "0", "--svg", str(tmp_path / "x.svg")],
@@ -285,7 +286,10 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
                  ["trace", "--r", "1", "--kappa", "1", "--s-max", "-1"],
                  ["trace", "--r", "1", "--kappa", "1", "--s-max", "inf"],
                  [*trace, "--n", "0"], [*trace, "--n", "1"],
-                 [*trace, "--rtol", "0"], [*trace, "--rtol", "1e-300"]):
+                 [*trace, "--rtol", "0"], [*trace, "--rtol", "1e-300"],
+                 *([*trace, "--stop-at-radius", x] for x in ("nan", "-1", "50")),
+                 ["embed", "--n", "0", "-o", str(tmp_path / "e.csv")],
+                 ["embed", "--n", "1", "-o", str(tmp_path / "e.csv")]):
         code, _, err = run(capsys, *argv, "--spec", spec, "--r-max", "10")
         assert code == 2 and err["error"] == "invalid_input", argv
     # a table plane needs its table
@@ -306,6 +310,10 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
                            "-o", str(tmp_path / "c.json"))
         assert code == 2 and err["error"] == "invalid_input", tail
         assert "tail" in err["message"], tail
+    # a nan radius factor of the flared cone passed its check
+    code, _, err = run(capsys, "example", "disconnected", "--rq-factor", "nan",
+                       "-o", str(tmp_path / "d.json"))
+    assert code == 2 and err["error"] == "invalid_input" and "rq_factor" in err["message"]
     with pytest.raises(SystemExit):
         cli.main(["no-such-command"])
 

@@ -184,8 +184,9 @@ def test_flare_splice_leaves_pi_inside(kw):
 
 
 def test_flare_rejects_bad_factor():
-    with pytest.raises(BuildError):
-        cx.build_flared_cone(rq_factor=0.9)
+    for rq_factor in (0.9, 1.0, math.nan):
+        with pytest.raises(BuildError, match="rq_factor"):
+            cx.build_flared_cone(rq_factor=rq_factor)
 
 
 def test_bounded_table_matches_closed_form(bounded_table):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from revplane import curvature as cv
 from revplane import jacobi
+from revplane import quadrature
 from revplane.errors import OutOfWindow
 
 import referee
@@ -362,3 +363,17 @@ def test_one_module_imports_csv():
                  if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names))
                  or (isinstance(node, ast.ImportFrom) and node.module == "csv")}
     assert importers == {"svgplot.py"}
+
+
+def test_profile_is_built_once_and_only_read():
+    # the quadrature reads the profile's landmarks, not its curvature spec,
+    # and the profile keeps one store of its pieces and no lazy landmark
+    tree = ast.parse(Path(quadrature.__file__).read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "spec"]
+    tree = ast.parse(Path(jacobi.__file__).read_text())
+    profile = next(d for d in tree.body if isinstance(d, ast.ClassDef) and d.name == "Profile")
+    names = {getattr(n, "attr", None) or getattr(n, "name", None) for n in ast.walk(profile)}
+    assert names.isdisjoint({"_m_pp", "_mp_pp", "_extrema", "_stretch_ends"})
+    decorators = [d for f in profile.body if isinstance(f, ast.FunctionDef)
+                  for d in f.decorator_list]
+    assert not [d for d in decorators if "property" in ast.unparse(d)]

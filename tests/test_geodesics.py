@@ -463,9 +463,12 @@ def test_trace_stop_at_radius(flat):
 def test_trace_rejects_bad_samples_and_tolerance(flat):
     # one sample would leave the end state at s = 0 while reporting s_max;
     # the integrator raises rtol below 100 eps to 100 eps, and with rtol 0
-    # its absolute tolerance is 0
+    # its absolute tolerance is 0; no geodesic reaches a radius outside
+    # the window (0, r_max)
     for kw in ({"n_points": 0}, {"n_points": 1}, {"rtol": 0.0}, {"rtol": 1e-300},
-               {"rtol": math.nan}, {"rtol": 1.0}):
+               {"rtol": math.nan}, {"rtol": 1.0}, {"stop_at_radius": math.nan},
+               {"stop_at_radius": -1.0}, {"stop_at_radius": 0.0},
+               {"stop_at_radius": flat.r_max}, {"stop_at_radius": 5 * flat.r_max}):
         with pytest.raises(ValueError):
             gd.trace(flat, 2.0, 1.2, s_max=10.0, **kw)
     tr = gd.trace(flat, 2.0, 1.2, s_max=10.0, n_points=2, rtol=100 * math.ulp(1.0))

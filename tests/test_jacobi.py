@@ -172,6 +172,12 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _pieces(p, order):
+    """m (order 0) or m' (order 1) of p as a PPoly, from the profile's one store."""
+    c, x = p._m_kernel if order == 0 else p._mp_kernel
+    return PPoly(c[..., 0], x)
+
+
 def test_profile_reads_are_ppoly_bit_for_bit(flat60, hyp30, cone03, cone09, bulge, flare,
                                              bounded_table):
     # m and m' go straight to scipy's compiled kernel, which PPoly.__call__
@@ -187,7 +193,7 @@ def test_profile_reads_are_ppoly_bit_for_bit(flat60, hyp30, cone03, cone09, bulg
     for name, p in planes.items():
         top = p.r_max * (1 + 1e-12)
         r = np.r_[rng.uniform(0.0, p.r_max, 40), p.knots(0.0, p.r_max)[0][:40], 0.0, p.r_max, top]
-        for read, pp in ((p.m, p._m_pp), (p.mp, p._mp_pp)):
+        for read, pp in ((p.m, _pieces(p, 0)), (p.mp, _pieces(p, 1))):
             for x in (float(r[3]), np.float64(r[4]), np.array(r[5]), top):
                 got = read(x)
                 assert type(got) is float and _bits(got) == _bits(pp(x)), (name, x)
@@ -244,6 +250,11 @@ def test_embed_flat_is_a_disk():
     r, radius, height = jacobi.embed_profile(p, n=200)
     assert np.allclose(radius, r)
     assert np.max(np.abs(height)) < 1e-6
+    # one sample would leave out the window's far end
+    assert jacobi.embed_profile(p, n=2)[0].tolist() == [0.0, 10.0]
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="n >= 2"):
+            jacobi.embed_profile(p, n=n)
 
 
 def test_embed_rejects_fast_spread():
@@ -287,6 +298,36 @@ def test_extrema_are_the_roots_of_the_slope():
     assert np.all(np.abs(e - (math.pi / 2 + k * math.pi)) <= 1e-11)
     assert set(k) == set(range(13))
     assert cf.linear_profile(0.5).extrema.size == 0
+
+
+def test_landmarks_are_their_queries(flat60, hyp30, cone03, cone05, cone09, cone03_long, bulge,
+                                     flare, bounded_table):
+    # what a profile takes at build is what its queries read, bit for bit;
+    # a tail certificate starting beyond the window is dropped
+    planes = [flat60, hyp30, *(b.profile for b in (cone03, cone05, cone09, cone03_long, bulge,
+                                                   flare, bounded_table)),
+              jacobi.solve_jacobi(cv.isq(0.01), r_max=60.0),
+              jacobi.solve_jacobi(cv.isq(0.01), r_max=3.0),
+              cf.linear_profile(0.5), cf.linear_profile(0.5, 1.0),
+              cf.bump_profile(1.0, -1.5, 20.0, 1e-3), cf.sine_profile()]
+    certificates = set()
+    for p in planes:
+        assert _bits(p.extrema) == _bits(p.roots(1, 0.0, 0.0, p.r_max)), p
+        ext, m_ext = p.at_extrema
+        assert ext == p.extrema.tolist() and _bits(m_ext) == _bits(p.m(p.extrema)), p
+        joins, m_joins = p.at_joins
+        assert joins == [r for r in p.spec.joins() if r <= p.r_max * (1 + 1e-12)], p
+        assert _bits(m_joins) == _bits(p.m(joins)), p
+        if p.tail is None:
+            assert p.tail_start is None, p
+        else:
+            assert _bits(p.tail_start) == _bits((p.m(p.tail[0]), p.mp(p.tail[0]))), p
+        cert = p.spec.tail_certificate()
+        inside = cert is not None and cert[1] <= p.r_max
+        assert p.tail_certificate == (cert[0] if inside else None), p
+        certificates.add((p.tail_certificate, cert is None))
+    assert {("zero", False), ("nonpositive", False), (None, False), (None, True)} <= certificates
+    assert sum(bool(p.at_joins[0]) for p in planes) >= 5
 
 
 def test_level_radius_first_and_last():
@@ -343,7 +384,7 @@ def _level_radius_by_merge(p, level, lo, hi, last=False):
     for e in ((k + 1, k) if last else (k, k + 1)):
         if d[e] == 0.0:
             return float(r[e])
-    pp = p._m_pp
+    pp = _pieces(p, 0)
     i = min(int(np.searchsorted(pp.x, r[k], side="right")) - 1, len(pp.x) - 2)
     roots = PPoly.construct_fast(pp.c[:, i:i + 1], pp.x[i:i + 2]).solve(level, extrapolate=False)
     roots = roots[(r[k] <= roots) & (roots <= r[k + 1])]
@@ -502,7 +543,7 @@ def test_profile_matches_referee(plane, request):
     else:
         built = request.getfixturevalue(plane)
         p = built if isinstance(built, jacobi.Profile) else built.profile
-    x = p._m_pp.x
+    x = _pieces(p, 0).x
     # at most 600 pieces (the bulge's and flare's constant tails are long)
     step = max(1, x.size // 600)
     cells = x[:-1][::step], np.diff(x)[::step]
@@ -543,7 +584,7 @@ def test_table_constant_cells_are_closed_form(monkeypatch):
                         lambda *a: calls.append(a[1:3]) or series_stretch(*a))
     p = jacobi.solve_jacobi(spec, r_max=4.0)
     assert calls == [(0.0, 1.0), (2.0, 3.0)]
-    r = np.unique(np.concatenate([p._m_pp.x, np.linspace(0.0, 4.0, 101)]))
+    r = np.unique(np.concatenate([_pieces(p, 0).x, np.linspace(0.0, 4.0, 101)]))
     m, mp = (np.array(v) for v in referee.profile(spec, r.tolist()))
     assert np.all(np.abs(p.m(r) - m) <= REFEREE_TOL * np.maximum(1.0, np.abs(m)))
     assert np.all(np.abs(p.mp(r) - mp) <= REFEREE_TOL * np.maximum(1.0, np.abs(mp)))
@@ -573,9 +614,10 @@ def test_closed_forms_leave_numerical_pieces_alone(name, request, monkeypatch):
         assert upto == p.r_max
     n = bisect.bisect_left(p._breaks, upto)
     assert n >= 2 and p._breaks[n] == upto
-    assert np.array_equal(p._m_pp.x[:n + 1], ref._m_pp.x[:n + 1])
-    assert np.array_equal(p._m_pp.c[:, :n], ref._m_pp.c[:, :n])
-    assert np.array_equal(p._mp_pp.c[:, :n], ref._mp_pp.c[:, :n])
+    (m, mp), (ref_m, ref_mp) = ((_pieces(q, 0), _pieces(q, 1)) for q in (p, ref))
+    assert np.array_equal(m.x[:n + 1], ref_m.x[:n + 1])
+    assert np.array_equal(m.c[:, :n], ref_m.c[:, :n])
+    assert np.array_equal(mp.c[:, :n], ref_mp.c[:, :n])
 
 
 @pytest.mark.parametrize("plane", ["hyp30", "cone03", "cone09", "bulge", "flare", "bounded_table"])
@@ -585,7 +627,7 @@ def test_roots_skip_only_pieces_out_of_reach(plane, request):
     built = request.getfixturevalue(plane)
     p = built if isinstance(built, jacobi.Profile) else built.profile
     for order in (0, 1, 2):
-        pp = p._m_pp if order == 0 else p._mp_pp
+        pp = _pieces(p, min(order, 1))
         pp = pp.derivative() if order == 2 else pp
         for level in (0.0, 0.3, 0.5, 1.0, float(p.m(0.6 * p.r_max))):
             everywhere = pp.solve(level, extrapolate=False)

@@ -216,6 +216,26 @@ def test_start_inside_forbidden_region_rejected():
         qd.integrate_turn_rate(p, c=2.0, r_lo=1.0)
 
 
+def test_invalid_legs_rejected():
+    # a Clairaut constant must be finite and >= 0, and a given angle w =
+    # arccos(c / m) lies in [0, pi/2]: a nan c read as a tangency, and w
+    # outside certified 0.0, 2.5708 and 1.9528 where asin 0.5 = 0.5236 and
+    # 0.4234 are exact; nan still means "not given"
+    p = jacobi.solve_jacobi(cv.constant(0.0), r_max=10.0)
+    for leg in (dict(c=math.nan), dict(c=-0.5), dict(c=math.inf), dict(w_start=2.0),
+                dict(w_start=-1.0), dict(r_hi=5.0, w_end=3.0), dict(w_end=math.inf)):
+        with pytest.raises(ValueError):
+            qd.integrate_turn_rate(p, **{"c": 0.5, "r_lo": 1.0, **leg})
+        with pytest.raises(ValueError):
+            qd.integrate_turn_rates(p, [dict(c=0.5, r_lo=2.0), {"c": 0.5, "r_lo": 1.0, **leg}])
+    for leg in (dict(w_start=math.nan), dict(w_start=math.pi / 2 - math.asin(0.5)),
+                dict(w_end=math.nan, r_hi=5.0), dict(w_start=math.pi / 2, c=0.0)):
+        res = qd.integrate_turn_rate(p, **{"c": 0.5, "r_lo": 1.0, **leg})
+        assert res.status == "converged", leg
+    want = math.asin(0.5) - math.asin(0.1)
+    assert qd.integrate_turn_rate(p, c=0.5, r_lo=1.0, r_hi=5.0).value == pytest.approx(want)
+
+
 def test_error_estimate_honest():
     p = jacobi.solve_jacobi(cv.constant(-1.0), r_max=30.0)
     rq = 1.0
