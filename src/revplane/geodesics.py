@@ -55,8 +55,12 @@ def _turning_radius(profile, c, r_q, m_q):
     already read."""
     if c >= m_q:
         return float(r_q)
-    # m(0) = 0 < c <= m(r_q), so m reaches c on [0, r_q]
-    return profile.level_radius(c, 0.0, r_q, last=True)
+    # on a plane m(0) = 0 < c <= m(r_q), so m reaches c on [0, r_q]
+    r_u = profile.level_radius(c, 0.0, r_q, last=True)
+    if r_u is None:
+        raise ValueError(f"m stays above c = {c:.6g} on [0, {r_q:.6g}] with m(0) = "
+                         f"{profile.m(0.0):.6g} > 0: no turning radius, and not a plane")
+    return r_u
 
 
 def _plan(profile, r_q, kappa, tol):

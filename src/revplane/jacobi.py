@@ -21,7 +21,6 @@ import math
 import operator
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import PPoly, _ppoly
 
 from .errors import OutOfWindow, StarViolation
@@ -29,21 +28,22 @@ from .svgplot import write_csv
 
 
 class Profile:
-    """The warping function m of one curvature spec on [0, r_max]: built
-    once, then only read.
+    """The warping function m of one curvature spec: built once from its
+    pieces, then only read.
 
-    m and mp are piecewise polynomials (scipy PPoly) of degree 7 for m
-    and m' on the window: Hermite pieces through the jets of the exact
-    solution where K is constant, and of m's Taylor series on each cell
-    where it varies, within 1e-13 of m (and of m') on each cell
-    (solve_jacobi), kept once, as the compiled kernel reads them.
-    Landmarks and levels are their exact roots; no query samples a grid.
+    m and mp are piecewise polynomials (scipy PPoly) for m and m' on the
+    window [0, r_max], r_max their last breakpoint (ValueError unless
+    both run from 0 to it), kept once, as the compiled kernel reads
+    them: solve_jacobi's are degree-7 Hermite pieces within 1e-13 of m
+    (and of m') on each cell.  Landmarks and levels are their exact
+    roots; no query samples a grid.
 
-    tail is (r_a, k, E) when K is the constant k <= 0 from r_a on and m
-    rises there (m' > 0 beyond r_a), E = m'^2 + k m^2 being the
-    stretch's conserved quantity, taken from its start state; the turn
-    integral is closed-form on that tail.  None for a profile built by
-    hand, or when no such tail starts in the window.
+    tail is (r_a, k, E) when K is the constant k <= 0 from r_c < r_max on
+    (spec.constant_beyond()) and m rises from r_a >= r_c in the window
+    (m' > 0 beyond r_a), E = m'^2 + k m^2 being the conserved quantity,
+    taken from m and m' at r_c, off the piece that starts there
+    (_rising_tail); the turn integral is closed-form on that tail.  None
+    when no such tail starts in the window.
 
     The build takes the landmarks every turn integral reads: extrema
     (m' = 0), at_extrema and at_joins (m's extrema and K's joins in the
@@ -52,10 +52,12 @@ class Profile:
     starts in the window).
     """
 
-    def __init__(self, spec, m, mp, r_max, tail=None):
+    def __init__(self, spec, m, mp):
+        if not (m.x[0] == mp.x[0] == 0.0 and m.x[-1] == mp.x[-1]):
+            raise ValueError(f"the pieces of m and m' must run from 0 to one window end, got "
+                             f"[{m.x[0]:.6g}, {m.x[-1]:.6g}] and [{mp.x[0]:.6g}, {mp.x[-1]:.6g}]")
         self.spec = spec
-        self.tail = tail
-        self.r_max = float(r_max)
+        self.r_max = float(m.x[-1])
         # the largest radius the window check admits
         self._top = self.r_max * (1 + 1e-12)
         # the one store of m and m', as scipy's compiled kernel takes them
@@ -70,6 +72,9 @@ class Profile:
         # piece the level search has reached
         self._values = self._m_kernel[0][-1, :, 0].tolist()
         self._piece_terms = {}
+        r_c, k = spec.constant_beyond() or (math.inf, 0.0)
+        tail = self.tail = (_rising_tail(k, r_c, self.r_max, (self.m(r_c), self.mp(r_c)))
+                            if k <= 0.0 and r_c < self.r_max else None)
         self.extrema = self.roots(1, 0.0, 0.0, self.r_max)
         self.at_extrema = (self.extrema.tolist(), self.m(self.extrema).tolist())
         joins = [r for r in spec.joins() if r <= self._top]
@@ -257,19 +262,18 @@ def _neg(x):
 def solve_jacobi(spec, r_max=200.0):
     """Integrate m'' + K m = 0, m(0)=0, m'(0)=1 on [0, r_max].
 
-    Returns a Profile built stretch by stretch between the curvature's
-    joins (spec.joins()), each from the state the previous one ends in,
-    starting at r = 0 itself: where K is one constant (spec.constant_on)
-    from the exact solution (_constant_stretch), elsewhere from the
-    Taylor series of m on each cell (series_stretch).  Either way the
-    pieces are degree-7 Hermite interpolants through jets of m and m'
-    (_hermite).  Raises StarViolation when m vanishes at some r > 0, with
-    that first zero: exact in a constant stretch, the root of its piece
-    in a series one; OverflowError when m overflows.  When the last
-    stretch lies on the constant_beyond() tail with k <= 0, the profile
-    records where m rises on it (Profile.tail, from _rising_tail).  The
-    window is clipped to the curvature's declared domain and must be
-    finite after that (ValueError otherwise).
+    Returns the Profile of the pieces built stretch by stretch between
+    the curvature's joins (spec.joins()), each from the state the
+    previous one ends in, starting at r = 0 itself: where K is one
+    constant (spec.constant_on) from the exact solution
+    (_constant_stretch), elsewhere from the Taylor series of m on each
+    cell (series_stretch).  Either way the pieces are degree-7 Hermite
+    interpolants through jets of m and m' (_hermite).  Raises
+    StarViolation when m vanishes at some r > 0, with that first zero:
+    exact in a constant stretch, the root of its piece in a series one;
+    OverflowError when m overflows.  The profile works out its own tail
+    from the pieces.  The window is clipped to the curvature's declared
+    domain and must be finite after that (ValueError otherwise).
     """
     if not r_max > 0.0:
         raise ValueError(f"r_max must be positive, got {r_max}")
@@ -278,22 +282,20 @@ def solve_jacobi(spec, r_max=200.0):
         raise ValueError(f"r_max must be finite, got {r_max}")
 
     ends = [0.0, *(r for r in spec.joins() if 0.0 < r < r_max), r_max]
-    y, tail, cb = (0.0, 1.0), None, spec.constant_beyond()
+    y = (0.0, 1.0)
     xs, lefts, rights = [np.zeros(1)], [], []
     for a, b in zip(ends, ends[1:]):
         k = spec.constant_on(a, b)
         if k is None:
             x, left, right, y = series_stretch(spec, a, b, y)
         else:
-            if k <= 0.0 and cb is not None and a >= cb[0]:
-                tail = _rising_tail(k, a, b, y)
             x, left, right, y = _constant_stretch(k, a, b, y)
         xs.append(x[1:])
         lefts += left
         rights += right
     x = np.concatenate(xs)
     c = _hermite(x, _jets(lefts), _jets(rights))
-    return Profile(spec, PPoly(c[..., 0], x), PPoly(c[..., 1], x), r_max, tail)
+    return Profile(spec, PPoly(c[..., 0], x), PPoly(c[..., 1], x))
 
 
 def _rising_tail(k, lo, hi, y0):
@@ -477,7 +479,42 @@ def _jets(taylor):
     return np.stack([t[:, :4], t[:, 1:] * [1.0, 2.0, 3.0, 4.0]], axis=-1).transpose(1, 0, 2)
 
 
-# --- embedding in 3-space ------------------------------------------------
+# --- GK15 and the embedding in 3-space ---------------------------------
+
+
+# 15-point Kronrod nodes on [-1, 1] with the embedded 7-point Gauss rule:
+# the library's one rule, which the turn integrals refine adaptively
+_XGK = np.array([
+    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
+    -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
+    -0.2077849550078985, 0.0, 0.2077849550078985, 0.4058451513773972,
+    0.5860872354676911, 0.7415311855993944, 0.8648644233597691,
+    0.9491079123427585, 0.9914553711208126,
+])
+_WGK = np.array([
+    0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
+    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
+    0.2044329400752989, 0.2094821410847278, 0.2044329400752989,
+    0.1903505780647854, 0.1690047266392679, 0.1406532597155259,
+    0.1047900103222502, 0.0630920926299786, 0.0229353220105292,
+])
+_WG7 = np.array([
+    0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
+    0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
+    0.1294849661688697,
+])
+
+
+def _gk15(f, a, b, k):
+    """Vectorized GK15 over panels [a_j, b_j] of the integrals k_j:
+    f(x, k) gets the panels' nodes as the rows of x.  Returns (values,
+    error estimates)."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fx = f(mid[:, None] + half[:, None] * _XGK, k)
+    gk = (fx * _WGK).sum(axis=1) * half
+    g7 = (fx[:, 1::2] * _WG7).sum(axis=1) * half
+    return gk, np.abs(gk - g7)
 
 
 def embed_profile(profile, n=1024):
@@ -485,10 +522,11 @@ def embed_profile(profile, n=1024):
 
     Returns (r, radius, height): at arclength r from the apex the surface
     sits at distance radius = m(r) from the axis and height
-    z(r) = integral of sqrt(1 - m'^2), sampled at n radii.  Requires
-    |m'| <= 1 on the window, decided from m' at its ends and where
-    m'' = 0, which hold its extremes; raises ValueError otherwise (the
-    plane spreads too fast to embed), and when n < 2.
+    z(r) = integral of sqrt(1 - m'^2) at n equally spaced radii, one GK15
+    rule on each cell between them and the breakpoints (one piece of m'
+    each).  Requires |m'| <= 1 on the window, decided from m' at its ends
+    and where m'' = 0, which hold its extremes; raises ValueError
+    otherwise (the plane spreads too fast to embed), and when n < 2.
     """
     if not n >= 2:
         raise ValueError(f"an embedding samples both ends of the window, so n >= 2, got {n}")
@@ -500,8 +538,10 @@ def embed_profile(profile, n=1024):
             "no rotationally symmetric embedding in Euclidean 3-space"
         )
     r = np.linspace(0.0, profile.r_max, n)
-    dz = np.sqrt(np.clip(1.0 - profile.mp(r)**2, 0.0, None))
-    z = cumulative_trapezoid(dz, r, initial=0.0)
+    edges = np.union1d(r, profile.knots(0.0, profile.r_max)[0])
+    dz, _ = _gk15(lambda x, _: np.sqrt(np.clip(1.0 - profile.mp(x)**2, 0.0, None)),
+                  edges[:-1], edges[1:], None)
+    z = np.r_[0.0, np.cumsum(dz)][np.searchsorted(edges, r)]
     return r, profile.m(r), z
 
 

@@ -22,7 +22,7 @@ both ends:
     w-form head, CROSS_PANELS for its cross-check, BODY_PANELS for the
     body: 4, 6 and 16) and refines where its error estimate asks for
     it, so an ordinary launch may refine, most do not;
-  * on a solved profile's constant-curvature tail (Profile.tail: K = k
+  * on the profile's constant-curvature tail (Profile.tail: K = k
     <= 0 and m rising from r_a on) the turn integral is closed-form, so
     a leg is split at r_a: the part beyond it, to infinity for an
     improper leg, is G(b) - G(a) with a rounding-only error, and only
@@ -58,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfWindow
+from .jacobi import _gk15
 
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGENT_TANGENCY = "divergent_tangency"
@@ -81,27 +82,6 @@ BODY_PANELS = 16
 # max_ray_angle ladder (56 at kappa_tol 1e-8) in one pass each
 CHUNK = 64
 
-# 15-point Kronrod nodes on [-1, 1] with the embedded 7-point Gauss rule
-_XGK = np.array([
-    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
-    -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
-    -0.2077849550078985, 0.0, 0.2077849550078985, 0.4058451513773972,
-    0.5860872354676911, 0.7415311855993944, 0.8648644233597691,
-    0.9491079123427585, 0.9914553711208126,
-])
-_WGK = np.array([
-    0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278, 0.2044329400752989,
-    0.1903505780647854, 0.1690047266392679, 0.1406532597155259,
-    0.1047900103222502, 0.0630920926299786, 0.0229353220105292,
-])
-_WG7 = np.array([
-    0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
-    0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
-    0.1294849661688697,
-])
-
 # 5-point Gauss-Legendre on [0, 1], for stable chord slopes of m
 _G5X = np.array([
     0.0469100770306680, 0.2307653449471585, 0.5,
@@ -122,18 +102,6 @@ class IntegralResult:
     @property
     def diverged(self):
         return self.status in (STATUS_DIVERGENT_TANGENCY, STATUS_DIVERGENT_TAIL)
-
-
-def _gk15(f, a, b, k):
-    """Vectorized GK15 over panels [a_j, b_j] of the integrals k_j:
-    f(x, k) gets the panels' nodes as the rows of x.  Returns (values,
-    error estimates)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fx = f(mid[:, None] + half[:, None] * _XGK, k)
-    gk = (fx * _WGK).sum(axis=1) * half
-    g7 = (fx[:, 1::2] * _WG7).sum(axis=1) * half
-    return gk, np.abs(gk - g7)
 
 
 def _adaptive_gk(f, a, b, tol, initial, log_spaced=False, cuts=()):

@@ -318,6 +318,35 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
         cli.main(["no-such-command"])
 
 
+def test_guards_exit_two_with_their_messages(tmp_path, capsys):
+    # each library guard reaches the CLI as invalid input with its own
+    # message: a base cone without a critical ball, a point too close to
+    # it, an empty window (solve and check), a cap parameter out of
+    # range, and a spec of a kind no builder knows
+    spec = str(tmp_path / "hyp.json")
+    assert run(capsys, "plane", "build", "--kind", "constant", "--k", "-1", "-o", spec)[0] == 0
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps({"kind": "cone", "params": {}}))
+    out = str(tmp_path / "x.json")
+    for argv, message in (
+            (["example", "disconnected", "--slope", "0.6", "-o", out],
+             "finite positive critical ball"),
+            (["example", "disconnected", "--rq-factor", "1.0001", "-o", out],
+             "increase rq_factor"),
+            (["turn-angle", "--spec", spec, "--r-max", "0", "--r", "1", "--kappa", "1"],
+             "r_max must be positive"),
+            (["plane", "build", "--kind", "isq-capped", "--u", "0.3", "-o", out],
+             "u in (0, 1/4]"),
+            (["plane", "build", "--kind", "isq-capped", "--u", "0.01", "--eps", "5", "-o", out],
+             "eps must be in (0, z)"),
+            (["plane", "check", "--spec", spec, "--r-max", "0"], "r_max must be positive"),
+            (["turn-angle", "--spec", str(cone), "--r", "1", "--kappa", "1"],
+             "unknown curvature kind 'cone'")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err["error"] == "invalid_input", argv
+        assert message in err["message"], argv
+
+
 # sha256 of each export on test_exports_keep_their_bytes' inputs: a changed
 # byte in any file format fails it
 EXPORTS = {

@@ -377,3 +377,27 @@ def test_profile_is_built_once_and_only_read():
     decorators = [d for f in profile.body if isinstance(f, ast.FunctionDef)
                   for d in f.decorator_list]
     assert not [d for d in decorators if "property" in ast.unparse(d)]
+
+
+def test_profile_takes_only_its_pieces_and_one_rule_integrates():
+    # the profile works out its window and tail from its pieces and its
+    # curvature, so neither is a parameter, and the solve threads no tail;
+    # jacobi.py integrates with the library's one GK15 rule, not scipy's
+    src = Path(jacobi.__file__).parent
+    tree = ast.parse(Path(jacobi.__file__).read_text())
+    defs = {d.name: d for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)}
+    assert [a.arg for a in defs["__init__"].args.args] == ["self", "spec", "m", "mp"]
+    assert not defs["__init__"].args.kwonlyargs and not defs["__init__"].args.defaults
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "arg", None)
+             for n in ast.walk(defs["solve_jacobi"])}
+    assert "tail" not in names
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+                and "scipy.integrate" in ({a.name for a in n.names} | {getattr(n, "module", None)})]
+    defined = {}
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = ([node.name] if isinstance(node, ast.FunctionDef) else
+                       [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)])
+            for name in {"_gk15", "_XGK"} & set(targets):
+                defined.setdefault(name, []).append(path.name)
+    assert defined == {"_gk15": ["jacobi.py"], "_XGK": ["jacobi.py"]}

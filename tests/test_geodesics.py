@@ -57,6 +57,29 @@ def test_turning_radius_takes_largest_crossing():
     assert r_u == pytest.approx(2 * math.pi + math.pi / 6, abs=1e-9)
 
 
+def test_no_turning_radius_without_m_zero_at_the_origin():
+    # m(0) > 0 is not a plane: an inward launch whose m never falls to c
+    # below r_q has no turning radius, and says so by naming m(0)
+    for call in (lambda: gd.turn_angle(linear_profile(0.5, 1.0), 0.168, 2.368),
+                 lambda: gd.turn_angle(sine_profile(), 3.0, 2.5),
+                 lambda: gd.turning_radius(linear_profile(0.5, 1.0), 0.5, 1.0)):
+        with pytest.raises(ValueError, match=r"m\(0\) = [12] > 0"):
+            call()
+
+
+def test_equator_launch_rounded_to_its_circle_is_trapped(bulge):
+    # inward from the bulge's equator (its first extremum, m' = 0 there)
+    # just past tangential: c rounds to m(r_q), so no turning radius lies
+    # below r_q, and the plan's own inward leg decides the launch: the
+    # equator is a closed geodesic
+    p = bulge.profile
+    r = float(p.extrema[0])
+    kappa = math.pi / 2 + 1e-9
+    assert p.m(r) * math.sin(kappa) == p.m(r)
+    res = gd.turn_angle(p, r, kappa)
+    assert res.status == "divergent_tangency" and res.value == math.inf
+
+
 def test_turn_angle_radial_cases(flat):
     res0 = gd.turn_angle(flat, 1.0, 0.0)
     assert res0.value == 0.0 and res0.status == "converged"

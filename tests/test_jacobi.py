@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.interpolate import PPoly
 
 from revplane import constructions as cx
@@ -168,6 +169,29 @@ def test_window_enforced():
         p.mp(-0.2)
 
 
+def test_window_is_the_pieces():
+    # pieces ending at 50 make the window [0, 50]: a radius past it is out
+    # of the window, not the last polynomial extrapolated; pieces that do
+    # not start at 0, or m' pieces on another window, make no profile;
+    # and a window or a tail cannot be passed
+    x = [0.0, 50.0]
+    m, mp = PPoly(np.array([[0.5], [0.0]]), x), PPoly(np.array([[0.5]]), x)
+    p = jacobi.Profile(cv.constant(0.0), m, mp)
+    assert p.r_max == 50.0
+    with pytest.raises(OutOfWindow):
+        p.m(80.0)
+    for lo, hi in ((-1.0, 9.0), (0.0, 80.0)):
+        with pytest.raises(OutOfWindow, match="outside solved window"):
+            p.level_radius(1.0, lo, hi)
+    for y, z in (([1.0, 50.0], x), ([1e-300, 50.0], [1e-300, 50.0]), (x, [0.0, 40.0])):
+        with pytest.raises(ValueError, match="from 0 to one window end"):
+            jacobi.Profile(cv.constant(0.0), PPoly(np.array([[0.5], [0.0]]), y),
+                           PPoly(np.array([[0.5]]), z))
+    for kw in (dict(r_max=100.0), dict(tail=(0.0, 0.0, 4.0))):
+        with pytest.raises(TypeError):
+            jacobi.Profile(cv.constant(0.0), m, mp, **kw)
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
@@ -277,6 +301,28 @@ def test_embed_isq0_consistent():
     assert np.all(np.diff(height) >= 0)
 
 
+@pytest.mark.parametrize("plane", ["cone03", "cone09", "bounded_table", "isq0"])
+def test_embed_heights_match_quad(plane, request):
+    # the heights, GK15 over the cells between the sample radii and the
+    # breakpoints, against scipy's QUADPACK at 1e-14 on each such cell
+    # (the 1,024-point trapezoid missed by up to 3.1e-3 on the s = 0.3
+    # cone, where the cap ends)
+    if plane == "isq0":
+        p = jacobi.solve_jacobi(cv.isq(0.0), r_max=60.0)
+    else:
+        p = request.getfixturevalue(plane).profile
+    r, _, z = jacobi.embed_profile(p)
+    edges = np.union1d(r, _pieces(p, 1).x)
+
+    def dz(x):
+        return math.sqrt(max(1.0 - p.mp(x) ** 2, 0.0))
+
+    cells = [quad(dz, a, b, epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+             for a, b in zip(edges[:-1], edges[1:])]
+    want = np.r_[0.0, np.cumsum(cells)][np.searchsorted(edges, r)]
+    assert np.all(np.abs(z - want) <= 1e-12 * np.maximum(1.0, want))
+
+
 def test_csv_round_trip(tmp_path):
     # each value is written as its repr, which float() reads back exactly
     p = jacobi.solve_jacobi(cv.isq(0.0), r_max=20.0)
@@ -328,6 +374,22 @@ def test_landmarks_are_their_queries(flat60, hyp30, cone03, cone05, cone09, cone
         certificates.add((p.tail_certificate, cert is None))
     assert {("zero", False), ("nonpositive", False), (None, False), (None, True)} <= certificates
     assert sum(bool(p.at_joins[0]) for p in planes) >= 5
+
+
+def test_profile_rebuilt_from_its_pieces(flat60, hyp30, cone03, cone05, cone09, cone03_long,
+                                        bulge, flare, bounded_table):
+    # the window and the tail come from the pieces and the curvature
+    # alone: each plane rebuilt from its own pieces has the solve's
+    # window, tail and tail start bit for bit, and so has the cone solved
+    # to the cap's end exactly, which has no tail (its K = 0 starts there)
+    planes = [flat60, hyp30, *(b.profile for b in (cone03, cone05, cone09, cone03_long, bulge,
+                                                   flare, bounded_table)),
+              jacobi.solve_jacobi(cone03.spec, r_max=cone03.rho)]
+    assert planes[-1].r_max == cone03.rho and planes[-1].tail is None
+    for p in planes:
+        q = jacobi.Profile(p.spec, _pieces(p, 0), _pieces(p, 1))
+        assert repr((q.r_max, q.tail, q.tail_start)) == repr((p.r_max, p.tail, p.tail_start)), p
+    assert sum(p.tail is not None for p in planes) == 8
 
 
 def test_level_radius_first_and_last():

@@ -13,6 +13,7 @@ from revplane import curvature as cv
 from revplane import geodesics as gd
 from revplane import jacobi
 from revplane import quadrature as qd
+from revplane.errors import OutOfWindow
 
 from closedforms import bump_profile, linear_profile, sine_profile
 
@@ -234,6 +235,14 @@ def test_invalid_legs_rejected():
         assert res.status == "converged", leg
     want = math.asin(0.5) - math.asin(0.1)
     assert qd.integrate_turn_rate(p, c=0.5, r_lo=1.0, r_hi=5.0).value == pytest.approx(want)
+    # a leg past the window end is out of it; an empty or backward leg
+    # is invalid (OutOfWindow is a ValueError, so the types are checked)
+    with pytest.raises(OutOfWindow, match="beyond solved window"):
+        qd.integrate_turn_rate(p, c=0.5, r_lo=1.0, r_hi=10.1)
+    for r_lo in (5.0, 6.0):
+        with pytest.raises(ValueError, match="need 0 <= r_lo < r_hi") as exc:
+            qd.integrate_turn_rate(p, c=0.5, r_lo=r_lo, r_hi=5.0)
+        assert type(exc.value) is ValueError
 
 
 def test_error_estimate_honest():
@@ -326,9 +335,13 @@ def test_tail_start_recorded(flat60, hyp30, cone03, bulge, flare):
     assert r_a == pytest.approx(bulge.profile.extrema[-1], abs=1e-12)
     assert r_a == pytest.approx(2.678, abs=1e-3)
     assert flare.profile.tail[:2] == flare.spec.constant_beyond()
-    # hand-built profiles, and tails that are not k <= 0, carry none
-    assert linear_profile(0.5).tail is None
+    # a hand-built profile takes its tail from its own spec; tails that
+    # are not k <= 0 carry none, and neither does a window that ends
+    # before m' turns positive on the bulge's K = -7 (at 2.678)
+    assert linear_profile(0.5).tail == (0.0, 0.0, 0.25)
     assert jacobi.solve_jacobi(cv.isq(0.0), r_max=20.0).tail is None
+    assert jacobi.solve_jacobi(bulge.spec, r_max=2.65).tail is None
+    assert jacobi.solve_jacobi(bulge.spec, r_max=3.0).tail == bulge.profile.tail
 
 
 def test_flat_turn_is_kappa_without_panels(flat60, panels):
@@ -413,7 +426,7 @@ def test_hyperbolic_far_field_matches_mpmath(hyp30, r_lo):
 def test_legs_across_tail_start_match_numeric_route(cone03, panels):
     # launches inside the cap: the leg is integrated up to rho and closed
     # beyond it; with no tail on the profile it is integrated to r_max and
-    # closed by the linear tail, the route hand-built profiles still take
+    # closed by the linear tail, the route a profile without a tail takes
     p = cone03.profile
     whole = copy.copy(p)
     whole.tail = None
@@ -530,7 +543,7 @@ def test_body_takes_its_joins_while_they_fit(n_joins, monkeypatch):
     knots = np.linspace(1.2, 9.7, n_joins).tolist()
     spec = cv.table([0.0, *knots, 20.0], [0.01 * (-1) ** i for i in range(n_joins + 2)])
     x = [0.0, 20.0]
-    p = jacobi.Profile(spec, PPoly(np.array([[1.0], [1.0]]), x), PPoly(np.array([[1.0]]), x), 20.0)
+    p = jacobi.Profile(spec, PPoly(np.array([[1.0], [1.0]]), x), PPoly(np.array([[1.0]]), x))
     assert [j for j in spec.joins() if 1.0 < j < 10.0] == knots
     res = qd.integrate_turn_rate(p, c=0.5, r_lo=1.0, r_hi=10.0)
     assert res.value == pytest.approx(math.asin(0.5 / 2.0) - math.asin(0.5 / 11.0), abs=1e-12)
@@ -555,10 +568,22 @@ def test_no_panel_beyond_tail_start(plane, request, panels):
     assert max(panels, default=0.0) <= p.tail[0]
 
 
-def test_hand_built_profiles_keep_numeric_route(panels):
-    # stubs carry no tail: their legs run the GK15 passes to the window
-    # end, and the linear stub's tail beyond it is asin(c / m) / m'
+def test_linear_stub_turns_in_closed_form(panels):
+    # m = r/2 under K = 0 is its own tail from the origin on: the
+    # tangential turn from r = 2 is pi, with no GK15 panel
     p = linear_profile(0.5)
+    assert p.tail == (0.0, 0.0, 0.25)
+    res = gd.turn_angle(p, 2.0, math.pi / 2)
+    assert res.status == "converged"
+    assert abs(res.value - math.pi) <= 4 * math.ulp(math.pi)
+    assert panels == []
+
+
+def test_hand_built_profiles_keep_numeric_route(panels):
+    # a profile without its tail runs the GK15 passes to the window end,
+    # and the linear stub's tail beyond it is asin(c / m) / m'
+    p = copy.copy(linear_profile(0.5))
+    p.tail = None
     res = qd.integrate_turn_rate(p, c=1.0, r_lo=2.0)
     assert p.tail is None and max(panels) > 0.99 * p.r_max
     assert res.value == pytest.approx(math.pi, abs=1e-9)
