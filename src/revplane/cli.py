@@ -64,13 +64,14 @@ def _cmd_plane_build(args):
         spec = cv.isq(args.u)
     elif args.kind == "isq-capped":
         spec = cv.isq_capped(args.u, args.eps)
-    elif args.kind == "table":
+    else:  # table: argparse restricts the choices
         if args.table is None:
             raise ValueError("--kind table needs --table, a CSV with r,K columns")
-        rows = np.genfromtxt(args.table, delimiter=",", names=True)
+        try:
+            rows = np.genfromtxt(args.table, delimiter=",", names=True)
+        except IndexError:  # numpy's answer to a file without a header line
+            raise ValueError(f"--table {args.table} is empty: it needs r,K columns") from None
         spec = cv.table(rows["r"], rows["K"], extrapolate=args.extrapolate)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {args.kind}")
     if args.drop_at is not None:
         spec = cv.spliced(spec, args.drop_at, cv.DropParams(args.drop_mu, args.drop_w))
     _write_spec(spec, args.output)
@@ -345,7 +346,7 @@ def main(argv=None):
         return _fail(2, "out_of_window", message=str(exc))
     except BuildError as exc:
         return _fail(2, "invalid_input", message=str(exc))
-    except (ValueError, OverflowError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
         return _fail(2, "invalid_input", message=str(exc))
 
 

@@ -22,10 +22,11 @@ description of K,
 P one piecewise polynomial whose last piece runs to infinity (see
 CurvatureSpec), and every query -- evaluate, taylor, joins, constant_on,
 constant_beyond, tail_certificate, domain_hi -- reads that description.
-Specs serialize to/from JSON as {"kind": ..., "params": {...}} and
-round-trip bit-exactly.  Every kind is decided von Mangoldt (K
-non-increasing) or not exactly, by check_von_mangoldt, from the same
-blend and cubics the builder writes.
+A spec keeps its normalized params as the JSON it writes, {"kind": ...,
+"params": {...}}, so specs round-trip bit-exactly and nothing outside a
+spec changes what it writes; params of the wrong shape raise ValueError.
+Every kind is decided von Mangoldt (K non-increasing) or not exactly,
+by check_von_mangoldt, from the same blend and cubics the builder writes.
 """
 
 import bisect
@@ -97,9 +98,9 @@ def _isq_taylor(r, n):
 class CurvatureSpec:
     """Immutable curvature function K(r); evaluation is pure and vectorized.
 
-    __init__ keeps the kind, the normalized params and what _build, the
-    one switch on the kind, makes of them: one description of K on its
-    domain [lo, hi],
+    __init__ keeps the kind, the normalized params as JSON and what
+    _build, the one switch on the kind, makes of them: one description
+    of K on its domain [lo, hi],
 
         K(r) = P(r) + [r < isq_end] / (4(r+1)^2),
 
@@ -118,25 +119,30 @@ class CurvatureSpec:
                   smoothstep on [r0, r0+w) and mu beyond; the base's
                   isq_end and domain
 
-    No query reads the kind: each reads the pieces.  A spliced spec's
-    base and drop may be given as dicts; _build turns them into objects.
+    No query reads the kind: each reads the pieces.  A splice's base and
+    drop may be a CurvatureSpec and a DropParams; _build keeps their JSON.
     """
 
     def __init__(self, kind, params):
         self.kind = kind
-        self.params = dict(params)
-        starts, self._coefs, self._isq_end, self._domain = self._build()
+        try:
+            params = dict(params)
+            starts, self._coefs, self._isq_end, self._domain = self._build(params)
+            self._json = json.dumps({"kind": kind, "params": params})
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed {kind!r} curvature params: {exc!r}") from exc
         # the pieces' breakpoints, the last one's end at infinity
         self._x = starts + [math.inf]
         deg = max(map(len, self._coefs))
         self._P = PPoly(np.array([[0.0] * (deg - len(c)) + c[::-1] for c in self._coefs]).T,
                         self._x)
 
-    def _build(self):
-        """Check and normalize the parameters, in place, and return K's
-        description: the pieces' starts, their coefficients in powers of
-        r - start (lowest first), where the isq term ends, and the domain."""
-        p, kind = self.params, self.kind
+    def _build(self, p):
+        """Check p and normalize it, in place, to the JSON to_json writes,
+        and return K's description: the pieces' starts, their coefficients
+        in powers of r - start (lowest first), where the isq term ends, and
+        the domain."""
+        kind = self.kind
         whole = (0.0, math.inf)
         if kind == "constant":
             p["k"] = float(p["k"])
@@ -186,15 +192,16 @@ class CurvatureSpec:
                 starts, coefs = [0.0, *starts], [[K[0]], *coefs]
             return starts, coefs, 0.0, whole
         if kind == "spliced":
-            if not isinstance(p["base"], CurvatureSpec):
-                p["base"] = CurvatureSpec(p["base"]["kind"], p["base"]["params"])
-            p["r0"] = float(p["r0"])
-            if not 0 <= p["r0"] < math.inf:
-                raise ValueError(f"splice radius r0 must be finite and >= 0, got {p['r0']}")
-            if not isinstance(p["drop"], DropParams):
-                p["drop"] = DropParams(float(p["drop"]["mu"]), float(p["drop"]["w"]))
+            base, r0, drop = p["base"], float(p["r0"]), p["drop"]
+            if not isinstance(base, CurvatureSpec):
+                base = CurvatureSpec.from_dict(base)
+            if not 0 <= r0 < math.inf:
+                raise ValueError(f"splice radius r0 must be finite and >= 0, got {r0}")
+            if not isinstance(drop, DropParams):
+                drop = DropParams(float(drop["mu"]), float(drop["w"]))
+            p.clear()
+            p.update(base=base.to_dict(), r0=r0, drop={"mu": drop.mu, "w": drop.w})
             # the base's pieces, cut at the drop's ends, less the drop
-            base, r0, drop = p["base"], p["r0"], p["drop"]
             starts = sorted({*base._x[:-1], *(e for e in (r0, r0 + drop.w) if e > base._x[0])})
             coefs = []
             for s in starts:
@@ -310,26 +317,22 @@ class CurvatureSpec:
 
     # ------------------------------------------------------------------
 
+    @property
+    def params(self):
+        """The normalized parameters, JSON values only: an independent copy."""
+        return self.to_dict()["params"]
+
     def to_dict(self):
-        p = self.params
-        if self.kind == "spliced":
-            drop = p["drop"]
-            return {
-                "kind": "spliced",
-                "params": {
-                    "base": p["base"].to_dict(),
-                    "r0": p["r0"],
-                    "drop": {"mu": drop.mu, "w": drop.w},
-                },
-            }
-        return {"kind": self.kind, "params": dict(p)}
+        return json.loads(self._json)
 
     @classmethod
     def from_dict(cls, d):
+        if not (isinstance(d, dict) and d.keys() >= {"kind", "params"}):
+            raise ValueError("a curvature spec is an object with 'kind' and 'params'")
         return cls(d["kind"], d["params"])
 
     def to_json(self):
-        return json.dumps(self.to_dict())
+        return self._json
 
     @classmethod
     def from_json(cls, s):
@@ -429,9 +432,9 @@ def _rise_cells(spec):
         return cells
     if spec.kind != "spliced":
         return []
-    r0, mu, w = p["r0"], p["drop"].mu, p["drop"].w
+    r0, mu, w = p["r0"], p["drop"]["mu"], p["drop"]["w"]
     cells = []
-    for x0, x1, base, weight in _rise_cells(p["base"]):
+    for x0, x1, base, weight in _rise_cells(CurvatureSpec.from_dict(p["base"])):
         ends = sorted({x0, x1, *(e for e in (r0, r0 + w) if x0 < e < x1)})
         for a, b in zip(ends, ends[1:]):
             sub = _Poly([(a - x0) / (x1 - x0), (b - a) / (x1 - x0)])

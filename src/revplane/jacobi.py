@@ -175,7 +175,7 @@ class Profile:
         i0 = bisect.bisect_right(self._breaks, s0)
         i1 = max(i0, min(bisect.bisect_left(self._breaks, s1), len(v)))
         find = bisect.bisect_right if last else bisect.bisect_left
-        j = find(v, -level, i0, i1, key=_neg) if d1 < d0 else find(v, level, i0, i1)
+        j = find(v, -level, i0, i1, key=operator.neg) if d1 < d0 else find(v, level, i0, i1)
         left, dl = (s0, d0) if j == i0 else (self._breaks[j - 1], v[j - 1] - level)
         right, dr = (s1, d1) if j == i1 else (self._breaks[j], v[j] - level)
         for r, d in ((right, dr), (left, dl)) if last else ((left, dl), (right, dr)):
@@ -253,10 +253,6 @@ class Profile:
 
     def __repr__(self):
         return f"Profile({self.spec.kind!r}, window=[0, {self.r_max:.6g}])"
-
-
-def _neg(x):
-    return -x
 
 
 def solve_jacobi(spec, r_max=200.0):

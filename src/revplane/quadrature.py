@@ -30,9 +30,9 @@ both ends:
   * otherwise the infinite tail is resolved by the tail certificate the
     profile takes from the curvature: an exactly-linear m gives the k = 0
     case of that closed form, asin(c / m) / m', an eventually nonpositive
-    curvature gives a two-sided bracket (m grows at least linearly, and
-    m^2 - c^2 >= m^2/2 once m >= sqrt(2) c), and anything weaker leaves
-    the result flagged window_limited.
+    curvature gives a two-sided bracket (m grows at least linearly, so
+    the tail lies between 0 and that linear one), and anything weaker
+    leaves the result flagged window_limited.
 
 Divergent integrals report value = +inf, never a large finite number:
 status divergent_tangency when the geodesic cannot leave the turning
@@ -543,10 +543,8 @@ def _tail(cert, m_R, a_R, c, value, err):
         value += linear
         err += linear_err
     else:
-        # m grows at least linearly (m'' = -K m >= 0): bracket the tail
-        bound = linear
-        if m_R >= math.sqrt(2.0) * c:
-            bound = min(bound, math.sqrt(2.0) * c / (a_R * m_R))
-        value += bound / 2.0
-        err += bound / 2.0
+        # m grows at least linearly (m'' = -K m >= 0): the tail lies in
+        # [0, linear]
+        value += linear / 2.0
+        err += linear / 2.0
     return IntegralResult(max(value, 0.0), err, STATUS_CONVERGED)

@@ -71,24 +71,26 @@ def _blend_piece(u, eps):
 
 def _pieces(spec):
     """K as (start, series) pairs, sorted: series(x, n) is the Taylor
-    series at x of the analytic piece that holds x."""
-    p = spec.params
-    if spec.kind == "constant":
+    series at x of the analytic piece that holds x.  spec is a
+    CurvatureSpec or its dict, as a splice holds its base."""
+    d = spec if isinstance(spec, dict) else spec.to_dict()
+    kind, p = d["kind"], d["params"]
+    if kind == "constant":
         return [(0.0, _poly_piece([p["k"]], 0))]
-    if spec.kind == "isq":
+    if kind == "isq":
         return [(0.0, _isq_piece(p["u"]))]
-    if spec.kind == "isq_capped":
+    if kind == "isq_capped":
         z = 1 / (2 * math.sqrt(p["u"])) - 1
         return [(0.0, _isq_piece(p["u"])), (z - p["eps"], _blend_piece(p["u"], p["eps"])),
                 (z + p["eps"], _poly_piece([0], 0))]
-    if spec.kind == "table":
+    if kind == "table":
         r, c = p["r"], PchipInterpolator(p["r"], p["K"]).c
         out = [(r[i], _poly_piece(c[::-1, i].tolist(), r[i])) for i in range(len(r) - 1)]
         if r[0] > 0:
             out.insert(0, (0.0, _poly_piece([p["K"][0]], 0)))
         return out + [(r[-1], _poly_piece([p["K"][-1]], 0))]
     # spliced: the base's pieces, cut at the drop's ends, less the drop
-    r0, mu, w = p["r0"], p["drop"].mu, p["drop"].w
+    r0, mu, w = p["r0"], p["drop"]["mu"], p["drop"]["w"]
     step = [mpmath.mpf(c) for c in (0, 0, 0, 10, -15, 6)]
     drop = [(0.0, lambda x, n: []),
             (r0, lambda x, n: [-mu * c / mpmath.mpf(w) ** j
@@ -144,7 +146,7 @@ def _states(spec, radii, y0=(0, 1), x0=0.0):
     """(m, m') in mpmath at the sorted radii >= x0, from y0 at x0."""
     pieces = _pieces(spec)
     isq_like = spec.kind in ("isq", "isq_capped") or (
-        spec.kind == "spliced" and spec.params["base"].kind in ("isq", "isq_capped"))
+        spec.kind == "spliced" and spec.params["base"]["kind"] in ("isq", "isq_capped"))
     starts = [s for s, _ in pieces]
     x, m, mp = mpmath.mpf(x0), mpmath.mpf(y0[0]), mpmath.mpf(y0[1])
     out = []

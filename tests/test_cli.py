@@ -292,9 +292,13 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
                  ["embed", "--n", "1", "-o", str(tmp_path / "e.csv")]):
         code, _, err = run(capsys, *argv, "--spec", spec, "--r-max", "10")
         assert code == 2 and err["error"] == "invalid_input", argv
-    # a table plane needs its table
+    # a table plane needs its table, and an empty one is none
     code, _, err = run(capsys, "plane", "build", "--kind", "table",
                        "-o", str(tmp_path / "t.json"))
+    assert code == 2 and err["error"] == "invalid_input" and "--table" in err["message"]
+    (tmp_path / "empty.csv").write_text("")
+    code, _, err = run(capsys, "plane", "build", "--kind", "table", "--table",
+                       str(tmp_path / "empty.csv"), "-o", str(tmp_path / "t.json"))
     assert code == 2 and err["error"] == "invalid_input" and "--table" in err["message"]
     # an unbounded window or cone tail is invalid input, not a crash in
     # the solve
@@ -391,6 +395,26 @@ def test_cone_near_flat_slope(tmp_path, capsys):
     code, out, _ = run(capsys, "cone", "--slope", "0.99", "-o", str(tmp_path / "c.json"))
     assert code == 0
     assert abs(out["slope"] - 0.99) <= 1e-9
+
+
+def test_malformed_specs_are_invalid_input(tmp_path, capsys):
+    # JSON that is not a spec of the right shape is a ValueError when the
+    # spec is built, and invalid input to the CLI
+    splice = '{"kind": "spliced", "params": {"base": %s, "r0": 1.0, "drop": %s}}'
+    base, drop = '{"kind": "constant", "params": {"k": 0.0}}', '{"mu": 1.0, "w": 1.0}'
+    for text in ('[]', '"x"', 'null', '{"kind": "constant", "params": null}',
+                 '{"kind": "isq", "params": {"u": null}}',
+                 '{"kind": "constant", "params": {"k": [1]}}',
+                 splice % ("1", drop), splice % (base, "5")):
+        with pytest.raises(ValueError):
+            cv.CurvatureSpec.from_json(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "turn-angle", "--spec", str(path), "--r", "1",
+                           "--kappa", "1")
+        assert code == 2 and err["error"] == "invalid_input", text
+    # the same splice, well formed, is a spec
+    assert cv.CurvatureSpec.from_json(splice % (base, drop)).kind == "spliced"
 
 
 def test_non_finite_specs_and_overflow_exit_2(tmp_path, capsys):

@@ -189,18 +189,20 @@ def test_table_validation():
         cv.table([0.0, 1.0], [1.0, math.nan])
 
 
+ROUND_TRIP_SPECS = [
+    cv.constant(-1.2345678901234567),
+    cv.isq(0.1234567890123456),
+    cv.isq_capped(3.3e-4, 0.0625),
+    cv.spliced(cv.isq(0.0), 4.5, cv.DropParams(8.0, 0.25)),
+    cv.table([0.0, 0.1, 2.7], [0.3, 0.1, -0.9]),
+    cv.spliced(cv.spliced(cv.isq_capped(0.01, 0.3), 1.5, cv.DropParams(0.5, 0.5)),
+               2.25, cv.DropParams(1.0, 0.125)),
+    cv.table([0.3, 1.0, 2.0], [0.5, -0.25, -1.0], "constant"),
+]
+
+
 def test_json_round_trip_bit_exact():
-    specs = [
-        cv.constant(-1.2345678901234567),
-        cv.isq(0.1234567890123456),
-        cv.isq_capped(3.3e-4, 0.0625),
-        cv.spliced(cv.isq(0.0), 4.5, cv.DropParams(8.0, 0.25)),
-        cv.table([0.0, 0.1, 2.7], [0.3, 0.1, -0.9]),
-        cv.spliced(cv.spliced(cv.isq_capped(0.01, 0.3), 1.5, cv.DropParams(0.5, 0.5)),
-                   2.25, cv.DropParams(1.0, 0.125)),
-        cv.table([0.3, 1.0, 2.0], [0.5, -0.25, -1.0], "constant"),
-    ]
-    for spec in specs:
+    for spec in ROUND_TRIP_SPECS:
         j = spec.to_json()
         back = cv.CurvatureSpec.from_json(j)
         assert back.to_json() == j
@@ -289,6 +291,27 @@ PIECE_SPECS = {
 }
 
 
+def test_params_are_the_json_the_spec_writes():
+    for spec in [*ROUND_TRIP_SPECS, *PIECE_SPECS.values()]:
+        written = json.loads(spec.to_json())
+        assert json.dumps(spec.params) == json.dumps(written["params"])
+        assert spec.params == written["params"] and spec.to_dict() == written
+
+
+def test_nothing_outside_a_spec_changes_what_it_writes():
+    # a copy handed out, or the base a splice was built from, may change:
+    # the spec re-read from its JSON still evaluates the K it does
+    t = cv.table([0, 1, 2], [0.5, 0.2, 0.0], "constant")
+    t.to_dict()["params"]["K"][0] = 9.0
+    t.params["K"][0] = 9.0
+    assert cv.CurvatureSpec.from_json(t.to_json()).evaluate(0.0) == t.evaluate(0.0) == 0.5
+    b = cv.isq(0.01)
+    s = cv.spliced(b, 1.0, cv.DropParams(1.0, 1.0))
+    b.params["u"] = 0.2
+    assert cv.CurvatureSpec.from_json(s.to_json()).evaluate(0.5) == s.evaluate(0.5)
+    assert s.evaluate(0.5) == pytest.approx(0.10111, abs=1e-5)
+
+
 @pytest.mark.parametrize("name", PIECE_SPECS)
 def test_pieces_match_the_referee(name):
     # evaluate and taylor against the referee's own pieces (tests/referee.py),
@@ -316,7 +339,7 @@ def test_pieces_match_the_referee(name):
 
 def test_queries_read_the_pieces_not_the_kind():
     # every query reads the one description __init__ builds; only the
-    # builder, serialization and the von Mangoldt rules tell the kinds apart
+    # builder and the von Mangoldt rules tell the kinds apart
     tree = ast.parse(Path(cv.__file__).read_text())
     spec = next(d for d in tree.body if isinstance(d, ast.ClassDef) and d.name == "CurvatureSpec")
     defs = {d.name: d for d in spec.body if isinstance(d, ast.FunctionDef)}
@@ -328,9 +351,9 @@ def test_queries_read_the_pieces_not_the_kind():
     assert names.isdisjoint({"_eval", "_isq_value", "_flat_from", "_blend_coefs"})
 
 
-def test_kind_is_compared_in_three_places():
-    # _build checks and writes each kind, to_dict nests a splice's base
-    # and drop, and _rise_cells keeps the exact von Mangoldt rules
+def test_kind_is_compared_in_two_places():
+    # _build checks and writes each kind, and _rise_cells keeps the exact
+    # von Mangoldt rules; serialization writes every kind's params alike
     tree = ast.parse(Path(cv.__file__).read_text())
     where = set()
     for fn in ast.walk(tree):
@@ -340,7 +363,7 @@ def test_kind_is_compared_in_three_places():
                         getattr(n, "id", None) == "kind" or getattr(n, "attr", None) == "kind"
                         for n in ast.walk(node)):
                     where.add(fn.name)
-    assert where == {"_build", "to_dict", "_rise_cells"}
+    assert where == {"_build", "_rise_cells"}
     # one copy of the cap's blend and of a table's cubics, and no dead helper
     names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
              for n in ast.walk(tree)}
