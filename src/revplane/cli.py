@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -68,8 +69,11 @@ def _cmd_plane_build(args):
         if args.table is None:
             raise ValueError("--kind table needs --table, a CSV with r,K columns")
         try:
-            rows = np.genfromtxt(args.table, delimiter=",", names=True)
-        except IndexError:  # numpy's answer to a file without a header line
+            with warnings.catch_warnings():
+                # numpy warns on a file without a header line, then fails
+                warnings.filterwarnings("ignore", "genfromtxt: Empty input file", UserWarning)
+                rows = np.genfromtxt(args.table, delimiter=",", names=True)
+        except IndexError:
             raise ValueError(f"--table {args.table} is empty: it needs r,K columns") from None
         spec = cv.table(rows["r"], rows["K"], extrapolate=args.extrapolate)
     if args.drop_at is not None:

@@ -72,6 +72,21 @@ class Profile:
         # piece the level search has reached
         self._values = self._m_kernel[0][-1, :, 0].tolist()
         self._piece_terms = {}
+        # m's jump across each breakpoint: how far the piece that ends there,
+        # summed as PPoly sums it, misses the next one's start
+        c, x = self._m_kernel
+        h, end, z = np.diff(x), 0.0, 1.0
+        for coef in c[::-1, :, 0]:
+            end, z = end + coef * z, z * h
+        self._seams = np.abs(np.r_[0.0, end[:-1] - c[-1, 1:, 0], 0.0]).tolist()
+        # the pieces of m's Taylor coefficients, the k-th derivative over
+        # k! (C(p, k) a_p for the power p), stacked on the last axis so
+        # that expand reads all of them in one kernel call
+        deg = len(c) - 1
+        self._taylor = np.zeros((deg + 1, len(x) - 1, deg + 1))
+        for k in range(deg + 1):
+            comb = [math.comb(p, k) for p in range(deg, k - 1, -1)]
+            self._taylor[k:, :, k] = c[:deg + 1 - k, :, 0] * np.array(comb)[:, None]
         r_c, k = spec.constant_beyond() or (math.inf, 0.0)
         tail = self.tail = (_rising_tail(k, r_c, self.r_max, (self.m(r_c), self.mp(r_c)))
                             if k <= 0.0 and r_c < self.r_max else None)
@@ -141,6 +156,23 @@ class Profile:
         (c, x), d = self._m_kernel, self._mp_kernel[0]
         return x[a:b], c[-1, a:b, 0], d[-1, a:b, 0]
 
+    def seams(self, lo, hi):
+        """m's jump across each breakpoint strictly inside (lo, hi), those
+        knots gives: a rounding of the pieces' ends, which an inversion of
+        m reads as a step.  A list of floats."""
+        return self._seams[bisect.bisect_right(self._breaks, lo):
+                           bisect.bisect_left(self._breaks, hi)]
+
+    def expand(self, r):
+        """The pieces of m that hold the radii r (a 1-d array), each
+        re-expanded about its radius: m(r + t) = sum_k b_k t^k on the rest
+        of the piece, b_k its k-th derivative at r over k!.  Returns b,
+        (degree + 1, len(r)), with the lowest power first."""
+        r = np.ascontiguousarray(r, dtype=float)
+        b = np.empty((r.size, self._taylor.shape[-1]))
+        _ppoly.evaluate(self._taylor, self._m_kernel[1], r, 0, True, b)
+        return b.T
+
     def level_radius(self, level, lo, hi, last=False):
         """First (or, with last, the last) radius in [lo, hi] where m
         equals level; None when m does not reach it there.
@@ -168,20 +200,30 @@ class Profile:
                 break
         else:
             return None
-        s0, s1 = ends[k], ends[k + 1]
-        # the cell: the breakpoints strictly inside the stretch, bisected
-        # for the first (or last) one past the level
-        v = self._values
-        i0 = bisect.bisect_right(self._breaks, s0)
-        i1 = max(i0, min(bisect.bisect_left(self._breaks, s1), len(v)))
-        find = bisect.bisect_right if last else bisect.bisect_left
-        j = find(v, -level, i0, i1, key=operator.neg) if d1 < d0 else find(v, level, i0, i1)
-        left, dl = (s0, d0) if j == i0 else (self._breaks[j - 1], v[j - 1] - level)
-        right, dr = (s1, d1) if j == i1 else (self._breaks[j], v[j] - level)
+        piece, left, right, m_l, m_r = self.level_cell(level, ends[k], ends[k + 1], vals[k],
+                                                       vals[k + 1], last)
+        dl, dr = m_l - level, m_r - level
         for r, d in ((right, dr), (left, dl)) if last else ((left, dl), (right, dr)):
             if d == 0.0:
                 return r
-        return self._solve_piece(min(j, len(v)) - 1, level, left, right, dl, dr)
+        return self._solve_piece(piece, level, left, right, dl, dr)
+
+    def level_cell(self, level, lo, hi, m_lo, m_hi, last=False):
+        """The cell of a stretch [lo, hi] where m is monotone, with the
+        values m_lo and m_hi at its ends, that holds level: the first (or,
+        with last, the last) one past it, by a bisect on the breakpoint
+        values strictly inside the stretch.  Returns (piece, left, right,
+        m(left), m(right)): the piece covering the cell, and its ends, the
+        breakpoints or the stretch's own."""
+        v = self._values
+        i0 = bisect.bisect_right(self._breaks, lo)
+        i1 = max(i0, min(bisect.bisect_left(self._breaks, hi), len(v)))
+        find = bisect.bisect_right if last else bisect.bisect_left
+        falls = m_hi - level < m_lo - level
+        j = find(v, -level, i0, i1, key=operator.neg) if falls else find(v, level, i0, i1)
+        left, m_l = (lo, m_lo) if j == i0 else (self._breaks[j - 1], v[j - 1])
+        right, m_r = (hi, m_hi) if j == i1 else (self._breaks[j], v[j])
+        return min(j, len(v)) - 1, left, right, m_l, m_r
 
     def _value_at(self, r, piece=None):
         """m of the piece covering r (or of the given piece), a Python

@@ -14,14 +14,17 @@ both ends:
     F_c dr into dw / m'(r(w)) -- a bounded smooth integrand -- with the
     radius recovered by monotone Newton inversion, seeded from a cubic
     Hermite interpolant of r(m) through the profile's breakpoints;
-  * at a genuinely singular start the head is recomputed by an
-    independent sqrt-factorization route and the disagreement feeds the
-    error estimate;
+  * at a genuinely singular start the head's part on r_lo's own piece
+    is recomputed by an independent sqrt-factorization route, r = r_lo
+    + xi^2 on that piece re-expanded about r_lo, which reads no
+    profile; the disagreement and that route's own error estimate feed
+    the error estimate, as does what the w-form may miss at the
+    rounding jumps of m between its pieces;
   * the smooth body uses adaptive Gauss-Kronrod 15 panels, vectorized;
   * each pass starts from a few panels per integral (HEAD_PANELS for the
-    w-form head, CROSS_PANELS for its cross-check, BODY_PANELS for the
-    body: 4, 6 and 16) and refines where its error estimate asks for
-    it, so an ordinary launch may refine, most do not;
+    w-form head and its cross-check, which run as one pass, BODY_PANELS
+    for the body: 4 and 16) and refines where its error estimate asks
+    for it, so an ordinary launch may refine, most do not;
   * on the profile's constant-curvature tail (Profile.tail: K = k
     <= 0 and m rising from r_a on) the turn integral is closed-form, so
     a leg is split at r_a: the part beyond it, to infinity for an
@@ -40,13 +43,14 @@ circle (m' = 0 there) or falls back to it (m returns to the level c),
 divergent_tail when m stops growing so the tail itself diverges.
 
 Integrals run as a batch.  integrate_turn_rates takes many at once and
-runs each pass -- head, cross-check, body -- over all of them together:
-every GK panel carries the index of its integral, so one refinement
-round makes one profile call over the new panels of every integral
-still refining.  Everything else is decided per integral: the trap and
-tangency tests (over the whole leg, before any split), the head cut,
-the adaptive split rule and panel budget, the closed-form part and the
-tail certificate.  An integral's result therefore does not
+runs each pass -- the head with its cross-check, then the body -- over
+all of them together: every GK panel carries the index of its
+integral, so one refinement round makes one profile call over the new
+panels of every integral still refining, and m and m' at the head cuts
+are read once for the batch.  Everything else is decided per integral:
+the trap and tangency tests (over the whole leg, before any split), the
+head cut, the adaptive split rule and panel budget, the closed-form
+part and the tail certificate.  An integral's result therefore does not
 depend on which others share its batch, and integrate_turn_rate is the
 batch of one.
 """
@@ -71,26 +75,15 @@ TANGENT_SLOPE = 1e-11
 TRAP_REL = 1e-9
 # panel budget of one adaptive GK15 integral
 MAX_PANELS = 4096
-# starting panels of each pass, per integral: the w-form head, its
-# xi-form cross-check and the body; the adaptive loop refines the few
+# starting panels of each pass, per integral: the w-form head with its
+# xi-form cross-check, and the body; the adaptive loop refines the few
 # integrals that need more, so more up front mostly buys nothing
 HEAD_PANELS = 4
-CROSS_PANELS = 6
 BODY_PANELS = 16
 # integrals per batch: bounds the working set of the panel arrays, and
 # holds a pole test's batch (55 integrals on the s = 0.3 cone) and a
 # max_ray_angle ladder (56 at kappa_tol 1e-8) in one pass each
 CHUNK = 64
-
-# 5-point Gauss-Legendre on [0, 1], for stable chord slopes of m
-_G5X = np.array([
-    0.0469100770306680, 0.2307653449471585, 0.5,
-    0.7692346550528415, 0.9530899229693320,
-])
-_G5W = np.array([
-    0.1184634425280945, 0.2393143352496832, 0.2844444444444444,
-    0.2393143352496832, 0.1184634425280945,
-])
 
 
 @dataclass
@@ -104,29 +97,32 @@ class IntegralResult:
         return self.status in (STATUS_DIVERGENT_TANGENCY, STATUS_DIVERGENT_TAIL)
 
 
-def _adaptive_gk(f, a, b, tol, initial, log_spaced=False, cuts=()):
+def _adaptive_gk(f, a, b, tol, initial, log_spaced=False, cuts=(), split=None):
     """Adaptive GK15 on the intervals [a_i, b_i] (a_i < b_i) together.
 
     f(x, k) evaluates integrand k_j at row j of x, the nodes of one
     panel.  Integral i starts from `initial` equal panels (geometric ones
     when log_spaced and b_i / a_i > 10); the passes start from
-    HEAD_PANELS, CROSS_PANELS and BODY_PANELS (4, 6, 16), few enough that
-    the rounds below do the work where an integral needs it, and an
-    ordinary launch may take some.  Each of cuts[i], fewer than
+    HEAD_PANELS and BODY_PANELS (4, 16), few enough that the rounds
+    below do the work where an integral needs it, and an ordinary launch
+    may take some.  Each of cuts[i], fewer than
     `initial` sorted points inside (a_i, b_i) where the integrand is
     only finitely smooth (K's joins, or their angles in a head), takes
     the place of its own inner edge: the nearest, or the next one up
     where an earlier cut took that (down from the last edge where none
     is left above), so no panel straddles one and the panel count
     stays; a head or body holding HEAD_PANELS or BODY_PANELS or more
-    joins (a fine table's knots) passes none and keeps its spacing.  It
-    splits every panel whose error estimate exceeds tol_i over twice its
+    joins (a fine table's knots) passes none and keeps its spacing; a
+    singular head's cut w_b, the end of its cross-check, is one of them.
+    It splits every panel whose error estimate exceeds tol_i over twice its
     panel count, until its summed estimate drops below tol_i or it holds
     MAX_PANELS panels, for at most 48 rounds; each round calls f once,
     on the new panels of all integrals still refining.  Sums run over
     each integral's panels in order, so its panels and sums do not
     depend on the others.  Returns per-integral (values, error
-    estimates).
+    estimates, and the sums of the panels below split[i], or below b_i
+    without split): since panels only split, those below a first-round
+    edge add up to the integral up to that edge.
     """
     n = len(a)
     t = np.arange(initial + 1) / initial
@@ -169,7 +165,9 @@ def _adaptive_gk(f, a, b, tol, initial, log_spaced=False, cuts=()):
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
         count += np.bincount(k_b, minlength=n)
-    return np.bincount(k, vals, n), np.bincount(k, errs, n)
+    value = np.bincount(k, vals, n)
+    below = value if split is None else np.bincount(k, np.where(hi <= split[k], vals, 0.0), n)
+    return value, np.bincount(k, errs, n), below
 
 
 def _invert_m(profile, targets, r_lo, r_hi, r):
@@ -300,7 +298,10 @@ def _integrate(profile, rows):
     m_at = profile.m(np.concatenate((r_lo, hi))).tolist()
     m_lo, m_hi = m_at[:n], m_at[n:]
 
-    heads, bodies = [], []  # (integral, w_lo, w_hi, r_cut, m_cut); (integral, from, to)
+    # (integral, w_lo, w_hi, r_cut, m_cut, m'(r_cut)); (integral, from, to);
+    # (integral, c, w_lo, w_end, to, (m_cut, r_lo, r_s, m(r_lo), m_s)) for
+    # a head cut on the stretch [r_lo, r_s] where m rises
+    heads, bodies, rising = [], [], []
     # integral: its closed part, as (whether it starts at r_a rather than
     # r_lo, (sin w, cos w) at its start, and at its end or None at infinity)
     closed = {}
@@ -344,7 +345,6 @@ def _integrate(profile, rows):
             closed[i] = (True, _sin_cos(ci, m_end), end)
 
         root2c = math.sqrt(2.0) * ci
-        body_from = lo
         r_s, m_s = (ext[first], m_ends[0]) if m_ends and ext[first] < hi_i else (hi_i, m_end)
         if m_i < root2c and m_s > m_i:
             # the head inverts m, so it stays on the stretch where m rises from
@@ -352,29 +352,34 @@ def _integrate(profile, rows):
             # where m' = 0 makes the w-form integrand 1/m' singular, at most
             # halfway up to it
             m_cut = root2c if r_s == hi_i else min(root2c, 0.5 * (ci + m_s))
-            r_cut = profile.level_radius(m_cut, lo, r_s)
-            if r_cut is None:  # m stays below the level, or starts above it
-                r_cut, m_cut = (r_s, m_s) if m_s < m_cut else (lo, m_i)
-            if r_cut > lo * (1 + 1e-15) + 1e-300:
-                if not math.isnan(w_e) and r_cut == hi_i:
-                    w_hi = w_e
-                else:
-                    w_hi = math.acos(min(ci / m_cut, 1.0))
-                if w_hi > w_lo + 1e-14:
-                    heads.append((i, w_lo, w_hi, r_cut, m_cut))
-                body_from = r_cut
-        if hi_i > body_from * (1 + 1e-15):
-            bodies.append((i, body_from, hi_i))
+            rising.append((i, ci, w_lo, w_e, hi_i, (m_cut, lo, r_s, m_i, m_s)))
+        elif hi_i > lo * (1 + 1e-15):
+            bodies.append((i, lo, hi_i))
 
     # m' at the starts (the tangency test, and the heads' first knots), at
     # the window ends (the tail) and at the head cuts (their last knots)
-    mp_at = profile.mp(np.concatenate((r_lo, hi, [h[3] for h in heads]))).tolist()
+    r_cuts, m_cuts = _cut_radii(profile, [h[-1] for h in rising])
+    mp_at = profile.mp(np.concatenate((r_lo, hi, r_cuts))).tolist()
     mp_lo, mp_hi = mp_at[:n], mp_at[n:2 * n]
     for i in range(n):
         if singular[i] and out[i] is None and mp_lo[i] <= TANGENT_SLOPE:
             # the geodesic is asymptotic to the parallel circle: log divergence
             out[i] = IntegralResult(math.inf, 0.0, STATUS_DIVERGENT_TANGENCY)
-    heads = [h + (mp,) for h, mp in zip(heads, mp_at[2 * n:]) if out[h[0]] is None]
+    for (i, ci, w_lo, w_e, hi_i, (_, lo, _, _, _)), r_cut, m_c, mp_cut in zip(
+            rising, r_cuts, m_cuts, mp_at[2 * n:]):
+        if out[i] is not None:
+            continue
+        body_from = lo
+        if r_cut > lo * (1 + 1e-15) + 1e-300:
+            if not math.isnan(w_e) and r_cut == hi_i:
+                w_hi = w_e
+            else:
+                w_hi = math.acos(min(ci / m_c, 1.0))
+            if w_hi > w_lo + 1e-14:
+                heads.append((i, w_lo, w_hi, r_cut, m_c, mp_cut))
+            body_from = r_cut
+        if hi_i > body_from * (1 + 1e-15):
+            bodies.append((i, body_from, hi_i))
     bodies = [b for b in bodies if out[b[0]] is None]
 
     head, head_err, cross_err = _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n)
@@ -390,8 +395,8 @@ def _integrate(profile, rows):
             return ck / (m * np.sqrt(np.maximum((m - ck) * (m + ck), 1e-300)))
 
         cuts = [_cuts(profile, s, e, BODY_PANELS)[0] for _, s, e in bodies]
-        body[at], body_err[at] = _adaptive_gk(f_r, start, end, tol[at] / 2.0, BODY_PANELS,
-                                              log_spaced=True, cuts=cuts)
+        body[at], body_err[at], _ = _adaptive_gk(f_r, start, end, tol[at] / 2.0, BODY_PANELS,
+                                                 log_spaced=True, cuts=cuts)
 
     for i, (h, h_err, x_err, b, b_err) in enumerate(zip(
             head.tolist(), head_err.tolist(), cross_err.tolist(), body.tolist(),
@@ -430,56 +435,128 @@ def _cuts(profile, lo, hi, panels):
     return (joins[j0:j1], m_joins[j0:j1]) if j1 - j0 < panels else ((), ())
 
 
+def _cut_radii(profile, stretches):
+    """The head cuts, one per stretch (level, lo, hi, m(lo), m(hi)) where
+    m rises: where the chord across the cell that holds the level
+    (Profile.level_cell, a bisect on the breakpoint values) reaches it,
+    or lo or hi for a level at or past its value there.  No root is
+    solved: the head ends where m is at that radius, a little off the
+    level, and the body starts there.  Returns the radii and m at them,
+    read in one profile call."""
+    r = []
+    for level, lo, hi, m_lo, m_hi in stretches:
+        if not m_lo < level < m_hi:
+            r.append(lo if level <= m_lo else hi)
+            continue
+        _, a, b, m_a, m_b = profile.level_cell(level, lo, hi, m_lo, m_hi)
+        r.append(a + (level - m_a) * (b - a) / (m_b - m_a))
+    return r, profile.m(r).tolist() if r else []
+
+
 def _heads(profile, heads, c, r_lo, m_lo, mp_lo, singular, tol, n):
-    """The head passes: per integral (head, head error, cross-check
-    disagreement), zero where the integral has no head."""
+    """The head pass: per integral (head, head error, cross-check
+    disagreement), zero where the integral has no head.
+
+    At a singular start (w_lo = 0) the cross-check runs from r_lo to b,
+    the end of r_lo's piece or the cut, whichever comes first: the xi
+    form on that piece (_xi_rates) against the w-form's part below
+    w_b = arccos(c / m(b)), an edge of the head's first panels (the
+    joins past b take the edges left).  Both run in one adaptive pass,
+    and the xi route's own error estimate adds to the disagreement.
+    The head's error also takes, at each breakpoint inside it, F_c dr
+    over dr = dm / m' for m's rounding jump dm there (Profile.seams):
+    the w-form inverts m and reads such a jump as an angle passed at
+    no radius.
+    """
     head, head_err, cross_err = np.zeros(n), np.zeros(n), np.zeros(n)
     if not heads:
         return head, head_err, cross_err
     # the knots of r(m): the start (where m may sit a rounding below c),
-    # the profile's breakpoints, and the cut, with slopes 1 / m'
-    m, r, mp, k, cuts = [], [], [], [], []
+    # the profile's breakpoints, and the cut, with slopes 1 / m', and m's
+    # jump at each; then the singular heads, their starts and xi ends
+    m, r, mp, k, jump, cuts, split = [], [], [], [], [], [], []
+    sing, xi_lo, xi_hi = [], [], []
     for j, (i, w_lo, w_hi, r_cut, m_cut, mp_cut) in enumerate(heads):
         kr, km, kmp = profile.knots(r_lo[i], r_cut)
         m += [min(m_lo[i], c[i]), *km.tolist(), m_cut]
         r += [r_lo[i], *kr.tolist(), r_cut]
         mp += [mp_lo[i], *kmp.tolist(), mp_cut]
         k += [j] * (kr.size + 2)
-        inside, m_inside = _cuts(profile, r_lo[i], r_cut, HEAD_PANELS)
+        jump += [0.0, *profile.seams(r_lo[i], r_cut), 0.0]
+        w_b, past = w_hi, r_lo[i]
+        if singular[i]:
+            # the cross-check runs to b, the end of r_lo's piece or the cut
+            sing.append(j)
+            xi_lo.append(r_lo[i])
+            xi_hi.append(math.sqrt((kr[0] if kr.size else r_cut) - r_lo[i]))
+            if kr.size:
+                w_b, past = math.acos(min(c[i] / km[0], 1.0)), kr[0]
+        edges = [w_b] if w_lo < w_b < w_hi else []
+        inside, m_inside = _cuts(profile, past, r_cut, HEAD_PANELS - len(edges))
         if inside:  # the w-form's cuts are the joins' angles
             w = np.arccos(np.minimum(c[i] / m_inside, 1.0))
-            inside = w[(w_lo < w) & (w < w_hi)].tolist()
-        cuts.append(inside)
-    seed = _inverse_seed(np.array(m), np.array(r), 1.0 / np.maximum(mp, 1e-300), np.array(k))
+            edges += w[(w_lo < w) & (w < w_hi)].tolist()
+        cuts.append(edges)
+        split.append(w_b)
+    m, r, mp, k = np.array(m), np.array(r), np.maximum(mp, 1e-300), np.array(k)
+    seed = _inverse_seed(m, r, 1.0 / mp, k)
     at, w_lo, w_hi, r_cut = np.array([h[:4] for h in heads]).T
     at = at.astype(int)
     hc, hlo = c[at], r_lo[at]
+    nh, seam = len(heads), 0.0
+    if any(jump):
+        ck = hc[k]
+        seam = np.bincount(k, jump * (ck / m) / np.maximum(
+            mp * np.sqrt(np.maximum((m - ck) * (m + ck), 1e-300)), 1e-300), nh)
 
-    def f_w(w, k):
+    def w_rate(w, k):
         k = np.repeat(k, w.shape[1])
         t = hc[k] / np.cos(w.ravel())
         return 1.0 / _invert_m(profile, t, hlo[k], r_cut[k], seed(t, k))[1].reshape(w.shape)
 
-    head[at], head_err[at] = _adaptive_gk(f_w, w_lo, w_hi, tol[at] / 4.0, HEAD_PANELS,
-                                          cuts=cuts)
+    # one pass: the heads in the w form, then (integrals nh on) the
+    # singular starts' cross-checks in the xi form, on r_lo's piece
+    lo, hi, xi_rate = w_lo, w_hi, None
+    if sing:
+        xi_rate = _xi_rates(profile.expand(xi_lo), hc[sing])
+        xi_hi = np.array(xi_hi)
+        lo, hi = np.concatenate((w_lo, np.zeros(len(sing)))), np.concatenate((w_hi, xi_hi))
+        at, split = np.concatenate((at, at[sing])), np.concatenate((split, xi_hi))
 
-    sing = np.array([singular[i] for i in at.tolist()])
-    if sing.any():
-        # independent check: factor out the sqrt singularity
-        at, xc, xlo = at[sing], hc[sing], hlo[sing]
+    def f_w(x, k):
+        xi = k >= nh
+        if not xi.any():
+            return w_rate(x, k)
+        w, out = ~xi, np.empty_like(x)
+        out[w], out[xi] = w_rate(x[w], k[w]), xi_rate(x[xi], k[xi] - nh)
+        return out
 
-        def f_xi(xi, k):
-            rl, ck = xlo[k][:, None], xc[k][:, None]
-            r = rl + xi**2
-            m = profile.m(r)
-            nodes = rl[..., None] + (r - rl)[..., None] * _G5X
-            h = np.maximum((profile.mp(nodes) * _G5W).sum(axis=-1), 1e-300)
-            return 2.0 * ck / (m * np.sqrt((m + ck) * h))
-
-        head2, _ = _adaptive_gk(f_xi, np.zeros(at.size), np.sqrt(r_cut[sing] - xlo),
-                                tol[at] / 4.0, CROSS_PANELS)
-        cross_err[at] = np.abs(head[at] - head2)
+    value, err, below = _adaptive_gk(f_w, lo, hi, tol[at] / 4.0, HEAD_PANELS, cuts=cuts,
+                                     split=split if sing else None)
+    head[at[:nh]], head_err[at[:nh]] = value[:nh], err[:nh] + seam
+    cross_err[at[nh:]] = np.abs(below[sing] - value[nh:]) + err[nh:]
     return head, head_err, cross_err
+
+
+def _xi_rates(coefs, c):
+    """The xi form of F_c dr from a singular start r_lo, r = r_lo + xi^2:
+    2 c / (m sqrt((m + c) h)), with t = xi^2, m = b_0 + t h and the exact
+    chord slope h = (m(r) - m(r_lo)) / t = sum_k b_k t^(k-1), summed by
+    Horner's scheme from the coefficients b_k of r_lo's piece
+    re-expanded about r_lo (coefs, one column per integral, as
+    Profile.expand gives them), so it reads no profile and forms no
+    difference of m.  Returns the integrand f(xi, k) that _adaptive_gk
+    takes."""
+
+    def f_xi(xi, k):
+        b, t, ck = coefs[:, k, None], xi * xi, c[k][:, None]
+        h = b[-1]
+        for coef in b[-2:0:-1]:
+            h = h * t + coef
+        m = b[0] + t * h
+        return 2.0 * ck / (m * np.sqrt((m + ck) * np.maximum(h, 1e-300)))
+
+    return f_xi
 
 
 def _sin_cos(c, m, w=math.nan):

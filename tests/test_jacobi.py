@@ -522,6 +522,23 @@ def test_level_radius_sums_like_ppoly(level_planes):
             assert p.level_radius(p.m(x), 0.0, x, last=True) == x
 
 
+def test_pieces_re_expand_about_a_radius(level_planes):
+    # expand(r) is the piece that holds r in powers of t = radius - r, up
+    # to that piece's end, the next breakpoint; seams are each piece's end
+    # against the next one's start, both summed as Profile.m sums them
+    rng = np.random.default_rng(5)
+    for p in level_planes.values():
+        x = p.knots(0.0, p.r_max)[0]
+        r = np.r_[rng.uniform(0.0, p.r_max, 200), x[:100], 0.0]
+        b = p.expand(r)
+        t = 0.5 * (np.r_[x, p.r_max][np.searchsorted(x, r, side="right")] - r)
+        for at, want in ((0.0, p.m(r)), (t, p.m(r + t))):
+            got = sum(bk * at ** k for k, bk in enumerate(b))
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
+        ends = [p._value_at(e, i) for i, e in enumerate(x.tolist())]
+        np.testing.assert_array_equal(p.seams(0.0, p.r_max), np.abs(np.array(ends) - p.m(x)))
+
+
 def test_only_jacobi_reads_the_profile_cache():
     # every other module reads the profile's pieces through Profile's
     # methods (m, mp, roots, extrema, knots, level_radius), so the

@@ -517,8 +517,8 @@ def test_cuts_take_their_own_initial_edges(monkeypatch):
     monkeypatch.setattr(qd, "_gk15", spy)
     a, b = np.array([1.0, 0.0]), np.array([1000.0, 1.0])
     cuts = [(999.1, 999.5, 999.9), (0.5, 0.51)]
-    val, _ = qd._adaptive_gk(lambda x, k: np.ones_like(x), a, b, np.full(2, 1e-9), 8,
-                             log_spaced=True, cuts=cuts)
+    val, _, _ = qd._adaptive_gk(lambda x, k: np.ones_like(x), a, b, np.full(2, 1e-9), 8,
+                                log_spaced=True, cuts=cuts)
     lo, hi = first[0]
     assert val == pytest.approx(b - a, rel=1e-14)
     assert lo.size == 16 and np.all(lo < hi)
@@ -602,3 +602,147 @@ def test_bulge_well_still_traps(bulge):
     c = m_min * (1.0 - 1e-6)
     res = qd.integrate_turn_rate(p, c, p.level_radius(c, 0.0, math.pi / 2))
     assert res.status == "converged" and math.isfinite(res.value)
+
+
+# --- the singular head: its cut, its cross-check, the long heads ----------
+
+
+def test_cross_check_reads_no_profile(cone03, bulge, monkeypatch):
+    # the xi route sums r_lo's own piece re-expanded about r_lo, so its
+    # integrand reads neither m nor m', and no quadrature rule for the
+    # chord slope is left
+    assert not hasattr(qd, "_G5X") and not hasattr(qd, "_G5W")
+    calls, xi_rates = [], qd._xi_rates
+
+    def no_reads(self, r):
+        raise AssertionError("the xi integrand read the profile")
+
+    def spy(coefs, c):
+        f = xi_rates(coefs, c)
+
+        def guarded(xi, k):
+            calls.append(xi.shape)
+            with monkeypatch.context() as patch:
+                patch.setattr(jacobi.Profile, "m", no_reads)
+                patch.setattr(jacobi.Profile, "mp", no_reads)
+                return f(xi, k)
+
+        return guarded
+
+    monkeypatch.setattr(qd, "_xi_rates", spy)
+    for p in (cone03.profile, bulge.profile):
+        res = gd.turn_angles(p, np.geomspace(1e-3, 0.9, 40) * p.r_max, math.pi / 2)
+        assert all(r.status in ("converged", "divergent_tangency") for r in res)
+    assert calls
+
+
+def test_head_cuts_solve_no_level_per_leg(cone03, bulge, bounded_table, monkeypatch):
+    # where m reaches the head's cut comes out of one array pass over the
+    # batch, not a Profile.level_radius call per leg
+    def no_solve(*args, **kw):
+        raise AssertionError("a per-leg level solve")
+
+    monkeypatch.setattr(jacobi.Profile, "level_radius", no_solve)
+    for built in (cone03, bulge, bounded_table):
+        p = built.profile
+        r_q = np.geomspace(1e-3, 0.9, 30) * p.r_max
+        legs = [dict(c=m, r_lo=r, w_start=0.0) for r, m in zip(r_q.tolist(), p.m(r_q).tolist())]
+        legs += [dict(c=0.5 * m, r_lo=r, r_hi=p.r_max) for r, m in zip(r_q.tolist(), p.m(r_q).tolist())]
+        assert all(r.status != "converged" or math.isfinite(r.value)
+                   for r in qd.integrate_turn_rates(p, legs))
+
+
+def test_cross_check_runs_to_the_end_of_the_start_piece(cone03, monkeypatch):
+    # a singular head's xi route runs from r_lo to the end of r_lo's piece
+    # (or the cut), in the head's own pass, and that end's angle is an
+    # edge of the head's first panels
+    p = cone03.profile
+    first, gk15 = [], qd._gk15
+
+    def spy(f, lo, hi, k):
+        if f.__name__ == "f_w" and not first:
+            first.append((hi, k))
+        return gk15(f, lo, hi, k)
+
+    monkeypatch.setattr(qd, "_gk15", spy)
+    r = 30.0
+    qd.integrate_turn_rate(p, float(p.m(r)), r, w_start=0.0)
+    end = p.knots(r, p.r_max)[0][0]
+    hi, k = first[0]
+    assert np.array_equal(k, np.repeat([0, 1], qd.HEAD_PANELS))
+    assert hi[k == 1].max() == math.sqrt(end - r)
+    # the edge is the angle where m - c reaches m(end) - m(r)
+    w_b = math.atan(math.sqrt((p.m(end) - p.m(r)) * (p.m(end) + p.m(r))) / p.m(r))
+    assert np.min(np.abs(hi[k == 0] - w_b)) <= 1e-12 * w_b
+
+
+def _table_reference(p, r_q, near=0.1):
+    """The tangential turn integral from r_q to the window end on the
+    profile's own pieces of m, cell by cell.  The cells within `near` of
+    r_q run in 30-digit mpmath, the first with r = r_q + xi^2 on its
+    piece re-expanded about r_q; the rest run through scipy's quad with
+    m - c summed in long double, so no cell loses the digits of m - c."""
+    coefs, x = p._m_kernel[0][..., 0], p._m_kernel[1]
+    cell = int(np.searchsorted(x, r_q, side="right")) - 1
+    ends = [r_q, *x[cell + 1:].tolist()]
+    split = next(j for j, e in enumerate(ends) if e > r_q + near)
+    with mpmath.workdps(30):
+        r0 = mpmath.mpf(r_q)
+        a = [[mpmath.mpf(float(v)) for v in coefs[::-1, i]] for i in range(cell, cell + split)]
+        s0 = r0 - mpmath.mpf(float(x[cell]))
+        b = [sum(mpmath.binomial(n, k) * a[0][n] * s0 ** (n - k) for n in range(k, len(a[0])))
+             for k in range(len(a[0]))]
+        c0 = b[0]
+
+        def first(xi):
+            t = xi * xi
+            h = mpmath.polyval(b[:0:-1], t)
+            m = c0 + t * h
+            return 2 * c0 / (m * mpmath.sqrt((m + c0) * h))
+
+        value = mpmath.quad(first, [0, mpmath.sqrt(mpmath.mpf(ends[1]) - r0)])
+        for j in range(1, split):
+
+            def f(r, j=j):
+                m = mpmath.polyval(a[j][::-1], r - mpmath.mpf(float(x[cell + j])))
+                return c0 / (m * mpmath.sqrt((m - c0) * (m + c0)))
+
+            value += mpmath.quad(f, [mpmath.mpf(ends[j]), mpmath.mpf(ends[j + 1])])
+        c_ld = np.longdouble(float(c0)) + np.longdouble(float(c0 - float(c0)))
+        value = float(value)
+    cl = coefs.astype(np.longdouble)
+    for i, (lo, hi) in enumerate(zip(ends[split:-1], ends[split + 1:]), start=cell + split):
+
+        def f(r, i=i):
+            s, m = np.longdouble(r) - np.longdouble(x[i]), np.longdouble(0.0)
+            for coef in cl[:, i]:
+                m = m * s + coef
+            return float(c_ld / (m * np.sqrt((m - c_ld) * (m + c_ld))))
+
+        value += quad(f, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+    return value
+
+
+def test_bounded_table_heads_keep_a_narrow_band(bounded_table):
+    # m = r / sqrt(1 + r^2) < 1, so a tangential leg never reaches
+    # sqrt(2) c and its w-form head runs to the window end across the
+    # table's knots; the cross-check covers r_lo's piece only, so the
+    # band stays near the head's own error
+    p = bounded_table.profile
+    rng = random.Random(34)
+    r_q = [1.0 + 49.0 * (i + rng.random()) / 16 for i in range(16)]
+    legs = [dict(c=m, r_lo=r, w_start=0.0) for r, m in zip(r_q, p.m(r_q).tolist())]
+    coarse, fine = (qd.integrate_turn_rates(p, [dict(leg, tol=tol) for leg in legs])
+                    for tol in (1e-8, 1e-12))
+    for r, a, b in zip(r_q, coarse, fine):
+        assert a.status == b.status == "window_limited", r
+        # below 100 tol at 1e-8; at 1e-12 the band keeps the w-form's floor
+        # on this plane (m's seams over m' ~ 1e-5), below the same bound
+        assert max(a.abs_error, b.abs_error) < 100 * 1e-8, (r, a, b)
+        assert abs(a.value - b.value) <= a.abs_error + b.abs_error, (r, a, b)
+    # a cell-wise reference on the profile's own m lies in the bands
+    for r in r_q[::4]:
+        want = _table_reference(p, r)
+        for res in (coarse, fine):
+            got = res[r_q.index(r)]
+            assert abs(got.value - want) <= got.abs_error, (r, got, want)
